@@ -1,13 +1,18 @@
 module Time = M3v_sim.Time
 
-type stats = { reads : int; writes : int; bytes_read : int; bytes_written : int }
+type stats = {
+  mutable reads : int;
+  mutable writes : int;
+  mutable bytes_read : int;
+  mutable bytes_written : int;
+}
 
 type t = {
   store : bytes;
   access_latency_ps : int;
   ps_per_byte : int;
   mutable busy_until : Time.t;
-  mutable stats : stats;
+  stats : stats;
 }
 
 (* Defaults model the FPGA's DDR4 interface: ~90 ns access latency and
@@ -30,36 +35,32 @@ let check t ~off ~len =
       (Printf.sprintf "Dram: access [%#x, %#x) outside store of %#x bytes" off
          (off + len) (Bytes.length t.store))
 
+let count_read t len =
+  t.stats.reads <- t.stats.reads + 1;
+  t.stats.bytes_read <- t.stats.bytes_read + len
+
+let count_write t len =
+  t.stats.writes <- t.stats.writes + 1;
+  t.stats.bytes_written <- t.stats.bytes_written + len
+
 let read t ~off ~len =
   check t ~off ~len;
-  t.stats <-
-    { t.stats with reads = t.stats.reads + 1; bytes_read = t.stats.bytes_read + len };
+  count_read t len;
   Bytes.sub t.store off len
 
 let read_into t ~off ~dst ~dst_off ~len =
   check t ~off ~len;
-  t.stats <-
-    { t.stats with reads = t.stats.reads + 1; bytes_read = t.stats.bytes_read + len };
+  count_read t len;
   Bytes.blit t.store off dst dst_off len
 
 let write t ~off ~src ~src_off ~len =
   check t ~off ~len;
-  t.stats <-
-    {
-      t.stats with
-      writes = t.stats.writes + 1;
-      bytes_written = t.stats.bytes_written + len;
-    };
+  count_write t len;
   Bytes.blit src src_off t.store off len
 
 let fill t ~off ~len c =
   check t ~off ~len;
-  t.stats <-
-    {
-      t.stats with
-      writes = t.stats.writes + 1;
-      bytes_written = t.stats.bytes_written + len;
-    };
+  count_write t len;
   Bytes.fill t.store off len c
 
 let access_time t ~now ~bytes =
@@ -68,4 +69,4 @@ let access_time t ~now ~bytes =
   t.busy_until <- Time.add start duration;
   Time.add start duration
 
-let stats t = t.stats
+let stats t = { t.stats with reads = t.stats.reads }

@@ -27,6 +27,13 @@ val fill : t -> off:int -> len:int -> char -> unit
     access issued at [now], advancing the contention horizon. *)
 val access_time : t -> now:M3v_sim.Time.t -> bytes:int -> M3v_sim.Time.t
 
-type stats = { reads : int; writes : int; bytes_read : int; bytes_written : int }
+(** Access counters.  [stats] returns a snapshot: later accesses do not
+    change a value already taken. *)
+type stats = private {
+  mutable reads : int;
+  mutable writes : int;
+  mutable bytes_read : int;
+  mutable bytes_written : int;
+}
 
 val stats : t -> stats

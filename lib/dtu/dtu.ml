@@ -44,28 +44,28 @@ let ep_cat ep = "ep" ^ string_of_int ep
 type completion = (unit, Dtu_types.error) result -> unit
 
 type stats = {
-  sends : int;
-  replies : int;
-  fetches : int;
-  acks : int;
-  dma_reads : int;
-  dma_writes : int;
-  dma_bytes : int;
-  core_reqs : int;
-  delivery_failures : int;
-  translation_faults : int;
-  retries : int;
-  timeouts : int;
-  dup_drops : int;
-  mig_forwards : int;
-  mpmc_deliveries : int;
-  mpmc_doorbells_coalesced : int;
-  mpmc_refund_flushes : int;
-  mpmc_credits_refunded : int;
-  credit_stalls : int;
+  mutable sends : int;
+  mutable replies : int;
+  mutable fetches : int;
+  mutable acks : int;
+  mutable dma_reads : int;
+  mutable dma_writes : int;
+  mutable dma_bytes : int;
+  mutable core_reqs : int;
+  mutable delivery_failures : int;
+  mutable translation_faults : int;
+  mutable retries : int;
+  mutable timeouts : int;
+  mutable dup_drops : int;
+  mutable mig_forwards : int;
+  mutable mpmc_deliveries : int;
+  mutable mpmc_doorbells_coalesced : int;
+  mutable mpmc_refund_flushes : int;
+  mutable mpmc_credits_refunded : int;
+  mutable credit_stalls : int;
 }
 
-let empty_stats =
+let fresh_stats () =
   {
     sends = 0;
     replies = 0;
@@ -102,7 +102,7 @@ type t = {
   mutable msg_arrived : act_id -> unit;
   mutable lookup_dtu : int -> t option;
   mutable lookup_mem : int -> Dram.t option;
-  mutable stats : stats;
+  stats : stats;
   (* One-entry cache for [get_owned_ep], keyed by (endpoint index, current
      activity).  Send/reply/fetch/ack hammer the same endpoint for the
      same activity, so the hit rate is high and a hit skips validation and
@@ -151,7 +151,7 @@ let create ~virtualized ~tile ?(ep_count = 128) ?(tlb_capacity = 32) engine noc 
     msg_arrived = (fun _ -> ());
     lookup_dtu = (fun _ -> None);
     lookup_mem = (fun _ -> None);
-    stats = empty_stats;
+    stats = fresh_stats ();
     ep_cache_idx = -1;
     ep_cache_act = invalid_act;
     ep_cache_res = Error No_such_ep;
@@ -166,7 +166,7 @@ let connect t ~lookup_dtu ~lookup_mem =
 let tile t = t.tile
 let virtualized t = t.virtualized
 let ep_count t = Array.length t.eps
-let stats t = t.stats
+let stats t = { t.stats with sends = t.stats.sends }
 let tlb t = t.tlb
 
 let unread_cell t act =
@@ -226,8 +226,7 @@ let check_vaddr t ~vaddr ~len ~write =
               Metrics.counter_incr ~name:"dtu/tlb_hit" ~tile:t.tile ();
             Ok ()
         | None ->
-            t.stats <-
-              { t.stats with translation_faults = t.stats.translation_faults + 1 };
+            t.stats.translation_faults <- t.stats.translation_faults + 1;
             if Trace.on () then
               Trace.instant ~cat:"dtu" ~name:"tlb_fault" ~tile:t.tile ~act:t.cur
                 ~ts:(Engine.now t.engine)
@@ -274,7 +273,7 @@ let traced_completion t ~name ~k =
 let push_core_req dst act =
   let was_empty = Queue.is_empty dst.core_reqs in
   Queue.add act dst.core_reqs;
-  dst.stats <- { dst.stats with core_reqs = dst.stats.core_reqs + 1 };
+  dst.stats.core_reqs <- dst.stats.core_reqs + 1;
   if Trace.on () then
     Trace.instant ~cat:"dtu" ~name:"core_req" ~tile:dst.tile ~act
       ~ts:(Engine.now dst.engine)
@@ -296,7 +295,7 @@ let deliver dst ~dst_ep (msg : Msg.t) =
       match e.Ep.cfg with
       | Ep.Recv r ->
           if Fault.on () && Ep.seen_before r msg.Msg.uid then begin
-            dst.stats <- { dst.stats with dup_drops = dst.stats.dup_drops + 1 };
+            dst.stats.dup_drops <- dst.stats.dup_drops + 1;
             if Trace.on () then
               Trace.instant ~cat:"dtu" ~name:"dup_drop" ~tile:dst.tile
                 ~act:e.Ep.owner
@@ -330,7 +329,7 @@ let deliver dst ~dst_ep (msg : Msg.t) =
           end
       | Ep.Mpmc_recv mp ->
           if Fault.on () && Ep.mp_seen_before mp msg.Msg.uid then begin
-            dst.stats <- { dst.stats with dup_drops = dst.stats.dup_drops + 1 };
+            dst.stats.dup_drops <- dst.stats.dup_drops + 1;
             if Trace.on () then
               Trace.instant ~cat:"dtu" ~name:"dup_drop" ~tile:dst.tile
                 ~act:e.Ep.owner
@@ -349,11 +348,7 @@ let deliver dst ~dst_ep (msg : Msg.t) =
             Queue.add msg mp.Ep.mp_pending;
             mp.Ep.mp_head <- mp.Ep.mp_head + 1;
             if Fault.on () then Ep.mp_note_seen mp msg.Msg.uid;
-            dst.stats <-
-              {
-                dst.stats with
-                mpmc_deliveries = dst.stats.mpmc_deliveries + 1;
-              };
+            dst.stats.mpmc_deliveries <- dst.stats.mpmc_deliveries + 1;
             let owner = e.Ep.owner in
             if Trace.on () then
               flow_deliver ~uid:msg.Msg.uid ~tile:dst.tile ~act:owner
@@ -375,12 +370,8 @@ let deliver dst ~dst_ep (msg : Msg.t) =
               dst.msg_arrived owner
             end
             else begin
-              dst.stats <-
-                {
-                  dst.stats with
-                  mpmc_doorbells_coalesced =
-                    dst.stats.mpmc_doorbells_coalesced + 1;
-                };
+              dst.stats.mpmc_doorbells_coalesced <-
+                dst.stats.mpmc_doorbells_coalesced + 1;
               if Metrics.on () then
                 Metrics.counter_incr ~name:"dtu/mpmc_doorbell_coalesced"
                   ~tile:dst.tile ()
@@ -406,11 +397,7 @@ let rec restore_credit_n dst_dtu ~ep n =
         | Some (fwd_tile, fwd_ep) ->
             (* The owner migrated away: the grant chases it over the
                lossless sideband instead of parking at the dead slot. *)
-            dst_dtu.stats <-
-              {
-                dst_dtu.stats with
-                mig_forwards = dst_dtu.stats.mig_forwards + 1;
-              };
+            dst_dtu.stats.mig_forwards <- dst_dtu.stats.mig_forwards + 1;
             Noc.send dst_dtu.noc ~src:dst_dtu.tile ~dst:fwd_tile
               ~bytes:credit_packet_bytes ~on_delivered:(fun () ->
                 match dst_dtu.lookup_dtu fwd_tile with
@@ -462,7 +449,7 @@ let with_retries t ~name ~k ~attempt =
         Engine.after t.engine ~delay:(retry_base_ps * (1 lsl n)) (fun () ->
             if not !done_ then
               if n >= max_retries then begin
-                t.stats <- { t.stats with timeouts = t.stats.timeouts + 1 };
+                t.stats.timeouts <- t.stats.timeouts + 1;
                 if Trace.on () then
                   Trace.instant ~cat:"dtu" ~name:(name ^ "_timeout")
                     ~tile:t.tile
@@ -471,7 +458,7 @@ let with_retries t ~name ~k ~attempt =
                 finish (Error Timeout)
               end
               else begin
-                t.stats <- { t.stats with retries = t.stats.retries + 1 };
+                t.stats.retries <- t.stats.retries + 1;
                 if Trace.on () then
                   Trace.instant ~cat:"dtu" ~name:"retransmit" ~tile:t.tile
                     ~ts:(Engine.now t.engine)
@@ -508,8 +495,7 @@ let deliver_chased t ~dst_tile ~dst_ep ~bytes ~active (msg : Msg.t) k =
       | Some dst -> (
           match Hashtbl.find_opt dst.moved ep with
           | Some (fwd_tile, fwd_ep) when hops > 0 ->
-              dst.stats <-
-                { dst.stats with mig_forwards = dst.stats.mig_forwards + 1 };
+              dst.stats.mig_forwards <- dst.stats.mig_forwards + 1;
               if Trace.on () then
                 Trace.instant ~cat:"dtu" ~name:"mig_forward" ~tile
                   ~ts:(Engine.now dst.engine)
@@ -531,8 +517,7 @@ let transmit t ~dst_tile ~dst_ep ~(msg : Msg.t) ~on_credit_fail ~k =
   let k = function
     | Ok () -> k (Ok ())
     | Error e ->
-        t.stats <-
-          { t.stats with delivery_failures = t.stats.delivery_failures + 1 };
+        t.stats.delivery_failures <- t.stats.delivery_failures + 1;
         on_credit_fail ();
         k (Error e)
   in
@@ -554,7 +539,7 @@ let transmit t ~dst_tile ~dst_ep ~(msg : Msg.t) ~on_credit_fail ~k =
                     finish res))))
 
 let send t ~ep ?reply_ep ?src_vaddr ?issue_ts ~msg_size data ~k =
-  t.stats <- { t.stats with sends = t.stats.sends + 1 };
+  t.stats.sends <- t.stats.sends + 1;
   let k = traced_completion t ~name:"send" ~k in
   match get_owned_ep t ep with
   | Error e -> complete_local t ~k (Error e)
@@ -568,8 +553,7 @@ let send t ~ep ?reply_ep ?src_vaddr ?issue_ts ~msg_size data ~k =
             | Error err -> complete_local t ~k (Error err)
             | Ok () ->
                 if s.Ep.credits <= 0 then begin
-                  t.stats <-
-                    { t.stats with credit_stalls = t.stats.credit_stalls + 1 };
+                  t.stats.credit_stalls <- t.stats.credit_stalls + 1;
                   if Metrics.on () then
                     Metrics.counter_incr ~name:"dtu/credit_stall" ~tile:t.tile
                       ();
@@ -644,12 +628,9 @@ let mpmc_flush_refunds t (mp : Ep.mpmc) =
     mp.Ep.mp_refund_total <- 0;
     List.iter
       (fun ((src_tile, sep), n) ->
-        t.stats <-
-          {
-            t.stats with
-            mpmc_refund_flushes = t.stats.mpmc_refund_flushes + 1;
-            mpmc_credits_refunded = t.stats.mpmc_credits_refunded + n;
-          };
+        let s = t.stats in
+        s.mpmc_refund_flushes <- s.mpmc_refund_flushes + 1;
+        s.mpmc_credits_refunded <- s.mpmc_credits_refunded + n;
         if Metrics.on () then
           Metrics.counter_incr ~name:"dtu/mpmc_refund_flush" ~tile:t.tile ();
         (* Credit grants ride the lossless control sideband, like acks. *)
@@ -685,7 +666,7 @@ let mpmc_free t ~ep (mp : Ep.mpmc) (msg : Msg.t) =
   end
 
 let reply t ~recv_ep ~to_msg ?src_vaddr ?issue_ts ~msg_size data ~k =
-  t.stats <- { t.stats with replies = t.stats.replies + 1 };
+  t.stats.replies <- t.stats.replies + 1;
   let k = traced_completion t ~name:"reply" ~k in
   match get_owned_ep t recv_ep with
   | Error e -> complete_local t ~k (Error e)
@@ -753,11 +734,7 @@ let reply t ~recv_ep ~to_msg ?src_vaddr ?issue_ts ~msg_size data ~k =
                 (match t.lookup_dtu dst_tile with
                 | Some dst -> restore_once dst
                 | None -> ());
-                t.stats <-
-                  {
-                    t.stats with
-                    delivery_failures = t.stats.delivery_failures + 1;
-                  };
+                t.stats.delivery_failures <- t.stats.delivery_failures + 1;
                 k (Error e)
           in
           with_retries t ~name:"reply" ~k ~attempt:(fun ~active ~finish ->
@@ -789,7 +766,7 @@ let reply t ~recv_ep ~to_msg ?src_vaddr ?issue_ts ~msg_size data ~k =
                               ~on_delivered:(fun () -> finish (Error e)))))))
 
 let fetch t ~ep =
-  t.stats <- { t.stats with fetches = t.stats.fetches + 1 };
+  t.stats.fetches <- t.stats.fetches + 1;
   match get_owned_ep t ep with
   | Error e -> Error e
   | Ok e -> (
@@ -831,7 +808,7 @@ let fetch t ~ep =
       | Ep.Invalid | Ep.Send _ | Ep.Mem _ -> Error Wrong_ep_type)
 
 let ack t ~ep msg =
-  t.stats <- { t.stats with acks = t.stats.acks + 1 };
+  t.stats.acks <- t.stats.acks + 1;
   let traced () =
     if Trace.on () then
       Trace.instant ~cat:"dtu" ~name:"ack" ~tile:t.tile ~act:t.cur
@@ -884,22 +861,6 @@ let dma t ~ep ~off ~len ~vaddr ~write ~k ~action =
   let k =
     traced_completion t ~name:(if write then "dma_write" else "dma_read") ~k
   in
-  let record () =
-    if write then
-      t.stats <-
-        {
-          t.stats with
-          dma_writes = t.stats.dma_writes + 1;
-          dma_bytes = t.stats.dma_bytes + len;
-        }
-    else
-      t.stats <-
-        {
-          t.stats with
-          dma_reads = t.stats.dma_reads + 1;
-          dma_bytes = t.stats.dma_bytes + len;
-        }
-  in
   match get_owned_ep t ep with
   | Error e -> complete_local t ~k (Error e)
   | Ok e -> (
@@ -921,7 +882,10 @@ let dma t ~ep ~off ~len ~vaddr ~write ~k ~action =
                 match t.lookup_mem m.Ep.mem_tile with
                 | None -> complete_local t ~k (Error Out_of_bounds)
                 | Some dram ->
-                    record ();
+                    let s = t.stats in
+                    if write then s.dma_writes <- s.dma_writes + 1
+                    else s.dma_reads <- s.dma_reads + 1;
+                    s.dma_bytes <- s.dma_bytes + len;
                     let phys_off = m.Ep.base + off in
                     (* Request travels to the memory tile, the DRAM access
                        is serialized there, and the data crosses the NoC in

@@ -230,28 +230,35 @@ val ext_credit_inventory : t -> int
 
 (** {1 Statistics} *)
 
-type stats = {
-  sends : int;
-  replies : int;
-  fetches : int;
-  acks : int;
-  dma_reads : int;
-  dma_writes : int;
-  dma_bytes : int;
-  core_reqs : int;
-  delivery_failures : int;
-  translation_faults : int;
-  retries : int;  (** retransmitted command attempts (fault injection) *)
-  timeouts : int;  (** commands that exhausted their retransmit budget *)
-  dup_drops : int;  (** deduplicated message copies dropped on receive *)
-  mig_forwards : int;
+(** Command counters, bumped in place on the command path.  [stats]
+    returns a snapshot: later traffic does not change a value already
+    taken. *)
+type stats = private {
+  mutable sends : int;
+  mutable replies : int;
+  mutable fetches : int;
+  mutable acks : int;
+  mutable dma_reads : int;
+  mutable dma_writes : int;
+  mutable dma_bytes : int;
+  mutable core_reqs : int;
+  mutable delivery_failures : int;
+  mutable translation_faults : int;
+  mutable retries : int;
+      (** retransmitted command attempts (fault injection) *)
+  mutable timeouts : int;
+      (** commands that exhausted their retransmit budget *)
+  mutable dup_drops : int;
+      (** deduplicated message copies dropped on receive *)
+  mutable mig_forwards : int;
       (** packets/credit grants forwarded through a migration pointer *)
-  mpmc_deliveries : int;  (** messages delivered into MPMC rings *)
-  mpmc_doorbells_coalesced : int;
+  mutable mpmc_deliveries : int;  (** messages delivered into MPMC rings *)
+  mutable mpmc_doorbells_coalesced : int;
       (** MPMC arrivals absorbed by an already-pending doorbell *)
-  mpmc_refund_flushes : int;  (** batched credit packets sent by MPMC acks *)
-  mpmc_credits_refunded : int;  (** credits carried by those packets *)
-  credit_stalls : int;
+  mutable mpmc_refund_flushes : int;
+      (** batched credit packets sent by MPMC acks *)
+  mutable mpmc_credits_refunded : int;  (** credits carried by those packets *)
+  mutable credit_stalls : int;
       (** send attempts rejected with [No_credits]; each runtime retry spin
           counts once, so the total measures backpressure pressure, not
           unique messages *)

@@ -62,16 +62,16 @@ type mx_tile_state = {
 }
 
 type stats = {
-  syscalls : int;
-  mx_switches : int;
-  mx_forwards : int;
-  busy_ps : int;
-  crashes : int;
-  restarts : int;
-  credits_reclaimed : int;
-  migrations : int;
-  mig_aborts : int;
-  mig_downtime_ps : int;
+  mutable syscalls : int;
+  mutable mx_switches : int;
+  mutable mx_forwards : int;
+  mutable busy_ps : int;
+  mutable crashes : int;
+  mutable restarts : int;
+  mutable credits_reclaimed : int;
+  mutable migrations : int;
+  mutable mig_aborts : int;
+  mutable mig_downtime_ps : int;
 }
 
 type t = {
@@ -96,7 +96,7 @@ type t = {
   pending_maps : (int, Msg.t) Hashtbl.t;  (* map request id -> pager syscall *)
   mutable next_map_req : int;
   mutable busy : bool;
-  mutable stats : stats;
+  stats : stats;
 }
 
 (* --- calibration constants (controller-side costs, in controller-core
@@ -118,7 +118,7 @@ let mig_resume_cycles = 1_400
 (* The controller's syscall receive endpoint. *)
 let syscall_ep = 0
 
-let empty_stats =
+let fresh_stats () =
   {
     syscalls = 0;
     mx_switches = 0;
@@ -140,10 +140,9 @@ let find_act t aid =
 let mode t = t.mode
 let tile t = t.tile
 let platform t = t.platform
-let stats t = t.stats
-let reset_stats t = t.stats <- empty_stats
+let stats t = { t.stats with syscalls = t.stats.syscalls }
 
-let add_busy t d = t.stats <- { t.stats with busy_ps = t.stats.busy_ps + d }
+let add_busy t d = t.stats.busy_ps <- t.stats.busy_ps + d
 
 (* Charge controller compute time, then continue. *)
 let charge t cycles k =
@@ -467,7 +466,7 @@ let rec mx_try_switch t tile_id ~k =
       | None -> k ()
       | Some next_id ->
           st.switching <- true;
-          t.stats <- { t.stats with mx_switches = t.stats.mx_switches + 1 };
+          t.stats.mx_switches <- t.stats.mx_switches + 1;
           let stub = mx_stub t tile_id in
           let save_phase k2 =
             match cur_act with
@@ -549,11 +548,7 @@ let reclaim_credits_for t (a : act) ~k =
             0 tiles
         in
         if reclaimed > 0 then begin
-          t.stats <-
-            {
-              t.stats with
-              credits_reclaimed = t.stats.credits_reclaimed + reclaimed;
-            };
+          t.stats.credits_reclaimed <- t.stats.credits_reclaimed + reclaimed;
           if Trace.on () then
             Trace.instant ~cat:"kernel" ~name:"credits_reclaimed" ~tile:t.tile
               ~act:a.aid ~ts:(Engine.now t.engine)
@@ -607,7 +602,7 @@ let teardown_act t (a : act) ~k =
    marked restartable and has budget left (its endpoints, capabilities and
    pending requests survive), otherwise tear it down. *)
 let handle_crash t (a : act) ~code ~k =
-  t.stats <- { t.stats with crashes = t.stats.crashes + 1 };
+  t.stats.crashes <- t.stats.crashes + 1;
   if Trace.on () then
     Trace.instant ~cat:"kernel" ~name:"act_crash" ~tile:t.tile ~act:a.aid
       ~ts:(Engine.now t.engine)
@@ -618,7 +613,7 @@ let handle_crash t (a : act) ~code ~k =
       a.restarts <- a.restarts + 1;
       a.alive <- true;
       a.exit_code <- None;
-      t.stats <- { t.stats with restarts = t.stats.restarts + 1 };
+      t.stats.restarts <- t.stats.restarts + 1;
       if Trace.on () then
         Trace.instant ~cat:"kernel" ~name:"act_restart" ~tile:t.tile ~act:a.aid
           ~ts:(Engine.now t.engine)
@@ -701,7 +696,7 @@ let mig_trace t ~name ~(a : act) args =
       ~ts:(Engine.now t.engine) ~args ()
 
 let mig_aborted t (a : act) ~phase =
-  t.stats <- { t.stats with mig_aborts = t.stats.mig_aborts + 1 };
+  t.stats.mig_aborts <- t.stats.mig_aborts + 1;
   mig_trace t ~name:"mig_abort" ~a [ ("phase", Trace.S phase) ]
 
 (* The atomic endpoint flip.  Runs synchronously inside one engine
@@ -794,13 +789,8 @@ let mig_reinstall t (a : act) ~image ~parked_at ~phase ~k =
   (mig_stub_of t a.a_tile).mig_install ~image ~sys_sgate:sgate ~sys_rgate:rgate;
   charge t mig_resume_cycles (fun () ->
       (mig_stub_of t a.a_tile).mig_resume ~act:a.aid;
-      t.stats <-
-        {
-          t.stats with
-          mig_downtime_ps =
-            t.stats.mig_downtime_ps
-            + Time.sub (Engine.now t.engine) parked_at;
-        };
+      t.stats.mig_downtime_ps <-
+        t.stats.mig_downtime_ps + Time.sub (Engine.now t.engine) parked_at;
       t.mig_busy <- false;
       k (Error (Printf.sprintf "migration aborted (%s)" phase)))
 
@@ -820,12 +810,9 @@ let mig_commit t (a : act) ~dst_tile ~eps ~image ~parked_at ~k =
             ~apply:(fun () -> (mig_stub_of t dst_tile).mig_resume ~act:a.aid)
             ~k:(fun () ->
               let downtime = Time.sub (Engine.now t.engine) parked_at in
-              t.stats <-
-                {
-                  t.stats with
-                  migrations = t.stats.migrations + 1;
-                  mig_downtime_ps = t.stats.mig_downtime_ps + downtime;
-                };
+              let s = t.stats in
+              s.migrations <- s.migrations + 1;
+              s.mig_downtime_ps <- s.mig_downtime_ps + downtime;
               mig_trace t ~name:"mig_done" ~a
                 [ ("to", Trace.I dst_tile); ("downtime_ps", Trace.I downtime) ];
               t.mig_busy <- false;
@@ -919,7 +906,7 @@ let reply_sys t msg rep =
     (Protocol.Sys_reply rep) ~k:(fun _ -> ())
 
 let handle_sys t (msg : Msg.t) req ~k =
-  t.stats <- { t.stats with syscalls = t.stats.syscalls + 1 };
+  t.stats.syscalls <- t.stats.syscalls + 1;
   let requester = find_act t msg.Msg.label in
   let incarnation = requester.restarts in
   let finish rep =
@@ -1145,7 +1132,7 @@ let handle_mx t (msg : Msg.t) ~k =
           then Queue.add sender.aid st.ready;
           mx_try_switch t sender.a_tile ~k)
   | Protocol.Mx_fwd { fwd_dst_tile; fwd_dst_ep; fwd; fwd_block } ->
-      t.stats <- { t.stats with mx_forwards = t.stats.mx_forwards + 1 };
+      t.stats.mx_forwards <- t.stats.mx_forwards + 1;
       charge t mx_fwd_cycles (fun () ->
           if fwd_block then sender.mx_blocked <- true;
           (* After handling the forward, the sender's tile may need a switch
@@ -1281,7 +1268,7 @@ let create ~mode ~platform ~tile () =
       pending_maps = Hashtbl.create 8;
       next_map_req = 0;
       busy = false;
-      stats = empty_stats;
+      stats = fresh_stats ();
     }
   in
   (* Endpoint 0 of the controller tile is the syscall receive gate. *)

@@ -196,19 +196,22 @@ val mx_notify_wake : t -> act:M3v_dtu.Dtu_types.act_id -> unit
 
 (** {1 Statistics} *)
 
-type stats = {
-  syscalls : int;
-  mx_switches : int;
-  mx_forwards : int;
-  busy_ps : int;  (** total simulated time the controller core was busy *)
-  crashes : int;  (** nonzero exit codes handled *)
-  restarts : int;  (** in-place activity restarts performed *)
-  credits_reclaimed : int;  (** send credits recovered from dead receivers *)
-  migrations : int;  (** completed live migrations *)
-  mig_aborts : int;  (** migrations aborted before the flip *)
-  mig_downtime_ps : int;
+(** Controller counters, bumped in place.  [stats] returns a snapshot:
+    later work does not change a value already taken. *)
+type stats = private {
+  mutable syscalls : int;
+  mutable mx_switches : int;
+  mutable mx_forwards : int;
+  mutable busy_ps : int;
+      (** total simulated time the controller core was busy *)
+  mutable crashes : int;  (** nonzero exit codes handled *)
+  mutable restarts : int;  (** in-place activity restarts performed *)
+  mutable credits_reclaimed : int;
+      (** send credits recovered from dead receivers *)
+  mutable migrations : int;  (** completed live migrations *)
+  mutable mig_aborts : int;  (** migrations aborted before the flip *)
+  mutable mig_downtime_ps : int;
       (** summed park-to-resume downtime across migrations (and aborts) *)
 }
 
 val stats : t -> stats
-val reset_stats : t -> unit

@@ -48,6 +48,9 @@ type arec = {
   mutable slice_left : Time.t;
   mutable busy_ps : int;
   mutable bucket : string;
+  mutable bucket_key : string;
+      (** ["bucket/" ^ bucket], built when the bucket changes so that time
+          charging does not concatenate per charge *)
   mutable started : bool;
   mutable wake_sent : bool;  (** M3x: an Mx_wake is outstanding *)
   mutable stall_since : Time.t;
@@ -123,7 +126,14 @@ let find t aid =
 
 let busy_of t aid = (find t aid).busy_ps
 
-let busy_of_bucket t bucket = Stats.Counter.get t.counters ("bucket/" ^ bucket)
+let bucket_key bucket = "bucket/" ^ bucket
+let busy_of_bucket t bucket = Stats.Counter.get t.counters (bucket_key bucket)
+
+let set_bucket (a : arec) bucket =
+  if not (String.equal a.bucket bucket) then begin
+    a.bucket <- bucket;
+    a.bucket_key <- bucket_key bucket
+  end
 
 let finished t aid = (find t aid).st = Dead
 
@@ -137,7 +147,7 @@ let charge_act t (a : arec) cycles k =
   else begin
     let d = Core_model.cycles t.core cycles in
     a.busy_ps <- a.busy_ps + d;
-    Stats.Counter.add t.counters ("bucket/" ^ a.bucket) (float_of_int d);
+    Stats.Counter.add t.counters a.bucket_key (float_of_int d);
     Engine.after t.engine ~delay:d k
   end
 
@@ -186,7 +196,7 @@ let note_stall_end t (a : arec) ~now =
   let d = Time.sub now a.stall_since in
   if d > 0 then begin
     a.busy_ps <- a.busy_ps + d;
-    Stats.Counter.add t.counters ("bucket/" ^ a.bucket) (float_of_int d)
+    Stats.Counter.add t.counters a.bucket_key (float_of_int d)
   end
 
 (* --- scheduling --- *)
@@ -634,7 +644,7 @@ and interp_op t (a : arec) op (k : Proc.resp -> unit) =
       ignore line;
       k Proc.Unit
   | Op_acct bucket ->
-      a.bucket <- bucket;
+      set_bucket a bucket;
       k Proc.Unit
   | Op_alloc_buf size ->
       let vaddr = Addrspace.alloc_region a.addr ~size in
@@ -1091,6 +1101,7 @@ let mig_install t ~image ~sys_sgate ~sys_rgate =
           slice_left = t.timeslice;
           busy_ps = im_busy_ps;
           bucket = im_bucket;
+          bucket_key = bucket_key im_bucket;
           started = im_started;
           wake_sent = false;
           stall_since = Time.zero;
@@ -1251,6 +1262,7 @@ let spawn t ~name ?(premap = true) ~program () =
       slice_left = t.timeslice;
       busy_ps = 0;
       bucket = "user";
+      bucket_key = bucket_key "user";
       started = false;
       wake_sent = false;
       stall_since = Time.zero;

@@ -30,10 +30,10 @@ let default_params =
 let conservative_lookahead p = p.hop_latency_ps
 
 type stats = {
-  packets : int;
-  payload_bytes : int;
-  total_flits : int;
-  link_busy_ps : int;
+  mutable packets : int;
+  mutable payload_bytes : int;
+  mutable total_flits : int;
+  mutable link_busy_ps : int;
 }
 
 type t = {
@@ -44,7 +44,8 @@ type t = {
   mutable stats : stats;
 }
 
-let empty_stats = { packets = 0; payload_bytes = 0; total_flits = 0; link_busy_ps = 0 }
+let fresh_stats () =
+  { packets = 0; payload_bytes = 0; total_flits = 0; link_busy_ps = 0 }
 
 let create ?(params = default_params) engine topo =
   {
@@ -52,7 +53,7 @@ let create ?(params = default_params) engine topo =
     topo;
     params;
     free_at = Array.make (Topology.link_count topo) Time.zero;
-    stats = empty_stats;
+    stats = fresh_stats ();
   }
 
 let topology t = t.topo
@@ -65,25 +66,22 @@ let flits_of_bytes t bytes =
 (* Loopback (src = dst) stays inside the DTU: charge one hop. *)
 let loopback_latency t = t.params.hop_latency_ps
 
-let transfer_time t ~record ~start route flits =
+let transfer_time t ~start links flits =
   let serialization = flits * t.params.ps_per_flit in
   let arrival = ref start in
-  List.iter
-    (fun link ->
-      let begin_at = Time.max !arrival t.free_at.(link) in
-      if record then begin
-        t.free_at.(link) <- Time.add begin_at serialization;
-        t.stats <-
-          { t.stats with link_busy_ps = t.stats.link_busy_ps + serialization };
-        if Metrics.on () then begin
-          let name = Topology.link_name t.topo link in
-          Metrics.counter_add ~name:"noc/link_busy_ps" ~cat:name
-            (float_of_int serialization);
-          Metrics.counter_incr ~name:"noc/link_pkts" ~cat:name ()
-        end
-      end;
-      arrival := Time.add begin_at t.params.hop_latency_ps)
-    route;
+  for i = 0 to Array.length links - 1 do
+    let link = links.(i) in
+    let begin_at = Time.max !arrival t.free_at.(link) in
+    t.free_at.(link) <- Time.add begin_at serialization;
+    t.stats.link_busy_ps <- t.stats.link_busy_ps + serialization;
+    if Metrics.on () then begin
+      let name = Topology.link_name t.topo link in
+      Metrics.counter_add ~name:"noc/link_busy_ps" ~cat:name
+        (float_of_int serialization);
+      Metrics.counter_incr ~name:"noc/link_pkts" ~cat:name ()
+    end;
+    arrival := Time.add begin_at t.params.hop_latency_ps
+  done;
   (* The tail flit lands one serialization window after the head. *)
   Time.add !arrival serialization
 
@@ -91,9 +89,8 @@ let uncontended_latency t ~src ~dst ~bytes =
   let flits = flits_of_bytes t bytes in
   if src = dst then loopback_latency t
   else
-    let route = Topology.route t.topo ~src ~dst in
-    let hops = List.length route in
-    (hops * t.params.hop_latency_ps) + (flits * t.params.ps_per_flit)
+    let links = Array.length (Topology.route_links t.topo ~src ~dst) in
+    (links * t.params.hop_latency_ps) + (flits * t.params.ps_per_flit)
 
 (* One physical copy of a packet: route it, account link occupancy, and
    schedule [on_delivered] at arrival (+[extra] injected delay). *)
@@ -103,17 +100,13 @@ let send_one t ~src ~dst ~bytes ~extra ~on_delivered =
   let arrival =
     if src = dst then Time.add now (loopback_latency t)
     else
-      let route = Topology.route t.topo ~src ~dst in
-      transfer_time t ~record:true ~start:now route flits
+      transfer_time t ~start:now (Topology.route_links t.topo ~src ~dst) flits
   in
   let arrival = Time.add arrival extra in
-  t.stats <-
-    {
-      t.stats with
-      packets = t.stats.packets + 1;
-      payload_bytes = t.stats.payload_bytes + bytes;
-      total_flits = t.stats.total_flits + flits;
-    };
+  let s = t.stats in
+  s.packets <- s.packets + 1;
+  s.payload_bytes <- s.payload_bytes + bytes;
+  s.total_flits <- s.total_flits + flits;
   if Trace.on () then begin
     let dur = Time.sub arrival now in
     (* Queueing delay: how much longer than an uncontended transfer this
@@ -148,5 +141,5 @@ let send ?(kind = Control) t ~src ~dst ~bytes ~on_delivered =
         send_one t ~src ~dst ~bytes ~extra:0 ~on_delivered
     | Fault.Delay extra -> send_one t ~src ~dst ~bytes ~extra ~on_delivered
 
-let stats t = t.stats
-let reset_stats t = t.stats <- empty_stats
+let stats t = { t.stats with packets = t.stats.packets }
+let reset_stats t = t.stats <- fresh_stats ()

@@ -34,11 +34,15 @@ type t
     model the lossless credit-managed sideband and are never faulted. *)
 type kind = Data | Control
 
-type stats = {
-  packets : int;
-  payload_bytes : int;
-  total_flits : int;
-  link_busy_ps : int;  (** accumulated serialization time over all links *)
+(** Packet counters, bumped in place per packet.  [stats] returns a
+    snapshot: later packets and [reset_stats] do not change a value
+    already taken. *)
+type stats = private {
+  mutable packets : int;
+  mutable payload_bytes : int;
+  mutable total_flits : int;
+  mutable link_busy_ps : int;
+      (** accumulated serialization time over all links *)
 }
 
 val create : ?params:params -> M3v_sim.Engine.t -> Topology.t -> t

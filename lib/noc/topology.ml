@@ -3,16 +3,12 @@ type t = {
   routers : int;
   tile_router : int array; (* router each tile attaches to *)
   edges : (int * int) array; (* directed router-router edges *)
-  edge_index : (int * int, int) Hashtbl.t;
-  next_hop : int array array; (* next_hop.(from_router).(to_router) = router *)
+  (* routes.(src * tiles + dst): the links a packet crosses, in order *)
+  routes : int array array;
 }
 
 (* Link id layout: [0, tiles) injection; [tiles, 2*tiles) ejection;
    [2*tiles, ...) router-router edges in [edges] order. *)
-let inject_link t tile = ignore t; tile
-let eject_link t tile = t.tiles + tile
-let edge_link t idx = (2 * t.tiles) + idx
-
 let build ~tiles ~routers ~tile_router ~undirected_edges =
   if tiles < 1 then invalid_arg "Topology: need at least one tile";
   let edges =
@@ -50,7 +46,25 @@ let build ~tiles ~routers ~tile_router ~undirected_edges =
       else next_hop.(src).(dst) <- first.(dst)
     done
   done;
-  { tiles; routers; tile_router; edges; edge_index; next_hop }
+  (* Walk the next-hop matrix once per tile pair; packets then only read
+     the resulting link arrays. *)
+  let route src dst =
+    if src = dst then [||]
+    else begin
+      let r_dst = tile_router.(dst) in
+      let rec walk r acc =
+        if r = r_dst then List.rev ((tiles + dst) :: acc)
+        else
+          let next = next_hop.(r).(r_dst) in
+          walk next ((2 * tiles) + Hashtbl.find edge_index (r, next) :: acc)
+      in
+      Array.of_list (walk tile_router.(src) [ src ])
+    end
+  in
+  let routes =
+    Array.init (tiles * tiles) (fun i -> route (i / tiles) (i mod tiles))
+  in
+  { tiles; routers; tile_router; edges; routes }
 
 let spread_tiles ~tiles ~routers =
   Array.init tiles (fun i -> i mod routers)
@@ -89,30 +103,17 @@ let tiles t = t.tiles
 let routers t = t.routers
 let link_count t = (2 * t.tiles) + Array.length t.edges
 
-let route t ~src ~dst =
+let route_links t ~src ~dst =
   if src < 0 || src >= t.tiles || dst < 0 || dst >= t.tiles then
     invalid_arg "Topology.route: tile out of range";
-  if src = dst then []
-  else begin
-    let r_src = t.tile_router.(src) and r_dst = t.tile_router.(dst) in
-    let rec walk r acc =
-      if r = r_dst then List.rev acc
-      else
-        let next = t.next_hop.(r).(r_dst) in
-        let edge = Hashtbl.find t.edge_index (r, next) in
-        walk next (edge_link t edge :: acc)
-    in
-    (inject_link t src :: walk r_src []) @ [ eject_link t dst ]
-  end
+  t.routes.((src * t.tiles) + dst)
 
+let route t ~src ~dst = Array.to_list (route_links t ~src ~dst)
+
+(* Every route between distinct tiles is injection + router edges +
+   ejection. *)
 let hops t ~src ~dst =
-  if src = dst then 0
-  else
-    let rec count r acc =
-      let r_dst = t.tile_router.(dst) in
-      if r = r_dst then acc else count t.next_hop.(r).(r_dst) (acc + 1)
-    in
-    count t.tile_router.(src) 0
+  if src = dst then 0 else Array.length (route_links t ~src ~dst) - 2
 
 let link_name t id =
   if id < t.tiles then Printf.sprintf "tile%d->noc" id

@@ -30,6 +30,10 @@ val link_count : t -> int
     traverses from tile [src] to tile [dst].  [src = dst] yields []. *)
 val route : t -> src:int -> dst:int -> int list
 
+(** The same links as {!route}, as the precomputed array shared by every
+    packet on this pair.  Callers must not modify it. *)
+val route_links : t -> src:int -> dst:int -> int array
+
 (** Number of router-to-router hops between two tiles. *)
 val hops : t -> src:int -> dst:int -> int
 

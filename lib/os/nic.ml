@@ -6,7 +6,13 @@ module Msg = M3v_dtu.Msg
 
 type host_behavior = Echo of { turnaround : Time.t } | Sink
 
-type stats = { tx : int; rx : int; tx_bytes : int; rx_bytes : int; dropped : int }
+type stats = {
+  mutable tx : int;
+  mutable rx : int;
+  mutable tx_bytes : int;
+  mutable rx_bytes : int;
+  mutable dropped : int;
+}
 
 type t = {
   engine : Engine.t;
@@ -18,7 +24,7 @@ type t = {
   host : host_behavior;
   mutable rx_gate : int;
   mutable rx_handler : (Net_proto.packet -> unit) option;
-  mutable stats : stats;
+  stats : stats;
 }
 
 let create ~engine ?dtu ?(wire_latency = Time.us 6) ?(ps_per_byte = 8_000)
@@ -39,7 +45,7 @@ let create ~engine ?dtu ?(wire_latency = Time.us 6) ?(ps_per_byte = 8_000)
 
 let set_rx_gate t ep = t.rx_gate <- ep
 let set_rx_handler t f = t.rx_handler <- Some f
-let stats t = t.stats
+let stats t = { t.stats with tx = t.stats.tx }
 
 let wire_delay t pkt =
   Time.add t.wire_latency (Net_proto.wire_size pkt * t.ps_per_byte)
@@ -51,14 +57,10 @@ let dropped t =
    interrupt; we model both as a message into the driver's receive gate. *)
 let deliver_rx t pkt =
   if (t.rx_gate < 0 && t.rx_handler = None) || dropped t then
-    t.stats <- { t.stats with dropped = t.stats.dropped + 1 }
+    t.stats.dropped <- t.stats.dropped + 1
   else begin
-    t.stats <-
-      {
-        t.stats with
-        rx = t.stats.rx + 1;
-        rx_bytes = t.stats.rx_bytes + Net_proto.wire_size pkt;
-      };
+    t.stats.rx <- t.stats.rx + 1;
+    t.stats.rx_bytes <- t.stats.rx_bytes + Net_proto.wire_size pkt;
     (* NIC DMA into the receive ring takes a moment. *)
     Engine.after t.engine ~delay:(Time.us 2) (fun () ->
         match (t.rx_handler, t.dtu) with
@@ -72,8 +74,8 @@ let deliver_rx t pkt =
             in
             match Dtu.ext_inject dtu ~ep:t.rx_gate msg with
             | Ok () -> ()
-            | Error _ -> t.stats <- { t.stats with dropped = t.stats.dropped + 1 })
-        | None, None -> t.stats <- { t.stats with dropped = t.stats.dropped + 1 })
+            | Error _ -> t.stats.dropped <- t.stats.dropped + 1)
+        | None, None -> t.stats.dropped <- t.stats.dropped + 1)
   end
 
 let host_receive t (pkt : Net_proto.packet) =
@@ -89,13 +91,9 @@ let host_receive t (pkt : Net_proto.packet) =
               deliver_rx t reply))
 
 let transmit t pkt =
-  t.stats <-
-    {
-      t.stats with
-      tx = t.stats.tx + 1;
-      tx_bytes = t.stats.tx_bytes + Net_proto.wire_size pkt;
-    };
-  if dropped t then t.stats <- { t.stats with dropped = t.stats.dropped + 1 }
+  t.stats.tx <- t.stats.tx + 1;
+  t.stats.tx_bytes <- t.stats.tx_bytes + Net_proto.wire_size pkt;
+  if dropped t then t.stats.dropped <- t.stats.dropped + 1
   else
     Engine.after t.engine ~delay:(wire_delay t pkt) (fun () -> host_receive t pkt)
 

@@ -45,6 +45,14 @@ val transmit : t -> Net_proto.packet -> unit
 (** Make the remote host send an unsolicited packet (request generators). *)
 val host_send : t -> Net_proto.packet -> unit
 
-type stats = { tx : int; rx : int; tx_bytes : int; rx_bytes : int; dropped : int }
+(** Frame counters.  [stats] returns a snapshot: later traffic does not
+    change a value already taken. *)
+type stats = private {
+  mutable tx : int;
+  mutable rx : int;
+  mutable tx_bytes : int;
+  mutable rx_bytes : int;
+  mutable dropped : int;
+}
 
 val stats : t -> stats

@@ -163,24 +163,25 @@ module Histogram = struct
 end
 
 module Counter = struct
-  type t = (string, float ref) Hashtbl.t
+  (* A float-only record is stored flat, so bumping a cell writes the
+     unboxed float in place instead of allocating a new box. *)
+  type cell = { mutable v : float }
+  type t = (string, cell) Hashtbl.t
 
   let create () = Hashtbl.create 16
 
-  let cell t key =
-    match Hashtbl.find_opt t key with
-    | Some r -> r
-    | None ->
-        let r = ref 0.0 in
-        Hashtbl.add t key r;
-        r
+  (* [Hashtbl.find] on a hit returns the cell without the [Some] box that
+     [find_opt] allocates. *)
+  let add t key v =
+    match Hashtbl.find t key with
+    | c -> c.v <- c.v +. v
+    | exception Not_found -> Hashtbl.add t key { v }
 
-  let add t key v = cell t key := !(cell t key) +. v
   let incr t key = add t key 1.0
-  let get t key = match Hashtbl.find_opt t key with Some r -> !r | None -> 0.0
+  let get t key = match Hashtbl.find_opt t key with Some c -> c.v | None -> 0.0
 
   let to_list t =
-    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t []
+    Hashtbl.fold (fun k c acc -> (k, c.v) :: acc) t []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
   let reset t = Hashtbl.reset t

@@ -10,7 +10,7 @@ let add = ( + )
 let sub = ( - )
 let compare = Int.compare
 let min = Stdlib.min
-let max = Stdlib.max
+let max (a : t) b = if a >= b then a else b
 let to_ns t = float_of_int t /. 1e3
 let to_us t = float_of_int t /. 1e6
 let to_ms t = float_of_int t /. 1e9

@@ -21,4 +21,5 @@ let () =
       ("load", Test_load.suite);
       ("shard", Test_shard.suite);
       ("telemetry", Test_telemetry.suite);
+      ("hostcost", Test_hostcost.suite);
     ]

@@ -1,0 +1,202 @@
+(* Host cost on the event path: layer counters are bumped in place, yet a
+   [stats] value is a snapshot that later traffic leaves alone; counter
+   bumps allocate nothing; NoC routes come from a table that matches a
+   next-hop walk. *)
+
+open M3v_sim
+open M3v_sim.Proc.Syntax
+open M3v_noc
+module Dtu = M3v_dtu.Dtu
+module Dram = M3v_dtu.Dram
+module Ep = M3v_dtu.Ep
+module Controller = M3v_kernel.Controller
+module Nic = M3v_os.Nic
+module System = M3v.System
+module Services = M3v.Services
+module A = M3v_mux.Act_api
+module Proto = M3v_kernel.Protocol
+
+let check_int = Alcotest.(check int)
+let check_bool = Alcotest.(check bool)
+
+(* --- snapshots --- *)
+
+let test_dtu_noc_dram_snapshots () =
+  let eng = Engine.create () in
+  let noc = Noc.create eng (Topology.star_mesh_2x2 ~tiles:3) in
+  let dtu = Dtu.create ~virtualized:true ~tile:0 eng noc in
+  let dram = Dram.create ~size:4096 () in
+  let d0 = Dtu.stats dtu and n0 = Noc.stats noc and m0 = Dram.stats dram in
+  ignore (Dtu.fetch dtu ~ep:1);
+  Noc.send noc ~src:0 ~dst:2 ~bytes:64 ~on_delivered:(fun () -> ());
+  ignore (Engine.run eng);
+  Dram.fill dram ~off:0 ~len:16 'x';
+  check_int "dtu snapshot kept" 0 d0.Dtu.fetches;
+  check_int "dtu live" 1 (Dtu.stats dtu).Dtu.fetches;
+  check_int "noc snapshot kept" 0 n0.Noc.packets;
+  check_int "noc snapshot bytes kept" 0 n0.Noc.payload_bytes;
+  check_int "dram snapshot kept" 0 m0.Dram.writes;
+  check_int "dram live" 16 (Dram.stats dram).Dram.bytes_written;
+  let n1 = Noc.stats noc in
+  Noc.reset_stats noc;
+  check_int "reset leaves the earlier snapshot" 1 n1.Noc.packets;
+  check_int "reset clears the live counters" 0 (Noc.stats noc).Noc.packets;
+  Noc.send noc ~src:1 ~dst:2 ~bytes:8 ~on_delivered:(fun () -> ());
+  ignore (Engine.run eng);
+  check_int "counting resumes after reset" 1 (Noc.stats noc).Noc.packets;
+  check_int "pre-reset snapshot still kept" 1 n1.Noc.packets
+
+let test_controller_nic_snapshots () =
+  let sys = System.create ~variant:System.M3v () in
+  let net = Services.make_net sys ~host:Nic.Sink () in
+  let cb = ref None in
+  let aid, env =
+    System.spawn sys ~tile:2 ~name:"sender" (fun env ->
+        let* _ = A.syscall env Proto.Noop in
+        let udp = M3v_os.Net_client.to_udp (Option.get !cb) in
+        let* sock = udp.M3v_os.Net_client.u_socket () in
+        Proc.repeat 5 (fun _ ->
+            udp.M3v_os.Net_client.u_sendto sock (1, 9000) (Bytes.make 64 'x')))
+  in
+  cb := Some (net.Services.net_connect aid env);
+  let c0 = Controller.stats (System.controller sys) in
+  let x0 = Nic.stats net.Services.nic in
+  let syscalls0 = c0.Controller.syscalls and tx0 = x0.Nic.tx in
+  System.boot sys;
+  ignore (System.run sys);
+  let c1 = Controller.stats (System.controller sys) in
+  let x1 = Nic.stats net.Services.nic in
+  check_bool "controller counted more syscalls" true
+    (c1.Controller.syscalls > syscalls0);
+  check_int "nic counted the frames" (tx0 + 5) x1.Nic.tx;
+  check_int "controller snapshot kept" syscalls0 c0.Controller.syscalls;
+  check_int "nic snapshot kept" tx0 x0.Nic.tx
+
+(* --- allocation on the event path --- *)
+
+let minor_words_per_call n f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_counter_bumps_do_not_allocate () =
+  let eng = Engine.create () in
+  let noc = Noc.create eng (Topology.star_mesh_2x2 ~tiles:2) in
+  let dtu = Dtu.create ~virtualized:true ~tile:0 eng noc in
+  Dtu.ext_config dtu ~ep:1 ~owner:7 (Ep.recv_config ~slots:4 ~slot_size:256 ());
+  ignore (Dtu.switch_act dtu ~next:7);
+  let fetch () =
+    match Dtu.fetch dtu ~ep:1 with
+    | Ok None -> ()
+    | _ -> Alcotest.fail "expected an empty owned receive endpoint"
+  in
+  let words = minor_words_per_call 10_000 fetch in
+  check_bool (Printf.sprintf "Dtu.fetch: %.2f words/call < 1" words) true
+    (words < 1.0);
+  check_int "fetches counted" 10_001 (Dtu.stats dtu).Dtu.fetches;
+  let c = Stats.Counter.create () in
+  let add () = Stats.Counter.add c "bucket/user" 1.0 in
+  let words = minor_words_per_call 10_000 add in
+  check_bool
+    (Printf.sprintf "Stats.Counter.add: %.2f words/call < 1" words)
+    true (words < 1.0);
+  Alcotest.(check (float 0.0)) "counter sum" 10_001.0
+    (Stats.Counter.get c "bucket/user")
+
+(* --- route table --- *)
+
+(* Reference routing, independent of [Topology]'s BFS: from router [r]
+   toward [d], step to the lowest-numbered neighbour one hop closer. *)
+let reference_route ~routers ~undirected_edges ~src ~dst =
+  let inf = max_int / 2 in
+  let dist = Array.make_matrix routers routers inf in
+  for r = 0 to routers - 1 do
+    dist.(r).(r) <- 0
+  done;
+  List.iter
+    (fun (a, b) ->
+      dist.(a).(b) <- 1;
+      dist.(b).(a) <- 1)
+    undirected_edges;
+  for k = 0 to routers - 1 do
+    for i = 0 to routers - 1 do
+      for j = 0 to routers - 1 do
+        if dist.(i).(k) + dist.(k).(j) < dist.(i).(j) then
+          dist.(i).(j) <- dist.(i).(k) + dist.(k).(j)
+      done
+    done
+  done;
+  let next r d =
+    let rec first n =
+      if dist.(r).(n) = 1 && dist.(n).(d) = dist.(r).(d) - 1 then n
+      else first (n + 1)
+    in
+    first 0
+  in
+  let r_src = src mod routers and r_dst = dst mod routers in
+  let rec walk r =
+    if r = r_dst then []
+    else
+      let n = next r r_dst in
+      Printf.sprintf "r%d->r%d" r n :: walk n
+  in
+  if src = dst then []
+  else
+    (Printf.sprintf "tile%d->noc" src :: walk r_src)
+    @ [ Printf.sprintf "noc->tile%d" dst ]
+
+let mesh_edges ~cols ~rows =
+  let id c r = (r * cols) + c in
+  List.concat
+    (List.init rows (fun r ->
+         List.concat
+           (List.init cols (fun c ->
+                (if c + 1 < cols then [ (id c r, id (c + 1) r) ] else [])
+                @ if r + 1 < rows then [ (id c r, id c (r + 1)) ] else []))))
+
+let check_routes name topo ~routers ~undirected_edges =
+  let tiles = Topology.tiles topo in
+  for src = 0 to tiles - 1 do
+    for dst = 0 to tiles - 1 do
+      let route = Topology.route topo ~src ~dst in
+      let expect = reference_route ~routers ~undirected_edges ~src ~dst in
+      let label = Printf.sprintf "%s %d->%d" name src dst in
+      Alcotest.(check (list string))
+        label expect
+        (List.map (Topology.link_name topo) route);
+      Alcotest.(check (array int))
+        (label ^ " links") (Array.of_list route)
+        (Topology.route_links topo ~src ~dst);
+      check_int (label ^ " hops")
+        (max 0 (List.length route - 2))
+        (Topology.hops topo ~src ~dst)
+    done
+  done
+
+let test_route_table () =
+  check_routes "star_mesh_2x2"
+    (Topology.star_mesh_2x2 ~tiles:9)
+    ~routers:4
+    ~undirected_edges:[ (0, 1); (1, 3); (3, 2); (2, 0) ];
+  check_routes "mesh 4x3"
+    (Topology.mesh ~cols:4 ~rows:3 ~tiles:14)
+    ~routers:12
+    ~undirected_edges:(mesh_edges ~cols:4 ~rows:3);
+  check_routes "ring 4"
+    (Topology.ring ~routers:4 ~tiles:7)
+    ~routers:4
+    ~undirected_edges:(List.init 4 (fun i -> (i, (i + 1) mod 4)));
+  check_routes "single_router"
+    (Topology.single_router ~tiles:5)
+    ~routers:1 ~undirected_edges:[]
+
+let suite =
+  [
+    ("dtu/noc/dram stats are snapshots", `Quick, test_dtu_noc_dram_snapshots);
+    ("controller/nic stats are snapshots", `Quick, test_controller_nic_snapshots);
+    ("counter bumps do not allocate", `Quick, test_counter_bumps_do_not_allocate);
+    ("route table matches next-hop walk", `Quick, test_route_table);
+  ]
