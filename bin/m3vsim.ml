@@ -12,7 +12,8 @@
 
    Parallelism: --jobs N (or M3V_JOBS) fans independent units of the
    experiment out over N domains.  Output is byte-identical to a
-   sequential run; --trace/--faults force sequential execution. *)
+   sequential run; on the System experiments --trace/--faults force
+   sequential execution. *)
 
 open Cmdliner
 
@@ -50,28 +51,16 @@ let jobs =
   let doc =
     "Run independent parts of the experiment on $(docv) domains \
      (defaults to $(b,M3V_JOBS) or the number of cores).  Output is \
-     byte-identical to --jobs 1; --trace and --faults force sequential \
-     execution."
+     byte-identical to --jobs 1.  Except on shard-sweep and shard-report, \
+     --trace and --faults force sequential execution."
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-let shards =
-  let doc =
-    "Run each simulation under the conservative-window sharded scheduler \
-     with $(docv) shards.  Output is byte-identical to --shards 1 (the \
-     default, plain sequential engine)."
-  in
-  Arg.(value & opt int 0 & info [ "shards" ] ~docv:"K" ~doc)
-
-let telemetry =
-  let doc =
-    "Record per-window shard telemetry (per-shard events, limiter \
-     attribution, imbalance, critical-path speedup bound) on every \
-     multi-shard group and print the analyzer report to stderr when the \
-     run ends.  Pure observer: stdout is byte-identical with or without \
-     this flag.  See also the shard-report subcommand."
-  in
-  Arg.(value & flag & info [ "telemetry" ] ~doc)
+(* The five settings every System experiment takes. *)
+let opts =
+  Term.(const (fun trace metrics faults fault_seed jobs ->
+            { M3v.Exp_runner.trace; metrics; faults; fault_seed; jobs })
+        $ trace $ metrics $ faults $ fault_seed $ jobs)
 
 let rounds =
   let doc = "Measured RPC round trips." in
@@ -79,10 +68,11 @@ let rounds =
 
 let fig6_cmd =
   Cmd.v (Cmd.info "fig6" ~doc:"Figure 6: local/remote RPC vs Linux primitives")
-    Term.(const (fun trace metrics faults fault_seed jobs rounds ->
-              M3v.Exp_runner.fig6 ?trace ?metrics ?faults ~fault_seed ?jobs
-                ~rounds ())
-          $ trace $ metrics $ faults $ fault_seed $ jobs $ rounds)
+    Term.(const (fun o rounds ->
+              let rounds = M3v.Exp_runner.positive rounds in
+              M3v.Exp_runner.run o (fun pool ->
+                  M3v.Exp_fig6.(print (run ~pool ?rounds ()))))
+          $ opts $ rounds)
 
 let runs =
   let doc = "Measured repetitions." in
@@ -90,39 +80,43 @@ let runs =
 
 let fig7_cmd =
   Cmd.v (Cmd.info "fig7" ~doc:"Figure 7: file read/write throughput")
-    Term.(const (fun trace metrics faults fault_seed jobs runs ->
-              M3v.Exp_runner.fig7 ?trace ?metrics ?faults ~fault_seed ?jobs
-                ~runs ())
-          $ trace $ metrics $ faults $ fault_seed $ jobs $ runs)
+    Term.(const (fun o runs ->
+              let runs = M3v.Exp_runner.positive runs in
+              M3v.Exp_runner.run o (fun pool ->
+                  M3v.Exp_fig7.(print (run ~pool ?runs ()))))
+          $ opts $ runs)
 
 let fig8_cmd =
   Cmd.v (Cmd.info "fig8" ~doc:"Figure 8: UDP latency")
-    Term.(const (fun trace metrics faults fault_seed jobs runs ->
-              M3v.Exp_runner.fig8 ?trace ?metrics ?faults ~fault_seed ?jobs
-                ~runs ())
-          $ trace $ metrics $ faults $ fault_seed $ jobs $ runs)
+    Term.(const (fun o runs ->
+              let runs = M3v.Exp_runner.positive runs in
+              M3v.Exp_runner.run o (fun pool ->
+                  M3v.Exp_fig8.(print (run ~pool ?runs ()))))
+          $ opts $ runs)
 
 let fig9_cmd =
   Cmd.v (Cmd.info "fig9" ~doc:"Figure 9: scalability of tile multiplexing (M3x vs M3v)")
-    Term.(const (fun trace metrics faults fault_seed telemetry jobs shards runs ->
-              M3v.Exp_runner.fig9 ?trace ?metrics ?faults ~fault_seed ~telemetry
-                ?jobs ~shards ~runs ())
-          $ trace $ metrics $ faults $ fault_seed $ telemetry $ jobs $ shards
-          $ runs)
+    Term.(const (fun o runs ->
+              let runs = M3v.Exp_runner.positive runs in
+              M3v.Exp_runner.run o (fun pool ->
+                  M3v.Exp_fig9.(print (run ~pool ?runs ()))))
+          $ opts $ runs)
 
 let fig10_cmd =
   Cmd.v (Cmd.info "fig10" ~doc:"Figure 10: cloud service (YCSB) vs Linux")
-    Term.(const (fun trace metrics faults fault_seed jobs runs ->
-              M3v.Exp_runner.fig10 ?trace ?metrics ?faults ~fault_seed ?jobs
-                ~runs ())
-          $ trace $ metrics $ faults $ fault_seed $ jobs $ runs)
+    Term.(const (fun o runs ->
+              let runs = M3v.Exp_runner.positive runs in
+              M3v.Exp_runner.run o (fun pool ->
+                  M3v.Exp_fig10.(print (run ~pool ?runs ()))))
+          $ opts $ runs)
 
 let voice_cmd =
   Cmd.v (Cmd.info "voice" ~doc:"Section 6.5.1: voice assistant sharing overhead")
-    Term.(const (fun trace metrics faults fault_seed jobs runs ->
-              M3v.Exp_runner.voice ?trace ?metrics ?faults ~fault_seed ?jobs
-                ~runs ())
-          $ trace $ metrics $ faults $ fault_seed $ jobs $ runs)
+    Term.(const (fun o runs ->
+              let runs = M3v.Exp_runner.positive runs in
+              M3v.Exp_runner.run o (fun pool ->
+                  M3v.Exp_voice.(print (run ~pool ?runs ()))))
+          $ opts $ runs)
 
 let fanin_msgs =
   let doc = "Messages per sender (<= 0 picks the default)." in
@@ -141,11 +135,14 @@ let fanin_cmd =
          "Fan-in ablation: N senders -> 1 server throughput, shared MPMC \
           receive endpoint (batched acks, coalesced doorbells) vs \
           per-sender endpoints")
-    Term.(const (fun trace metrics faults fault_seed jobs shards msgs senders ->
-              M3v.Exp_runner.fanin ?trace ?metrics ?faults ~fault_seed ?jobs
-                ~shards ~msgs ~senders ())
-          $ trace $ metrics $ faults $ fault_seed $ jobs $ shards $ fanin_msgs
-          $ fanin_senders)
+    Term.(const (fun o msgs senders ->
+              let sender_counts =
+                match senders with [] -> None | counts -> Some counts
+              in
+              let msgs = M3v.Exp_runner.positive msgs in
+              M3v.Exp_runner.run o (fun pool ->
+                  M3v.Exp_fanin.(print (run ~pool ?msgs ?sender_counts ()))))
+          $ opts $ fanin_msgs $ fanin_senders)
 
 let load_clients =
   let doc = "Total simulated clients in the fleet." in
@@ -220,9 +217,8 @@ let load_cmd =
           latency-vs-load SLO tables (p50/p99/p999), detects the \
           saturation knee and attributes the bottleneck from the \
           critical-path profiler")
-    Term.(const (fun trace metrics faults fault_seed telemetry jobs shards
-                     clients drivers rate mix skew keys duration steps closed
-                     think_ms arrivals slo seed ->
+    Term.(const (fun o clients drivers rate mix skew keys duration steps
+                     closed think_ms arrivals slo seed ->
               let mix =
                 match mix with
                 | None -> M3v_load.Fleet.default_mix
@@ -251,12 +247,11 @@ let load_cmd =
                   seed;
                 }
               in
-              M3v.Exp_runner.load ?trace ?metrics ?faults ~fault_seed
-                ~telemetry ?jobs ~shards ~cfg ())
-          $ trace $ metrics $ faults $ fault_seed $ telemetry $ jobs $ shards
-          $ load_clients $ load_drivers $ load_rate $ load_mix $ load_skew
-          $ load_keys $ load_duration $ load_steps $ load_closed $ load_think
-          $ load_arrivals $ load_slo $ load_seed)
+              M3v.Exp_runner.run o (fun pool ->
+                  M3v.Exp_load.(print (run ~pool ~cfg ()))))
+          $ opts $ load_clients $ load_drivers $ load_rate $ load_mix
+          $ load_skew $ load_keys $ load_duration $ load_steps $ load_closed
+          $ load_think $ load_arrivals $ load_slo $ load_seed)
 
 let mig_rounds =
   let doc = "RPCs the client drives through the migrating server." in
@@ -338,14 +333,14 @@ let chaos_cmd =
           crash=2,hang=1 when --faults is omitted); \
           --checkpoint-every/--resume stop and restart the soak across \
           processes with byte-identical results")
-    Term.(const (fun trace faults fault_seed telemetry jobs shards seeds
-                     ckpt_every ckpt_file stop_after resume rounds ops ->
-              M3v.Exp_runner.chaos ?trace ?faults ~fault_seed ~telemetry ?jobs
-                ~shards ~seeds ~checkpoint_every_ms:ckpt_every
-                ~checkpoint_file:ckpt_file ~stop_after ?resume ~rounds ~ops ())
-          $ trace $ faults $ fault_seed $ telemetry $ jobs $ shards
-          $ chaos_seeds $ chaos_ckpt_every $ chaos_ckpt_file $ chaos_stop_after
-          $ chaos_resume $ chaos_rounds $ chaos_ops)
+    Term.(const (fun trace faults fault_seed jobs seeds ckpt_every ckpt_file
+                     stop_after resume rounds ops ->
+              M3v.Exp_runner.chaos ?trace ?faults ~fault_seed ?jobs ~seeds
+                ~checkpoint_every_ms:ckpt_every ~checkpoint_file:ckpt_file
+                ~stop_after ?resume ~rounds ~ops ())
+          $ trace $ faults $ fault_seed $ jobs $ chaos_seeds $ chaos_ckpt_every
+          $ chaos_ckpt_file $ chaos_stop_after $ chaos_resume $ chaos_rounds
+          $ chaos_ops)
 
 let sweep_tiles =
   let doc = "Comma-separated tile counts to sweep (defaults to 64,256)." in
@@ -377,6 +372,16 @@ let sweep_seed =
   let doc = "Workload seed (same seed = byte-identical report)." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc)
 
+let sweep_telemetry =
+  let doc =
+    "Record per-window shard telemetry (per-shard events, limiter \
+     attribution, imbalance, critical-path speedup bound) on every \
+     multi-shard group and print the analyzer report to stderr when the \
+     run ends.  Pure observer: stdout is byte-identical with or without \
+     this flag.  See also the shard-report subcommand."
+  in
+  Arg.(value & flag & info [ "telemetry" ] ~doc)
+
 let shard_sweep_cmd =
   Cmd.v
     (Cmd.info "shard-sweep"
@@ -390,7 +395,7 @@ let shard_sweep_cmd =
                      weight tiles ->
               M3v.Exp_runner.shard_sweep ?trace ?metrics ~telemetry ?jobs
                 ~shards ~seed ~chains ~hops ~weight ~tiles ())
-          $ trace $ metrics $ telemetry $ jobs $ sweep_shards $ sweep_seed
+          $ trace $ metrics $ sweep_telemetry $ jobs $ sweep_shards $ sweep_seed
           $ sweep_chains $ sweep_hops $ sweep_weight $ sweep_tiles)
 
 let report_tiles =
@@ -485,7 +490,10 @@ let default =
               `Ok
                 (M3v.Exp_runner.chaos ?trace ?faults ~fault_seed ~rounds:5
                    ~ops:120 ())
-          | None, Some _ -> `Ok (M3v.Exp_runner.fig6 ?trace ~rounds:200 ())
+          | None, Some _ ->
+              `Ok
+                (M3v.Exp_runner.(run { default with trace }) (fun pool ->
+                     M3v.Exp_fig6.(print (run ~pool ~rounds:200 ()))))
           | None, None -> `Help (`Pager, None))
       $ trace $ faults $ fault_seed)
 

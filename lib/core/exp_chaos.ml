@@ -183,8 +183,8 @@ let horizon = Time.s 2
 (* Build and boot the whole system; the caller must have the plan
    installed (programs and recovery machinery consult it domain-locally
    while the simulation runs). *)
-let setup ?shards ~plan ~spec ~seed ~fs_rounds ~kv_ops ~every ~file () =
-  let sys = System.create ?shards ~variant:System.M3v () in
+let setup ~plan ~spec ~seed ~fs_rounds ~kv_ops ~every ~file () =
+  let sys = System.create ~variant:System.M3v () in
   let ctrl = System.controller sys in
   let pager = System.with_pager sys ~tile:Exp_common.boom_tile_d in
   (* The pager is a single point of failure for every demand-paged
@@ -264,12 +264,12 @@ let collect st =
     end_time = Engine.now (System.engine sys);
   }
 
-let run ?shards ?(spec = default_spec) ?(seed = 7) ?(fs_rounds = 5)
+let run ?(spec = default_spec) ?(seed = 7) ?(fs_rounds = 5)
     ?(kv_ops = 120) () =
   let plan = Fault.create ~seed spec in
   Fault.with_plan plan (fun () ->
       let st =
-        setup ?shards ~plan ~spec ~seed ~fs_rounds ~kv_ops ~every:Time.zero
+        setup ~plan ~spec ~seed ~fs_rounds ~kv_ops ~every:Time.zero
           ~file:"" ()
       in
       ignore (System.run ~until:horizon st.ck_sys);
@@ -316,13 +316,13 @@ let drive st ~stop_after =
   in
   go 0
 
-let run_checkpointed ?shards ?(spec = default_spec) ?(seed = 7)
+let run_checkpointed ?(spec = default_spec) ?(seed = 7)
     ?(fs_rounds = 5) ?(kv_ops = 120) ~every ~file ?stop_after () =
   if every <= 0 then invalid_arg "Exp_chaos.run_checkpointed: every <= 0";
   let plan = Fault.create ~seed spec in
   Fault.with_plan plan (fun () ->
       let st =
-        setup ?shards ~plan ~spec ~seed ~fs_rounds ~kv_ops ~every ~file ()
+        setup ~plan ~spec ~seed ~fs_rounds ~kv_ops ~every ~file ()
       in
       drive st ~stop_after)
 
@@ -335,11 +335,6 @@ let resume ~file ?stop_after () =
          carries the original's RNG position, so the fault schedule
          continues exactly where the save left it). *)
       Msg.set_uid_counter st.ck_msg_uid;
-      (* An unmarshaled shard group never met the telemetry collector;
-         re-announce it so a resumed soak keeps reporting under
-         --telemetry.  The telemetry state itself (window aggregates)
-         rode along in the checkpoint. *)
-      System.reregister_telemetry st.ck_sys;
       Ok (Fault.with_plan st.ck_plan (fun () -> drive st ~stop_after))
 
 (* Multi-seed soak sweep.  Each seed is an independent task: [run]
@@ -348,14 +343,13 @@ let resume ~file ?stop_after () =
    liveness lines go through [Par.progress] (a single mutex-protected
    stderr writer), so concurrent workers cannot interleave characters
    within a line. *)
-let run_sweep ?(pool = M3v_par.Par.Pool.sequential) ?shards
-    ?(spec = default_spec) ?(seed = 7) ?(seeds = 1) ?(fs_rounds = 5)
-    ?(kv_ops = 120) () =
+let run_sweep ?(pool = M3v_par.Par.Pool.sequential) ?(spec = default_spec)
+    ?(seed = 7) ?(seeds = 1) ?(fs_rounds = 5) ?(kv_ops = 120) () =
   let n = max 1 seeds in
   List.init n (fun i ->
       let seed = seed + i in
       M3v_par.Par.submit pool (fun () ->
-          let r = run ?shards ~spec ~seed ~fs_rounds ~kv_ops () in
+          let r = run ~spec ~seed ~fs_rounds ~kv_ops () in
           M3v_par.Par.progress
             (Printf.sprintf "chaos: seed %d done (fs %s, kv %s, %d restarts)"
                seed

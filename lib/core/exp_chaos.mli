@@ -27,7 +27,6 @@ type result = {
 val default_spec : M3v_fault.Fault.spec
 
 val run :
-  ?shards:int ->
   ?spec:M3v_fault.Fault.spec ->
   ?seed:int ->
   ?fs_rounds:int ->
@@ -54,7 +53,6 @@ type ckpt_outcome =
     simulated time (overwriting, atomically); with [stop_after:n],
     abandon the run after the [n]-th checkpoint is written. *)
 val run_checkpointed :
-  ?shards:int ->
   ?spec:M3v_fault.Fault.spec ->
   ?seed:int ->
   ?fs_rounds:int ->
@@ -81,7 +79,6 @@ val resume :
     {!M3v_par.Par.progress}. *)
 val run_sweep :
   ?pool:M3v_par.Par.Pool.t ->
-  ?shards:int ->
   ?spec:M3v_fault.Fault.spec ->
   ?seed:int ->
   ?seeds:int ->

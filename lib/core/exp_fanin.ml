@@ -39,8 +39,8 @@ let sender_tiles = [| 1; 2; 3; 4; 5; 6 |]
 (* One run: [senders] activities spread over the sender tiles each push
    [msgs] messages; the server drains and acks them all.  Throughput is
    messages over the server's busy interval. *)
-let throughput ?shards ~mode ~senders ~msgs () =
-  let sys = System.create ?shards ~variant:System.M3v () in
+let throughput ~mode ~senders ~msgs () =
+  let sys = System.create ~variant:System.M3v () in
   let ctrl = System.controller sys in
   let total = senders * msgs in
   let elapsed = ref Time.zero in
@@ -113,7 +113,7 @@ let throughput ?shards ~mode ~senders ~msgs () =
   if Time.to_s !elapsed <= 0.0 then 0.0
   else float_of_int total /. Time.to_s !elapsed
 
-let run ?(pool = Par.Pool.sequential) ?shards ?(msgs = 50)
+let run ?(pool = Par.Pool.sequential) ?(msgs = 50)
     ?(sender_counts = [ 4; 16; 64 ]) () =
   (* One task per (mode, N) point; every [throughput] call builds its own
      System, so the points are independent and merging in submission order
@@ -125,7 +125,7 @@ let run ?(pool = Par.Pool.sequential) ?shards ?(msgs = 50)
   in
   let values =
     Par.map pool
-      (fun (mode, senders) -> throughput ?shards ~mode ~senders ~msgs ())
+      (fun (mode, senders) -> throughput ~mode ~senders ~msgs ())
       combos
   in
   let rec group counts values =

@@ -21,7 +21,6 @@ type result = { msgs_per_sender : int; points : point list }
 
 val run :
   ?pool:M3v_par.Par.Pool.t ->
-  ?shards:int ->
   ?msgs:int ->
   ?sender_counts:int list ->
   unit ->
@@ -30,4 +29,4 @@ val run :
 val print : result -> unit
 
 (** Throughput of one configuration (exposed for tests/calibration). *)
-val throughput : ?shards:int -> mode:mode -> senders:int -> msgs:int -> unit -> float
+val throughput : mode:mode -> senders:int -> msgs:int -> unit -> float

@@ -15,9 +15,9 @@ type point = {
 type result = { points : point list }
 
 (* One traceplayer + one m3fs instance per user tile, co-located. *)
-let throughput ?shards ~variant ~trace ~tiles ~runs ~warmup () =
+let throughput ~variant ~trace ~tiles ~runs ~warmup () =
   let spec = M3v_tile.Platform.gem5_spec ~user_tiles:tiles () in
-  let sys = System.create ~spec ?shards ~variant () in
+  let sys = System.create ~spec ~variant () in
   let results =
     List.init tiles (fun i ->
         let tile = 1 + i in
@@ -48,7 +48,7 @@ let throughput ?shards ~variant ~trace ~tiles ~runs ~warmup () =
       end)
     0.0 results
 
-let run ?(pool = Par.Pool.sequential) ?shards ?(runs = 3) ?(warmup = 1)
+let run ?(pool = Par.Pool.sequential) ?(runs = 3) ?(warmup = 1)
     ?(tile_counts = [ 1; 2; 4; 8; 12 ]) () =
   let find = Trace.find_trace () in
   let sqlite = Trace.sqlite_trace () in
@@ -72,7 +72,7 @@ let run ?(pool = Par.Pool.sequential) ?shards ?(runs = 3) ?(warmup = 1)
   let values =
     Par.map pool
       (fun (tiles, variant, trace) ->
-        throughput ?shards ~variant ~trace ~tiles ~runs ~warmup ())
+        throughput ~variant ~trace ~tiles ~runs ~warmup ())
       combos
   in
   let rec group tile_counts values =

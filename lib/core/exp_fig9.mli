@@ -22,14 +22,12 @@ type point = {
 
 type result = { points : point list }
 
-(** [shards] runs every point's System under the sharded scheduler
-    ({!System.create}); output is byte-identical to [shards:1]. *)
 val run :
-  ?pool:M3v_par.Par.Pool.t -> ?shards:int -> ?runs:int -> ?warmup:int ->
+  ?pool:M3v_par.Par.Pool.t -> ?runs:int -> ?warmup:int ->
   ?tile_counts:int list -> unit -> result
 val print : result -> unit
 
 (** Throughput of one configuration (exposed for tests/calibration). *)
 val throughput :
-  ?shards:int -> variant:System.variant -> trace:M3v_apps.Trace.t ->
-  tiles:int -> runs:int -> warmup:int -> unit -> float
+  variant:System.variant -> trace:M3v_apps.Trace.t -> tiles:int ->
+  runs:int -> warmup:int -> unit -> float

@@ -113,7 +113,7 @@ let put_value k = Bytes.init 64 (fun j -> Char.chr ((k + j) land 0xff))
 
 (* One load step: an independent simulation of the full fleet at
    [frac] times the configured load. *)
-let run_step ?shards cfg ~frac =
+let run_step cfg ~frac =
   let warmup_ps = Time.ms cfg.warmup_ms in
   let duration_ps = Time.ms cfg.duration_ms in
   let fleet_cfg =
@@ -142,7 +142,7 @@ let run_step ?shards cfg ~frac =
   let nd = cfg.drivers in
   let samples = Array.make nd [] in
   let simulate () =
-    let sys = System.create ?shards ~variant:System.M3v () in
+    let sys = System.create ~variant:System.M3v () in
     let ctrl = System.controller sys in
     let fs = Services.make_fs sys ~tile:fs_tile ~blocks:4096 () in
     let net =
@@ -322,12 +322,12 @@ let attribution ~segments ~credit_stalls =
           (100.0 *. v /. total)
           credit_stalls
 
-let run ?(pool = Par.Pool.sequential) ?shards ?(cfg = default) () =
+let run ?(pool = Par.Pool.sequential) ?(cfg = default) () =
   if cfg.drivers < 1 || cfg.drivers > max_drivers then
     invalid_arg
       (Printf.sprintf "exp_load: drivers must be in [1, %d]" max_drivers);
   if cfg.fracs = [] then invalid_arg "exp_load: no load steps";
-  let steps = Par.map pool (fun frac -> run_step ?shards cfg ~frac) cfg.fracs in
+  let steps = Par.map pool (fun frac -> run_step cfg ~frac) cfg.fracs in
   let verdict =
     Knee.detect ~slo_p99_us:cfg.slo_p99_us
       (List.map

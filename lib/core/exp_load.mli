@@ -53,7 +53,7 @@ type result = {
     submission order, so reports are byte-identical across [--jobs]
     settings.  Raises [Invalid_argument] on an empty step list or a
     driver count outside the services' endpoint provisioning. *)
-val run : ?pool:M3v_par.Par.Pool.t -> ?shards:int -> ?cfg:config -> unit -> result
+val run : ?pool:M3v_par.Par.Pool.t -> ?cfg:config -> unit -> result
 
 val pp : Format.formatter -> result -> unit
 val print : result -> unit

@@ -1,18 +1,6 @@
 module Par = M3v_par.Par
 
-let opt v = if v <= 0 then None else Some v
-
-(* Experiments degrade to sequential execution when a trace sink or an
-   ambient fault plan is requested: both are domain-local, so tasks on
-   worker domains would silently escape them — and a shared fault RNG
-   would destroy schedule determinism anyway.  [sequential] names the
-   reason at each call site. *)
-let make_pool ?jobs ~sequential () =
-  if sequential then Par.Pool.sequential else Par.Pool.create ?jobs ()
-
-let with_pool ?jobs ~sequential f =
-  let pool = make_pool ?jobs ~sequential () in
-  Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) (fun () -> f pool)
+let positive v = if v <= 0 then None else Some v
 
 let parse_faults s =
   match M3v_fault.Fault.parse s with
@@ -82,9 +70,9 @@ let with_metrics metrics f =
       Format.printf "@.metrics -> %s@." path;
       M3v_obs.Metrics.print Format.std_formatter reg
 
-(* --telemetry: open a collection window around the run — every
-   multi-shard group created inside registers itself — and print the
-   merged per-K analyzer reports when it closes.  The report goes to
+(* --telemetry on shard-sweep: open a collection window around the run —
+   every multi-shard group created inside registers itself — and print
+   the merged per-K analyzer reports when it closes.  The report goes to
    stderr, deliberately: telemetry tables vary with the shard count and
    carry wall-clock times, while the experiment stream on stdout must
    stay byte-identical with telemetry on or off and across shards/jobs
@@ -100,96 +88,47 @@ let with_telemetry telemetry f =
       f
   end
 
-let needs_seq ~trace ~faults = Option.is_some trace || Option.is_some faults
+type opts = {
+  trace : string option;
+  metrics : string option;
+  faults : string option;
+  fault_seed : int;
+  jobs : int option;
+}
 
-let fig6 ?trace ?metrics ?faults ?(fault_seed = 1) ?jobs ~rounds () =
-  with_pool ?jobs ~sequential:(needs_seq ~trace ~faults) (fun pool ->
-      with_faults ?faults ~fault_seed (fun () ->
-          with_trace trace (fun () ->
-              with_metrics metrics (fun () ->
-                  Exp_fig6.print (Exp_fig6.run ~pool ?rounds:(opt rounds) ())))))
+let default =
+  { trace = None; metrics = None; faults = None; fault_seed = 7; jobs = None }
 
-let fig7 ?trace ?metrics ?faults ?(fault_seed = 1) ?jobs ~runs () =
-  with_pool ?jobs ~sequential:(needs_seq ~trace ~faults) (fun pool ->
-      with_faults ?faults ~fault_seed (fun () ->
-          with_trace trace (fun () ->
-              with_metrics metrics (fun () ->
-                  Exp_fig7.print (Exp_fig7.run ~pool ?runs:(opt runs) ())))))
-
-let fig8 ?trace ?metrics ?faults ?(fault_seed = 1) ?jobs ~runs () =
-  with_pool ?jobs ~sequential:(needs_seq ~trace ~faults) (fun pool ->
-      with_faults ?faults ~fault_seed (fun () ->
-          with_trace trace (fun () ->
-              with_metrics metrics (fun () ->
-                  Exp_fig8.print (Exp_fig8.run ~pool ?runs:(opt runs) ())))))
-
-let fig9 ?trace ?metrics ?faults ?(fault_seed = 1) ?(telemetry = false) ?jobs
-    ?shards ~runs () =
-  with_telemetry telemetry (fun () ->
-      with_pool ?jobs ~sequential:(needs_seq ~trace ~faults) (fun pool ->
-          with_faults ?faults ~fault_seed (fun () ->
-              with_trace trace (fun () ->
-                  with_metrics metrics (fun () ->
-                      Exp_fig9.print
-                        (Exp_fig9.run ~pool ?shards:(Option.bind shards opt)
-                           ?runs:(opt runs) ()))))))
-
-let fig10 ?trace ?metrics ?faults ?(fault_seed = 1) ?jobs ~runs () =
-  with_pool ?jobs ~sequential:(needs_seq ~trace ~faults) (fun pool ->
-      with_faults ?faults ~fault_seed (fun () ->
-          with_trace trace (fun () ->
-              with_metrics metrics (fun () ->
-                  Exp_fig10.print (Exp_fig10.run ~pool ?runs:(opt runs) ())))))
-
-let voice ?trace ?metrics ?faults ?(fault_seed = 1) ?jobs ~runs () =
-  with_pool ?jobs ~sequential:(needs_seq ~trace ~faults) (fun pool ->
-      with_faults ?faults ~fault_seed (fun () ->
-          with_trace trace (fun () ->
-              with_metrics metrics (fun () ->
-                  Exp_voice.print (Exp_voice.run ~pool ?runs:(opt runs) ())))))
-
-let fanin ?trace ?metrics ?faults ?(fault_seed = 1) ?jobs ?shards ~msgs
-    ~senders () =
-  let sender_counts =
-    match senders with [] -> None | counts -> Some counts
-  in
-  with_pool ?jobs ~sequential:(needs_seq ~trace ~faults) (fun pool ->
-      with_faults ?faults ~fault_seed (fun () ->
-          with_trace trace (fun () ->
-              with_metrics metrics (fun () ->
-                  Exp_fanin.print
-                    (Exp_fanin.run ~pool ?shards:(Option.bind shards opt)
-                       ?msgs:(opt msgs) ?sender_counts ())))))
-
-let load ?trace ?metrics ?faults ?(fault_seed = 1) ?(telemetry = false) ?jobs
-    ?shards ~cfg () =
-  with_telemetry telemetry (fun () ->
-      with_pool ?jobs ~sequential:(needs_seq ~trace ~faults) (fun pool ->
-          with_faults ?faults ~fault_seed (fun () ->
-              with_trace trace (fun () ->
-                  with_metrics metrics (fun () ->
-                      Exp_load.print
-                        (Exp_load.run ~pool ?shards:(Option.bind shards opt)
-                           ~cfg ()))))))
+(* The one place that sizes a System experiment's pool.  A trace sink and
+   an ambient fault plan are domain-local, so tasks on worker domains
+   would silently escape them — and a shared fault RNG would destroy
+   schedule determinism anyway: either one makes the pool 1 wide.  Inside
+   the pool come the fault plan, the trace sink and the metrics
+   registry. *)
+let run o f =
+  let sequential = Option.is_some o.trace || Option.is_some o.faults in
+  let jobs = if sequential then Some 1 else o.jobs in
+  Par.Pool.with_pool ?jobs (fun pool ->
+      with_faults ?faults:o.faults ~fault_seed:o.fault_seed (fun () ->
+          with_trace o.trace (fun () ->
+              with_metrics o.metrics (fun () -> f pool))))
 
 (* Both halves of the ablation in one report: the clean sweep, then the
    same sweep under a [mig_abort] fault plan (installed per task inside
    [Exp_migrate.run], so the points still fan out over the pool). *)
 let migrate ?trace ?metrics ?jobs ?(seed = 11) ~rounds ~rates () =
   let rates = match rates with [] -> None | l -> Some l in
-  with_pool ?jobs ~sequential:(Option.is_some trace) (fun pool ->
-      with_trace trace (fun () ->
-          with_metrics metrics (fun () ->
-              Exp_migrate.print
-                (Exp_migrate.run ~pool ?rounds:(opt rounds) ?rates
-                   ~faulty:false ~seed ());
-              Exp_migrate.print
-                (Exp_migrate.run ~pool ?rounds:(opt rounds) ?rates ~faulty:true
-                   ~seed ()))))
+  run { default with trace; metrics; jobs } (fun pool ->
+      let rounds = positive rounds in
+      Exp_migrate.print
+        (Exp_migrate.run ~pool ?rounds ?rates ~faulty:false ~seed ());
+      Exp_migrate.print
+        (Exp_migrate.run ~pool ?rounds ?rates ~faulty:true ~seed ()))
 
 (* The chaos soak manages its own plan: [Exp_chaos.run] installs the spec
    and seed itself — inside each task, so a sweep can run seeds on worker
-   domains.  Only tracing forces it sequential. *)
+   domains.  Only tracing forces it sequential, so [faults] is the soak's
+   spec, never the ambient plan of [run]. *)
 let chaos_outcome = function
   | Exp_chaos.Completed r -> Exp_chaos.print r
   | Exp_chaos.Suspended { checkpoints; file } ->
@@ -198,16 +137,16 @@ let chaos_outcome = function
       Format.eprintf "chaos: suspended after %d checkpoint(s) -> %s@."
         checkpoints file
 
-let chaos ?trace ?faults ?(fault_seed = 7) ?(telemetry = false) ?jobs ?shards
-    ?(seeds = 1) ?checkpoint_every_ms ?(checkpoint_file = "chaos.ckpt")
-    ?stop_after ?resume ~rounds ~ops () =
+let chaos ?trace ?faults ?(fault_seed = 7) ?jobs ?(seeds = 1)
+    ?checkpoint_every_ms ?(checkpoint_file = "chaos.ckpt") ?stop_after ?resume
+    ~rounds ~ops () =
   let spec = Option.map parse_faults faults in
-  let shards = Option.bind shards opt in
-  let every_ms = Option.bind checkpoint_every_ms (fun n -> opt n) in
-  with_telemetry telemetry @@ fun () ->
+  let every_ms = Option.bind checkpoint_every_ms positive in
   match (resume, every_ms) with
   | Some file, _ -> (
-      match Exp_chaos.resume ~file ?stop_after:(Option.bind stop_after opt) () with
+      match
+        Exp_chaos.resume ~file ?stop_after:(Option.bind stop_after positive) ()
+      with
       | Error msg ->
           Format.eprintf "m3vsim chaos: %s@." msg;
           exit 1
@@ -227,16 +166,15 @@ let chaos ?trace ?faults ?(fault_seed = 7) ?(telemetry = false) ?jobs ?shards
         exit 2
       end;
       chaos_outcome
-        (Exp_chaos.run_checkpointed ?shards ?spec ~seed:fault_seed
-           ?fs_rounds:(opt rounds) ?kv_ops:(opt ops)
+        (Exp_chaos.run_checkpointed ?spec ~seed:fault_seed
+           ?fs_rounds:(positive rounds) ?kv_ops:(positive ops)
            ~every:(M3v_sim.Time.ms ms) ~file:checkpoint_file
-           ?stop_after:(Option.bind stop_after opt) ())
+           ?stop_after:(Option.bind stop_after positive) ())
   | None, None ->
-      with_pool ?jobs ~sequential:(Option.is_some trace) (fun pool ->
-          with_trace trace (fun () ->
-              Exp_chaos.run_sweep ~pool ?shards ?spec ~seed:fault_seed ~seeds
-                ?fs_rounds:(opt rounds) ?kv_ops:(opt ops) ()
-              |> List.iter Exp_chaos.print))
+      run { default with trace; jobs } (fun pool ->
+          Exp_chaos.run_sweep ~pool ?spec ~seed:fault_seed ~seeds
+            ?fs_rounds:(positive rounds) ?kv_ops:(positive ops) ()
+          |> List.iter Exp_chaos.print)
 
 (* The shard sweep is never forced sequential: the sweep itself runs
    points on the calling domain (only window dispatch uses the pool),
@@ -247,13 +185,13 @@ let shard_sweep ?trace ?metrics ?(telemetry = false) ?jobs ?(shards = 4)
     ?(seed = 1) ~chains ~hops ~weight ~tiles () =
   let tile_counts = match tiles with [] -> None | l -> Some l in
   with_telemetry telemetry (fun () ->
-      with_pool ?jobs ~sequential:false (fun pool ->
+      Par.Pool.with_pool ?jobs (fun pool ->
           with_trace trace (fun () ->
               with_metrics metrics (fun () ->
                   Exp_shard.print
-                    (Exp_shard.run ~pool ~shards ?chains_per_tile:(opt chains)
-                       ?hops:(opt hops) ?weight:(opt weight) ~seed ?tile_counts
-                       ())))))
+                    (Exp_shard.run ~pool ~shards
+                       ?chains_per_tile:(positive chains) ?hops:(positive hops)
+                       ?weight:(positive weight) ~seed ?tile_counts ())))))
 
 (* shard-report: one sharded run with telemetry always on; the analyzer
    tables are the subcommand's stdout deliverable.  [trace] dumps the
@@ -261,11 +199,11 @@ let shard_sweep ?trace ?metrics ?(telemetry = false) ?jobs ?(shards = 4)
    axes), not a simulation trace. *)
 let shard_report ?jobs ?(shards = 4) ?(seed = 1) ?trace ~tiles ~chains ~hops
     ~weight () =
-  with_pool ?jobs ~sequential:false (fun pool ->
+  Par.Pool.with_pool ?jobs (fun pool ->
       let r =
-        Exp_shard.report ~pool ?tiles:(opt tiles) ~shards
-          ?chains_per_tile:(opt chains) ?hops:(opt hops) ?weight:(opt weight)
-          ~seed ()
+        Exp_shard.report ~pool ?tiles:(positive tiles) ~shards
+          ?chains_per_tile:(positive chains) ?hops:(positive hops)
+          ?weight:(positive weight) ~seed ()
       in
       Exp_shard.print_report r;
       match trace with
@@ -280,9 +218,8 @@ let table1 ?trace () =
 let complexity () = Exp_table1.print_complexity (Exp_table1.run_complexity ())
 
 let ablations ?trace ?jobs () =
-  with_pool ?jobs ~sequential:(Option.is_some trace) (fun pool ->
-      with_trace trace (fun () ->
-          List.iter Ablations.print (Ablations.run_all ~pool ())))
+  run { default with trace; jobs } (fun pool ->
+      List.iter Ablations.print (Ablations.run_all ~pool ()))
 
 (* Critical-path profiler entry point: run one experiment sequentially
    under a private trace sink (flow events need the single-domain sink),
@@ -291,25 +228,27 @@ let ablations ?trace ?jobs () =
    the raw Chrome trace, a flamegraph-style folded-stack file, and the
    metrics registry alongside the profile tables. *)
 let profile ?(exp = "fig6") ?trace ?folded ?metrics ~rounds ~runs () =
-  let sink = M3v_obs.Trace.make () in
   let pool = Par.Pool.sequential in
-  let run () =
-    M3v_obs.Trace.with_sink sink (fun () ->
-        match exp with
-        | "fig6" -> ignore (Exp_fig6.run ~pool ?rounds:(opt rounds) ())
-        | "fig7" -> ignore (Exp_fig7.run ~pool ?runs:(opt runs) ())
-        | "fig8" -> ignore (Exp_fig8.run ~pool ?runs:(opt runs) ())
-        | "fig9" -> ignore (Exp_fig9.run ~pool ?runs:(opt runs) ())
-        | "fig10" -> ignore (Exp_fig10.run ~pool ?runs:(opt runs) ())
-        | "voice" -> ignore (Exp_voice.run ~pool ?runs:(opt runs) ())
-        | other ->
-            Format.eprintf
-              "m3vsim profile: unknown experiment %S (expected \
-               fig6|fig7|fig8|fig9|fig10|voice)@."
-              other;
-            exit 2)
+  let rounds = positive rounds and runs = positive runs in
+  (* Resolve the name first: an unknown experiment must not leave an
+     empty [metrics] file behind. *)
+  let run_exp =
+    match exp with
+    | "fig6" -> fun () -> ignore (Exp_fig6.run ~pool ?rounds ())
+    | "fig7" -> fun () -> ignore (Exp_fig7.run ~pool ?runs ())
+    | "fig8" -> fun () -> ignore (Exp_fig8.run ~pool ?runs ())
+    | "fig9" -> fun () -> ignore (Exp_fig9.run ~pool ?runs ())
+    | "fig10" -> fun () -> ignore (Exp_fig10.run ~pool ?runs ())
+    | "voice" -> fun () -> ignore (Exp_voice.run ~pool ?runs ())
+    | other ->
+        Format.eprintf
+          "m3vsim profile: unknown experiment %S (expected \
+           fig6|fig7|fig8|fig9|fig10|voice)@."
+          other;
+        exit 2
   in
-  with_metrics metrics run;
+  let sink = M3v_obs.Trace.make () in
+  with_metrics metrics (fun () -> M3v_obs.Trace.with_sink sink run_exp);
   (match trace with
   | None -> ()
   | Some path ->
@@ -329,7 +268,7 @@ let profile ?(exp = "fig6") ?trace ?folded ?metrics ~rounds ~runs () =
    submission order, so the combined report is byte-identical to a
    sequential run. *)
 let all ?jobs () =
-  with_pool ?jobs ~sequential:false (fun pool ->
+  run { default with jobs } (fun pool ->
       Par.all pool
         [
           (fun () ->

@@ -1,86 +1,51 @@
 (** Entry points used by the CLI and the benchmark harness: run an
-    experiment with paper-default parameters (pass [runs = 0] or
-    [rounds <= 0] for the default) and print the table/figure.
+    experiment with paper-default parameters and print the table/figure.
+    Integer knobs follow the CLI convention that [<= 0] picks the
+    experiment's default ({!positive}).
 
-    When [?jobs] is given (CLI [--jobs], or the [M3V_JOBS] environment
-    variable via the default), the experiment's independent units — bars,
-    sweep points, seeds — fan out over a {!M3v_par.Par} Domain pool of
-    that size.  Results are always merged in task-submission order, so
-    parallel and sequential runs print byte-identical output.  Tracing or
-    an ambient fault plan forces sequential execution: both are
-    domain-local and cannot follow tasks onto worker domains.
+    Every System experiment takes the same five settings, {!opts}, and
+    runs through one combinator, {!run}; [migrate], [ablations], the
+    [chaos] seed sweep and [all] run through it too, with the settings
+    they lack left at their {!default}s. *)
 
-    When [?trace] names a file, the experiment runs with a tracing sink
-    installed: on completion a Chrome trace-event JSON file is written
-    there and latency percentiles plus a per-tile event summary are
-    printed (see {!M3v_obs}).
+(** [positive n] is [Some n] when [n > 0], else [None] (the default). *)
+val positive : int -> int option
 
-    When [?metrics] names a file, the experiment runs with a metrics
-    registry installed: counters/gauges/histograms (credit stalls, TLB
-    miss rate, receive-buffer occupancy, NoC link utilization, ...) are
-    exported there as JSON and printed as text tables.  Unlike tracing,
-    metrics do NOT force sequential execution — the pool shards the
-    registry per task and merges deterministically, so [--jobs 4] output
-    is byte-identical to [--jobs 1].
+type opts = {
+  trace : string option;
+      (** Record the run into a trace sink: on completion a Chrome
+          trace-event JSON file is written here and latency percentiles
+          plus a per-tile event summary are printed (see {!M3v_obs}). *)
+  metrics : string option;
+      (** Run with a metrics registry installed: counters, gauges and
+          histograms (credit stalls, TLB miss rate, receive-buffer
+          occupancy, NoC link utilization, ...) are exported here as
+          JSON and printed as text tables. *)
+  faults : string option;
+      (** A {!M3v_fault.Fault.parse}-able spec (e.g.
+          ["drop=0.01,dup=0.005,crash=2"]): run under a deterministic
+          fault plan seeded with [fault_seed] and print the injection
+          tally at the end. *)
+  fault_seed : int;
+  jobs : int option;
+      (** Fan the experiment's independent units — bars, sweep points,
+          seeds — out over a {!M3v_par.Par} Domain pool of this size
+          ([None]: the [M3V_JOBS] environment variable or the core
+          count).  Results merge in task-submission order, so parallel
+          and sequential runs print byte-identical output. *)
+}
 
-    When [?faults] names a {!M3v_fault.Fault.parse}-able spec (e.g.
-    ["drop=0.01,dup=0.005,crash=2"]), the experiment runs under a
-    deterministic fault plan seeded with [fault_seed] and the injection
-    tally is printed at the end.
+(** No trace, metrics or faults; [fault_seed = 7]; [jobs = None]. *)
+val default : opts
 
-    When [?shards] (> 0) is given on the experiments that support it, each
-    point's System runs under the conservative-window sharded scheduler
-    ({!System.create}); output is byte-identical to [shards:1] (asserted
-    in tests and CI).  [shards <= 0] means "default" (unsharded).
-
-    When [?telemetry] is [true], every multi-shard group created during
-    the run records per-window telemetry ({!M3v_par.Telemetry}) and the
-    merged analyzer report — per-shard imbalance, limiter attribution,
-    critical-path speedup bound — prints to {e stderr} when the run
-    ends.  Stdout is byte-identical with telemetry on or off: telemetry
-    is a pure observer and its tables (which vary with the shard count
-    and carry wall-clock times) stay in the side channel. *)
-
-val fig6 :
-  ?trace:string -> ?metrics:string -> ?faults:string -> ?fault_seed:int ->
-  ?jobs:int -> rounds:int -> unit -> unit
-
-val fig7 :
-  ?trace:string -> ?metrics:string -> ?faults:string -> ?fault_seed:int ->
-  ?jobs:int -> runs:int -> unit -> unit
-
-val fig8 :
-  ?trace:string -> ?metrics:string -> ?faults:string -> ?fault_seed:int ->
-  ?jobs:int -> runs:int -> unit -> unit
-
-val fig9 :
-  ?trace:string -> ?metrics:string -> ?faults:string -> ?fault_seed:int ->
-  ?telemetry:bool -> ?jobs:int -> ?shards:int -> runs:int -> unit -> unit
-
-val fig10 :
-  ?trace:string -> ?metrics:string -> ?faults:string -> ?fault_seed:int ->
-  ?jobs:int -> runs:int -> unit -> unit
-
-val voice :
-  ?trace:string -> ?metrics:string -> ?faults:string -> ?fault_seed:int ->
-  ?jobs:int -> runs:int -> unit -> unit
-
-(** Fan-in ablation ({!Exp_fanin}): N senders -> 1 server throughput,
-    shared MPMC receive endpoint vs per-sender endpoints.  [msgs <= 0]
-    picks the default per-sender message count; an empty [senders] list
-    picks the default sweep (4, 16, 64). *)
-val fanin :
-  ?trace:string -> ?metrics:string -> ?faults:string -> ?fault_seed:int ->
-  ?jobs:int -> ?shards:int -> msgs:int -> senders:int list -> unit -> unit
-
-(** Load harness ({!Exp_load}): client fleets at swept offered load over
-    net + m3fs + the key-value service, with SLO tables, knee detection
-    and bottleneck attribution.  Steps fan out over the pool; output is
-    byte-identical across [--jobs] settings. *)
-val load :
-  ?trace:string -> ?metrics:string -> ?faults:string -> ?fault_seed:int ->
-  ?telemetry:bool -> ?jobs:int -> ?shards:int -> cfg:Exp_load.config ->
-  unit -> unit
+(** [run opts f] gives [f] a pool sized by [opts.jobs] — 1 wide whenever
+    [trace] or [faults] is set, since both are domain-local and cannot
+    follow tasks onto worker domains — and runs it under the fault plan,
+    trace sink and metrics registry [opts] asks for, in that nesting
+    order.  Metrics do not force a sequential pool: the pool keeps one
+    registry per task and merges them in submission order, so [--jobs 4]
+    output is byte-identical to [--jobs 1]. *)
+val run : opts -> (M3v_par.Par.Pool.t -> unit) -> unit
 
 (** Live-migration ablation ({!Exp_migrate}): downtime and exactly-once
     delivery vs message rate, swept clean and under a [mig_abort] fault
@@ -104,10 +69,9 @@ val migrate :
     uninterrupted run's.  Checkpointing is single-seed and incompatible
     with [trace]. *)
 val chaos :
-  ?trace:string -> ?faults:string -> ?fault_seed:int -> ?telemetry:bool ->
-  ?jobs:int -> ?shards:int -> ?seeds:int -> ?checkpoint_every_ms:int ->
-  ?checkpoint_file:string -> ?stop_after:int -> ?resume:string ->
-  rounds:int -> ops:int -> unit -> unit
+  ?trace:string -> ?faults:string -> ?fault_seed:int -> ?jobs:int ->
+  ?seeds:int -> ?checkpoint_every_ms:int -> ?checkpoint_file:string ->
+  ?stop_after:int -> ?resume:string -> rounds:int -> ops:int -> unit -> unit
 
 (** Shard sweep ({!Exp_shard}): partitioned-parallel scaling of a
     64-1024-tile clustered token-chain workload under the
@@ -116,7 +80,15 @@ val chaos :
     stderr.  [chains]/[hops]/[weight] <= 0 and [tiles = []] pick the
     defaults.  Unlike the System experiments, [?trace] does not force a
     sequential pool: the sweep itself never fans out tasks, and the
-    scheduler falls back to inline windows under a sink on its own. *)
+    scheduler falls back to inline windows under a sink on its own.
+
+    When [?telemetry] is [true], every multi-shard group created during
+    the run records per-window telemetry ({!M3v_par.Telemetry}) and the
+    merged analyzer report — per-shard imbalance, limiter attribution,
+    critical-path speedup bound — prints to {e stderr} when the run
+    ends.  Stdout is byte-identical with telemetry on or off: telemetry
+    is a pure observer and its tables (which vary with the shard count
+    and carry wall-clock times) stay in the side channel. *)
 val shard_sweep :
   ?trace:string -> ?metrics:string -> ?telemetry:bool -> ?jobs:int ->
   ?shards:int -> ?seed:int -> chains:int -> hops:int -> weight:int ->

@@ -1,11 +1,9 @@
 (* Partitioned-parallel scaling experiment for the sharded scheduler.
 
-   The System experiments are one causal region (shared kernel,
-   controller, NoC link state), so under `--shards K` they occupy a
-   single shard and demonstrate only that the window machinery is
-   transparent.  This experiment is the other half of the story: a
-   genuinely partitionable workload at 64-1024 tiles whose sharded run
-   spreads real event work over the Domain pool — and still produces
+   A System is one causal region (shared kernel, controller, NoC link
+   state), so it runs on a plain engine.  This experiment is a
+   partitionable workload at 64-1024 tiles whose sharded run spreads
+   real event work over the Domain pool — and still produces
    bit-identical results, asserted on every invocation by running each
    point twice (shards = 1 sequentially, shards = K on the pool) and
    comparing makespan, checksum and event count.

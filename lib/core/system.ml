@@ -13,39 +13,14 @@ type channel = { sgate : int; rgate : int; reply_ep : int }
 type t = {
   variant : variant;
   engine : Engine.t;
-  (* When present, [engine] is shard 0 of this group and [run]/[run_while]
-     go through the conservative-window scheduler.  A whole System is one
-     causal region (kernel, controller and NoC link state are coupled), so
-     it lives entirely on shard 0 and the remaining shards advertise
-     infinite horizons — the scheduler then runs shard 0 unthrottled, and
-     `--shards K` output is byte-identical to `--shards 1` by
-     construction while still exercising the window machinery. *)
-  sharded : unit M3v_par.Shard.t option;
   platform : Platform.t;
   ctrl : Controller.t;
   runtimes : (int, Runtime.t) Hashtbl.t;
 }
 
-let create ?spec ?topology ?noc_params ?tlb_capacity ?timeslice ?shards ~variant
-    () =
+let create ?spec ?topology ?noc_params ?tlb_capacity ?timeslice ~variant () =
   let spec = match spec with Some s -> s | None -> Platform.fpga_spec () in
-  let sharded =
-    match shards with
-    | Some k when k > 1 ->
-        let lookahead =
-          M3v_noc.Noc.conservative_lookahead
-            (match noc_params with
-            | Some p -> p
-            | None -> M3v_noc.Noc.default_params)
-        in
-        Some (M3v_par.Shard.create ~lookahead ~shards:k ())
-    | _ -> None
-  in
-  let engine =
-    match sharded with
-    | Some group -> M3v_par.Shard.engine group 0
-    | None -> Engine.create ()
-  in
+  let engine = Engine.create () in
   (* No-op unless a trace sink is installed. *)
   M3v_obs.Hooks.attach_engine engine;
   let platform =
@@ -64,15 +39,10 @@ let create ?spec ?topology ?noc_params ?tlb_capacity ?timeslice ?shards ~variant
       Hashtbl.replace runtimes tile
         (Runtime.create ~mode:rmode ~controller:ctrl ~tile ?timeslice ()))
     (Platform.processing_tiles platform);
-  { variant; engine; sharded; platform; ctrl; runtimes }
+  { variant; engine; platform; ctrl; runtimes }
 
 let variant t = t.variant
 let engine t = t.engine
-let shards t = match t.sharded with Some g -> M3v_par.Shard.shards g | None -> 1
-let telemetry t = Option.bind t.sharded M3v_par.Shard.telemetry
-
-let reregister_telemetry t =
-  Option.iter M3v_par.Shard.reregister_telemetry t.sharded
 let platform t = t.platform
 let controller t = t.ctrl
 
@@ -140,29 +110,13 @@ let with_pager t ~tile =
 
 let boot t = Hashtbl.iter (fun _ rt -> Runtime.boot rt) t.runtimes
 
-let run ?until t =
-  match t.sharded with
-  | None -> Engine.run ?until t.engine
-  | Some group -> M3v_par.Shard.run ?until group
+let run ?until t = Engine.run ?until t.engine
 
 let run_while t cond =
-  match t.sharded with
-  | None ->
-      let rec loop () =
-        if cond () then begin
-          let n = Engine.run ~max_events:10_000 t.engine in
-          if n > 0 then loop ()
-        end
-      in
-      loop ()
-  | Some group ->
-      (* Same chunking as the sequential path, so [cond] is re-checked at
-         the same cadence (shard 0 is the only busy shard, so each window
-         is exactly one [Engine.run ~max_events:10_000] call). *)
-      let rec loop () =
-        if cond () then
-          match M3v_par.Shard.step ~max_events:10_000 group with
-          | `Events _ -> loop ()
-          | `Idle -> ()
-      in
-      loop ()
+  let rec loop () =
+    if cond () then begin
+      let n = Engine.run ~max_events:10_000 t.engine in
+      if n > 0 then loop ()
+    end
+  in
+  loop ()

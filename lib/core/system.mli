@@ -18,43 +18,19 @@ type channel = {
 (** Build a system.  [spec] defaults to the paper's FPGA platform
     ({!M3v_tile.Platform.fpga_spec}); the controller runs on the first
     [Ctrl] tile of the spec.  Runtimes are created for every processing
-    tile.
-
-    [shards] (default 1) runs the simulation under the conservative-window
-    sharded scheduler ({!M3v_par.Shard}) with lookahead extracted from the
-    NoC parameters.  A System is one causal region (kernel, controller and
-    NoC link state are coupled), so it occupies shard 0 of the group and
-    [--shards K] output is byte-identical to [--shards 1] by construction:
-    the idle shards advertise infinite horizons and shard 0 runs
-    unthrottled through the same window machinery. *)
+    tile. *)
 val create :
   ?spec:M3v_tile.Platform.tile_spec list ->
   ?topology:M3v_noc.Topology.t ->
   ?noc_params:M3v_noc.Noc.params ->
   ?tlb_capacity:int ->
   ?timeslice:M3v_sim.Time.t ->
-  ?shards:int ->
   variant:variant ->
   unit ->
   t
 
 val variant : t -> variant
 val engine : t -> M3v_sim.Engine.t
-
-(** Shard-group size the system was built with (1 = plain sequential
-    engine). *)
-val shards : t -> int
-
-(** Per-window telemetry of the sharded scheduler, when the system is
-    sharded and telemetry is enabled (see {!M3v_par.Telemetry}); [None]
-    for plain sequential systems. *)
-val telemetry : t -> M3v_par.Telemetry.t option
-
-(** Re-announce a checkpoint-restored system's telemetry to an open
-    collection ({!M3v_par.Shard.reregister_telemetry}): unmarshaled
-    shard groups never passed through [Shard.create].  No-op for
-    unsharded systems. *)
-val reregister_telemetry : t -> unit
 val platform : t -> M3v_tile.Platform.t
 val controller : t -> M3v_kernel.Controller.t
 val runtime : t -> tile:int -> M3v_mux.Runtime.t

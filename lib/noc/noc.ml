@@ -22,13 +22,6 @@ type params = {
 let default_params =
   { flit_bytes = 16; ps_per_flit = 10_000; hop_latency_ps = 7_500; header_flits = 1 }
 
-(* The cheapest cross-tile delivery under [p] is a single-hop router
-   traversal with zero serialization — every real packet costs at least
-   this much.  A conservative sharded scheduler may therefore execute
-   [lookahead] ahead of other shards' horizons without missing a
-   message. *)
-let conservative_lookahead p = p.hop_latency_ps
-
 type stats = {
   mutable packets : int;
   mutable payload_bytes : int;

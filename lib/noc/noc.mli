@@ -19,13 +19,6 @@ type params = {
     the low dozens of nanoseconds, matching the paper's platform. *)
 val default_params : params
 
-(** Minimum latency any cross-tile delivery can experience under the given
-    parameters (one hop's router + wire traversal, before serialization or
-    contention) — the lookahead a conservative sharded scheduler may rely
-    on.  Takes [params] rather than [t] so it can be computed before the
-    transport exists. *)
-val conservative_lookahead : params -> M3v_sim.Time.t
-
 type t
 
 (** Fault-injection class of a packet.  [Data] packets (DTU messages,

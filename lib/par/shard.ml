@@ -124,14 +124,6 @@ let enable_telemetry ?cap t =
 
 let telemetry t = t.telem
 
-(* A checkpoint-resumed group was unmarshaled, not [create]d, so it never
-   met the collector; re-announce its (restored) telemetry if a
-   collection is open. *)
-let reregister_telemetry t =
-  match t.telem with
-  | Some tm when Telemetry.collecting () -> Telemetry.register tm
-  | _ -> ()
-
 let shards t = t.nshards
 let lookahead t = t.lookahead
 

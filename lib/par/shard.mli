@@ -115,8 +115,3 @@ val stats : 'm t -> stats
 val enable_telemetry : ?cap:int -> 'm t -> Telemetry.t
 
 val telemetry : 'm t -> Telemetry.t option
-
-(** Re-announce a checkpoint-restored group's telemetry to an open
-    collection: unmarshaled groups never passed through {!create}.
-    No-op when telemetry is absent or no collection is open. *)
-val reregister_telemetry : 'm t -> unit

@@ -7,6 +7,7 @@ module Par = M3v_par.Par
 module Event_queue = M3v_sim.Event_queue
 module Engine = M3v_sim.Engine
 module Bench_io = M3v_bench_io.Bench_io
+module Exp_runner = M3v.Exp_runner
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -67,6 +68,25 @@ let test_par_jobs_clamped () =
       check_int "jobs <= 1 degenerates to sequential" 1 (Par.Pool.jobs pool));
   Par.Pool.with_pool ~jobs:3 (fun pool ->
       check_int "requested width" 3 (Par.Pool.jobs pool))
+
+let test_runner_sequential_rule () =
+  (* A trace sink or an ambient fault plan is domain-local, so either one
+     makes [Exp_runner.run] hand its body a 1-wide pool; otherwise
+     [jobs] sizes it. *)
+  let width o =
+    let w = ref 0 in
+    Exp_runner.run o (fun pool -> w := Par.Pool.jobs pool);
+    !w
+  in
+  let o = { Exp_runner.default with jobs = Some 4 } in
+  let file = Filename.temp_file "m3v_runner" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      check_int "trace => 1 wide" 1 (width { o with trace = Some file });
+      check_int "faults => 1 wide" 1
+        (width { o with faults = Some "drop=0.01" });
+      check_int "jobs 4 => 4 wide" 4 (width o))
 
 (* --- experiment determinism: parallel == sequential --- *)
 
@@ -308,6 +328,8 @@ let suite =
     Alcotest.test_case "par: nested fan-out does not deadlock" `Quick
       test_par_nested_fanout;
     Alcotest.test_case "par: pool width" `Quick test_par_jobs_clamped;
+    Alcotest.test_case "par: trace/faults force a 1-wide runner pool" `Quick
+      test_runner_sequential_rule;
     Alcotest.test_case "fig9: parallel == sequential" `Slow
       test_fig9_parallel_equals_sequential;
     Alcotest.test_case "chaos sweep: parallel == sequential" `Slow

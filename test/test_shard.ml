@@ -1,16 +1,14 @@
 (* The partitioned-parallel scheduler (lib/par/shard.ml) and everything
    it leans on: the event queue's horizon accessors, the engine's
    single-source event accounting, and the end-to-end identity contract —
-   `--shards K` output equals `--shards 1` output, byte for byte, for the
-   System experiments and for the genuinely partitioned Exp_shard
-   workload, with checkpoints slicing windows in half. *)
+   sharded output equals sequential output, byte for byte, for the
+   partitioned Exp_shard workload, with checkpoints slicing a run
+   between windows. *)
 
-module Time = M3v_sim.Time
 module Engine = M3v_sim.Engine
 module Event_queue = M3v_sim.Event_queue
 module Shard = M3v_par.Shard
 module Par = M3v_par.Par
-module Exp_chaos = M3v.Exp_chaos
 module Exp_shard = M3v.Exp_shard
 
 let check_int = Alcotest.(check int)
@@ -238,7 +236,9 @@ let test_shard_cross_shard_flush_order () =
 
 let test_shard_ping_pong_deterministic () =
   (* Two shards ping-ponging a counter: run once monolithically, once in
-     single-window steps — identical totals and final clocks. *)
+     single-window steps, and once sliced by a checkpoint — four windows,
+     a Marshal-with-closures round trip of the group together with its
+     log, then a run to the end.  All three see the same deliveries. *)
   let build () =
     let g : int Shard.t = Shard.create ~lookahead:10 ~shards:2 () in
     let log = ref [] in
@@ -264,7 +264,19 @@ let test_shard_ping_pong_deterministic () =
   stepper ();
   check_int "21 deliveries" 21 (List.length !log1);
   check_bool "stepped == monolithic" true (!log1 = !log2);
-  check_int "same event count" n1 !total
+  check_int "same event count" n1 !total;
+  let g3, log3 = build () in
+  let before = ref 0 in
+  for _ = 1 to 4 do
+    match Shard.step g3 with
+    | `Events n -> before := !before + n
+    | `Idle -> Alcotest.fail "drained before the checkpoint"
+  done;
+  let bytes = Marshal.to_bytes (g3, log3) [ Marshal.Closures ] in
+  let (g3', log3') : int Shard.t * _ = Marshal.from_bytes bytes 0 in
+  let after = Shard.run g3' in
+  check_bool "checkpointed == monolithic" true (!log1 = !log3');
+  check_int "checkpointed event count" n1 (!before + after)
 
 (* --- Exp_shard: sharded == sequential across K, seeds and jobs --- *)
 
@@ -301,51 +313,6 @@ let test_exp_shard_identity_jobs () =
   check_int "event count invariant across pools" seq.Exp_shard.p_events
     par.Exp_shard.p_events
 
-(* --- System experiments: --shards 4 == unsharded, in process --- *)
-
-let test_fig9_sharded_equals_unsharded () =
-  let trace = M3v_apps.Trace.find_trace ~dirs:2 ~files_per_dir:6 () in
-  let run ?shards () =
-    M3v.Exp_fig9.throughput ?shards ~variant:M3v.System.M3v ~trace ~tiles:2
-      ~runs:1 ~warmup:0 ()
-  in
-  check_bool "fig9 tiny: shards 4 == unsharded" true
-    (run ~shards:4 () = run ())
-
-let test_chaos_sharded_equals_unsharded () =
-  let base = Exp_chaos.run ~seed:7 ~fs_rounds:2 ~kv_ops:40 () in
-  let sharded = Exp_chaos.run ~shards:4 ~seed:7 ~fs_rounds:2 ~kv_ops:40 () in
-  check_bool "chaos: shards 4 == unsharded" true (base = sharded)
-
-(* --- Checkpoint matrix: suspend/resume a sharded run mid-window --- *)
-
-let round_trip ?shards ~seed () =
-  let file = Filename.temp_file "m3v_shard_ckpt" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
-    (fun () ->
-      match
-        Exp_chaos.run_checkpointed ?shards ~seed ~every:(Time.ms 16) ~file
-          ~stop_after:1 ()
-      with
-      | Exp_chaos.Completed r -> r
-      | Exp_chaos.Suspended _ -> (
-          match Exp_chaos.resume ~file () with
-          | Ok (Exp_chaos.Completed r) -> r
-          | Ok (Exp_chaos.Suspended _) ->
-              Alcotest.fail "resume suspended without stop_after"
-          | Error msg -> Alcotest.failf "resume failed: %s" msg))
-
-let test_sharded_checkpoint_roundtrip () =
-  (* The full matrix on one seed: uninterrupted unsharded, uninterrupted
-     sharded, and a sharded suspend/resume (the resume rebuilds the shard
-     group from the checkpoint file) — all three identical. *)
-  let base = Exp_chaos.run ~seed:7 () in
-  let sharded = Exp_chaos.run ~shards:4 ~seed:7 () in
-  let resumed = round_trip ~shards:4 ~seed:7 () in
-  check_bool "sharded == unsharded" true (sharded = base);
-  check_bool "sharded resume == uninterrupted" true (resumed = base)
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -378,11 +345,5 @@ let suite =
       test_exp_shard_identity_small;
     Alcotest.test_case "exp_shard: identity holds on a 4-domain pool" `Slow
       test_exp_shard_identity_jobs;
-    Alcotest.test_case "fig9 tiny: shards 4 == unsharded" `Quick
-      test_fig9_sharded_equals_unsharded;
-    Alcotest.test_case "chaos: shards 4 == unsharded" `Slow
-      test_chaos_sharded_equals_unsharded;
-    Alcotest.test_case "chaos: sharded checkpoint resume == uninterrupted"
-      `Slow test_sharded_checkpoint_roundtrip;
   ]
   @ qsuite [ prop_horizon_accessors_match_oracle ]
