@@ -62,61 +62,57 @@ let opts =
             { M3v.Exp_runner.trace; metrics; faults; fault_seed; jobs })
         $ trace $ metrics $ faults $ fault_seed $ jobs)
 
+(* The size flags of the registry's entries; <= 0 picks the default. *)
 let rounds =
-  let doc = "Measured RPC round trips." in
-  Arg.(value & opt int 1000 & info [ "rounds" ] ~doc)
-
-let fig6_cmd =
-  Cmd.v (Cmd.info "fig6" ~doc:"Figure 6: local/remote RPC vs Linux primitives")
-    Term.(const (fun o rounds ->
-              let rounds = M3v.Exp_runner.positive rounds in
-              M3v.Exp_runner.run o (fun pool ->
-                  M3v.Exp_fig6.(print (run ~pool ?rounds ()))))
-          $ opts $ rounds)
+  let doc =
+    "Measured RPC round trips of fig6 (<= 0 picks the default, 1000)."
+  in
+  Arg.(value & opt int 0 & info [ "rounds" ] ~doc)
 
 let runs =
-  let doc = "Measured repetitions." in
+  let doc = "Measured repetitions (<= 0 picks the experiment's default)." in
   Arg.(value & opt int 0 & info [ "runs" ] ~doc)
 
-let fig7_cmd =
-  Cmd.v (Cmd.info "fig7" ~doc:"Figure 7: file read/write throughput")
-    Term.(const (fun o runs ->
-              let runs = M3v.Exp_runner.positive runs in
-              M3v.Exp_runner.run o (fun pool ->
-                  M3v.Exp_fig7.(print (run ~pool ?runs ()))))
-          $ opts $ runs)
+(* The subcommand of a registry entry: [settings], its size flag if it
+   has one, and the entry run through [Exp_runner.run]. *)
+let entry_cmd settings (e : M3v.Exp_runner.experiment) =
+  let size =
+    match e.size with
+    | None -> Term.const 0
+    | Some Rounds -> rounds
+    | Some Runs -> runs
+  in
+  Cmd.v (Cmd.info e.name ~doc:e.doc)
+    Term.(const (fun o n ->
+              M3v.Exp_runner.(run o (fun pool -> e.run pool (positive n) ())))
+          $ settings $ size)
 
-let fig8_cmd =
-  Cmd.v (Cmd.info "fig8" ~doc:"Figure 8: UDP latency")
-    Term.(const (fun o runs ->
-              let runs = M3v.Exp_runner.positive runs in
-              M3v.Exp_runner.run o (fun pool ->
-                  M3v.Exp_fig8.(print (run ~pool ?runs ()))))
-          $ opts $ runs)
+(* Every sized experiment (the figures and the voice assistant) takes all
+   five settings. *)
+let sized_cmds =
+  List.filter
+    (fun (e : M3v.Exp_runner.experiment) -> e.size <> None)
+    M3v.Exp_runner.experiments
+  |> List.map (entry_cmd opts)
 
-let fig9_cmd =
-  Cmd.v (Cmd.info "fig9" ~doc:"Figure 9: scalability of tile multiplexing (M3x vs M3v)")
-    Term.(const (fun o runs ->
-              let runs = M3v.Exp_runner.positive runs in
-              M3v.Exp_runner.run o (fun pool ->
-                  M3v.Exp_fig9.(print (run ~pool ?runs ()))))
-          $ opts $ runs)
+let entry name = Option.get (M3v.Exp_runner.find name)
 
-let fig10_cmd =
-  Cmd.v (Cmd.info "fig10" ~doc:"Figure 10: cloud service (YCSB) vs Linux")
-    Term.(const (fun o runs ->
-              let runs = M3v.Exp_runner.positive runs in
-              M3v.Exp_runner.run o (fun pool ->
-                  M3v.Exp_fig10.(print (run ~pool ?runs ()))))
-          $ opts $ runs)
+(* table1 and complexity simulate nothing: a 1-wide pool spawns no
+   worker domains. *)
+let serial = { M3v.Exp_runner.default with jobs = Some 1 }
 
-let voice_cmd =
-  Cmd.v (Cmd.info "voice" ~doc:"Section 6.5.1: voice assistant sharing overhead")
-    Term.(const (fun o runs ->
-              let runs = M3v.Exp_runner.positive runs in
-              M3v.Exp_runner.run o (fun pool ->
-                  M3v.Exp_voice.(print (run ~pool ?runs ()))))
-          $ opts $ runs)
+let table1_cmd =
+  entry_cmd
+    Term.(const (fun trace -> { serial with trace }) $ trace)
+    (entry "table1")
+
+let complexity_cmd = entry_cmd (Term.const serial) (entry "complexity")
+
+let ablations_cmd =
+  entry_cmd
+    Term.(const (fun trace jobs -> { M3v.Exp_runner.default with trace; jobs })
+          $ trace $ jobs)
+    (entry "ablations")
 
 let fanin_msgs =
   let doc = "Messages per sender (<= 0 picks the default)." in
@@ -129,12 +125,7 @@ let fanin_senders =
   Arg.(value & opt (list int) [] & info [ "senders" ] ~docv:"N,..." ~doc)
 
 let fanin_cmd =
-  Cmd.v
-    (Cmd.info "fanin"
-       ~doc:
-         "Fan-in ablation: N senders -> 1 server throughput, shared MPMC \
-          receive endpoint (batched acks, coalesced doorbells) vs \
-          per-sender endpoints")
+  Cmd.v (Cmd.info "fanin" ~doc:(entry "fanin").doc)
     Term.(const (fun o msgs senders ->
               let sender_counts =
                 match senders with [] -> None | counts -> Some counts
@@ -269,13 +260,7 @@ let mig_seed =
   Arg.(value & opt int 11 & info [ "fault-seed" ] ~docv:"N" ~doc)
 
 let migrate_cmd =
-  Cmd.v
-    (Cmd.info "migrate"
-       ~doc:
-         "Live-migration ablation: an echo server is migrated between \
-          tiles under a paced RPC stream; reports downtime vs message \
-          rate and verifies exactly-once delivery, clean and with \
-          injected migration aborts")
+  Cmd.v (Cmd.info "migrate" ~doc:(entry "migrate").doc)
     Term.(const (fun trace metrics jobs seed rounds rates ->
               M3v.Exp_runner.migrate ?trace ?metrics ?jobs ~seed ~rounds
                 ~rates ())
@@ -426,31 +411,15 @@ let shard_report_cmd =
           $ report_lanes $ jobs $ sweep_shards $ sweep_seed $ report_tiles
           $ sweep_chains $ sweep_hops $ sweep_weight)
 
-let table1_cmd =
-  Cmd.v (Cmd.info "table1" ~doc:"Table 1: FPGA area consumption")
-    Term.(const (fun trace () -> M3v.Exp_runner.table1 ?trace ())
-          $ trace $ const ())
-
-let complexity_cmd =
-  Cmd.v (Cmd.info "complexity" ~doc:"Section 6.1: software complexity (SLOC)")
-    Term.(const M3v.Exp_runner.complexity $ const ())
-
-let ablations_cmd =
-  Cmd.v
-    (Cmd.info "ablations" ~doc:"Ablation studies: extent cap, TLB size, topology, M3x state")
-    Term.(const (fun trace jobs () -> M3v.Exp_runner.ablations ?trace ?jobs ())
-          $ trace $ jobs $ const ())
-
 let profile_exp =
   let doc =
-    "Experiment to profile: fig6 (RPC microbenchmark, default), fig7, \
-     fig8, fig9, fig10 or voice."
+    "Experiment to profile: "
+    ^ String.concat ", "
+        (List.map (fun (e : M3v.Exp_runner.experiment) -> e.name)
+           M3v.Exp_runner.experiments)
+    ^ " (default fig6)."
   in
   Arg.(value & pos 0 string "fig6" & info [] ~docv:"EXP" ~doc)
-
-let profile_rounds =
-  let doc = "Measured RPC round trips (fig6 only; <= 0 picks the default)." in
-  Arg.(value & opt int 0 & info [ "rounds" ] ~doc)
 
 let folded =
   let doc =
@@ -472,7 +441,7 @@ let profile_cmd =
     Term.(const (fun exp trace folded metrics rounds runs ->
               M3v.Exp_runner.profile ~exp ?trace ?folded ?metrics ~rounds
                 ~runs ())
-          $ profile_exp $ trace $ folded $ metrics $ profile_rounds $ runs)
+          $ profile_exp $ trace $ folded $ metrics $ rounds $ runs)
 
 let all_cmd =
   Cmd.v (Cmd.info "all" ~doc:"Run every experiment (paper evaluation order)")
@@ -502,22 +471,17 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group ~default info
-          [
-            fig6_cmd;
-            fig7_cmd;
-            fig8_cmd;
-            fig9_cmd;
-            fig10_cmd;
-            voice_cmd;
-            chaos_cmd;
-            migrate_cmd;
-            table1_cmd;
-            complexity_cmd;
-            ablations_cmd;
-            fanin_cmd;
-            load_cmd;
-            shard_sweep_cmd;
-            shard_report_cmd;
-            profile_cmd;
-            all_cmd;
-          ]))
+          (sized_cmds
+          @ [
+              chaos_cmd;
+              migrate_cmd;
+              table1_cmd;
+              complexity_cmd;
+              ablations_cmd;
+              fanin_cmd;
+              load_cmd;
+              shard_sweep_cmd;
+              shard_report_cmd;
+              profile_cmd;
+              all_cmd;
+            ])))

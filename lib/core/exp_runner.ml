@@ -9,6 +9,14 @@ let parse_faults s =
       Format.eprintf "m3vsim: bad --faults spec: %s@." msg;
       exit 2
 
+(* Every output file is opened before the (possibly long) run, so a bad
+   path fails fast instead of after the run. *)
+let open_out_or_exit what path =
+  try open_out path
+  with Sys_error msg ->
+    Format.eprintf "m3vsim: cannot write %s file: %s@." what msg;
+    exit 1
+
 (* When [faults] names a spec, run the experiment under a deterministic
    fault plan (same spec + seed => same fault schedule). *)
 let with_faults ?faults ~fault_seed f =
@@ -29,13 +37,7 @@ let with_trace trace f =
   match trace with
   | None -> f ()
   | Some path ->
-      (* Open before the (possibly long) run so a bad path fails fast. *)
-      let oc =
-        try open_out path
-        with Sys_error msg ->
-          Format.eprintf "m3vsim: cannot write trace file: %s@." msg;
-          exit 1
-      in
+      let oc = open_out_or_exit "trace" path in
       let sink = M3v_obs.Trace.make () in
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
@@ -55,12 +57,7 @@ let with_metrics metrics f =
   match metrics with
   | None -> f ()
   | Some path ->
-      let oc =
-        try open_out path
-        with Sys_error msg ->
-          Format.eprintf "m3vsim: cannot write metrics file: %s@." msg;
-          exit 1
-      in
+      let oc = open_out_or_exit "metrics" path in
       let reg = M3v_obs.Metrics.create () in
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
@@ -113,17 +110,72 @@ let run o f =
           with_trace o.trace (fun () ->
               with_metrics o.metrics (fun () -> f pool))))
 
-(* Both halves of the ablation in one report: the clean sweep, then the
-   same sweep under a [mig_abort] fault plan (installed per task inside
-   [Exp_migrate.run], so the points still fan out over the pool). *)
-let migrate ?trace ?metrics ?jobs ?(seed = 11) ~rounds ~rates () =
+type size = Rounds | Runs
+
+type experiment = {
+  name : string;
+  doc : string;
+  size : size option;
+  run : Par.Pool.t -> int option -> unit -> unit;
+}
+
+(* Both halves of the migration ablation in one report: the clean sweep,
+   then the same sweep under a [mig_abort] fault plan (installed per task
+   inside [Exp_migrate.run], so the points still fan out over the
+   pool). *)
+let migrate_sweep ~pool ?rounds ?rates ?seed () =
+  let clean = Exp_migrate.run ~pool ?rounds ?rates ~faulty:false ?seed () in
+  let faulty = Exp_migrate.run ~pool ?rounds ?rates ~faulty:true ?seed () in
+  fun () ->
+    Exp_migrate.print clean;
+    Exp_migrate.print faulty
+
+(* The evaluation, in the paper's order: each entry computes its result
+   on the pool and hands back the printer. *)
+let experiments =
+  let entry ?size name doc run = { name; doc; size; run } in
+  let later print r () = print r in
+  [
+    entry "table1" "Table 1: FPGA area consumption" (fun _ _ ->
+        later Exp_table1.print (Exp_table1.run ()));
+    entry "complexity" "Section 6.1: software complexity (SLOC)" (fun _ _ ->
+        later Exp_table1.print_complexity (Exp_table1.run_complexity ()));
+    entry ~size:Rounds "fig6" "Figure 6: local/remote RPC vs Linux primitives"
+      (fun pool rounds -> later Exp_fig6.print (Exp_fig6.run ~pool ?rounds ()));
+    entry ~size:Runs "fig7" "Figure 7: file read/write throughput"
+      (fun pool runs -> later Exp_fig7.print (Exp_fig7.run ~pool ?runs ()));
+    entry ~size:Runs "fig8" "Figure 8: UDP latency" (fun pool runs ->
+        later Exp_fig8.print (Exp_fig8.run ~pool ?runs ()));
+    entry ~size:Runs "fig9"
+      "Figure 9: scalability of tile multiplexing (M3x vs M3v)"
+      (fun pool runs -> later Exp_fig9.print (Exp_fig9.run ~pool ?runs ()));
+    entry ~size:Runs "voice" "Section 6.5.1: voice assistant sharing overhead"
+      (fun pool runs -> later Exp_voice.print (Exp_voice.run ~pool ?runs ()));
+    entry ~size:Runs "fig10" "Figure 10: cloud service (YCSB) vs Linux"
+      (fun pool runs -> later Exp_fig10.print (Exp_fig10.run ~pool ?runs ()));
+    entry "ablations"
+      "Ablation studies: extent cap, TLB size, topology, M3x state"
+      (fun pool _ ->
+        later (List.iter Ablations.print) (Ablations.run_all ~pool ()));
+    entry "fanin"
+      "Fan-in ablation: N senders -> 1 server throughput, shared MPMC \
+       receive endpoint (batched acks, coalesced doorbells) vs per-sender \
+       endpoints"
+      (fun pool _ -> later Exp_fanin.print (Exp_fanin.run ~pool ()));
+    entry "migrate"
+      "Live-migration ablation: an echo server is migrated between tiles \
+       under a paced RPC stream; reports downtime vs message rate and \
+       verifies exactly-once delivery, clean and with injected migration \
+       aborts"
+      (fun pool _ -> migrate_sweep ~pool ());
+  ]
+
+let find name = List.find_opt (fun e -> e.name = name) experiments
+
+let migrate ?trace ?metrics ?jobs ?seed ~rounds ~rates () =
   let rates = match rates with [] -> None | l -> Some l in
   run { default with trace; metrics; jobs } (fun pool ->
-      let rounds = positive rounds in
-      Exp_migrate.print
-        (Exp_migrate.run ~pool ?rounds ?rates ~faulty:false ~seed ());
-      Exp_migrate.print
-        (Exp_migrate.run ~pool ?rounds ?rates ~faulty:true ~seed ()))
+      migrate_sweep ~pool ?rounds:(positive rounds) ?rates ?seed () ())
 
 (* The chaos soak manages its own plan: [Exp_chaos.run] installs the spec
    and seed itself — inside each task, so a sweep can run seeds on worker
@@ -199,6 +251,9 @@ let shard_sweep ?trace ?metrics ?(telemetry = false) ?jobs ?(shards = 4)
    axes), not a simulation trace. *)
 let shard_report ?jobs ?(shards = 4) ?(seed = 1) ?trace ~tiles ~chains ~hops
     ~weight () =
+  let lanes =
+    Option.map (fun path -> (path, open_out_or_exit "trace" path)) trace
+  in
   Par.Pool.with_pool ?jobs (fun pool ->
       let r =
         Exp_shard.report ~pool ?tiles:(positive tiles) ~shards
@@ -206,20 +261,13 @@ let shard_report ?jobs ?(shards = 4) ?(seed = 1) ?trace ~tiles ~chains ~hops
           ?weight:(positive weight) ~seed ()
       in
       Exp_shard.print_report r;
-      match trace with
-      | None -> ()
-      | Some path ->
-          M3v_par.Telemetry.write_chrome path r.Exp_shard.rep_telemetry;
+      Option.iter
+        (fun (path, oc) ->
+          M3v_obs.Chrome.write oc
+            (M3v_par.Telemetry.to_sink r.Exp_shard.rep_telemetry);
+          close_out oc;
           Format.printf "@.shard lanes -> %s@." path)
-
-let table1 ?trace () =
-  with_trace trace (fun () -> Exp_table1.print (Exp_table1.run ()))
-
-let complexity () = Exp_table1.print_complexity (Exp_table1.run_complexity ())
-
-let ablations ?trace ?jobs () =
-  run { default with trace; jobs } (fun pool ->
-      List.iter Ablations.print (Ablations.run_all ~pool ()))
+        lanes)
 
 (* Critical-path profiler entry point: run one experiment sequentially
    under a private trace sink (flow events need the single-domain sink),
@@ -228,84 +276,55 @@ let ablations ?trace ?jobs () =
    the raw Chrome trace, a flamegraph-style folded-stack file, and the
    metrics registry alongside the profile tables. *)
 let profile ?(exp = "fig6") ?trace ?folded ?metrics ~rounds ~runs () =
-  let pool = Par.Pool.sequential in
-  let rounds = positive rounds and runs = positive runs in
-  (* Resolve the name first: an unknown experiment must not leave an
-     empty [metrics] file behind. *)
-  let run_exp =
-    match exp with
-    | "fig6" -> fun () -> ignore (Exp_fig6.run ~pool ?rounds ())
-    | "fig7" -> fun () -> ignore (Exp_fig7.run ~pool ?runs ())
-    | "fig8" -> fun () -> ignore (Exp_fig8.run ~pool ?runs ())
-    | "fig9" -> fun () -> ignore (Exp_fig9.run ~pool ?runs ())
-    | "fig10" -> fun () -> ignore (Exp_fig10.run ~pool ?runs ())
-    | "voice" -> fun () -> ignore (Exp_voice.run ~pool ?runs ())
-    | other ->
-        Format.eprintf
-          "m3vsim profile: unknown experiment %S (expected \
-           fig6|fig7|fig8|fig9|fig10|voice)@."
-          other;
+  (* Resolve the name first: an unknown experiment must not leave empty
+     output files behind. *)
+  let e =
+    match find exp with
+    | Some e -> e
+    | None ->
+        Format.eprintf "m3vsim profile: unknown experiment %S (expected %s)@."
+          exp
+          (String.concat "|" (List.map (fun e -> e.name) experiments));
         exit 2
   in
+  let size =
+    match e.size with
+    | Some Rounds -> positive rounds
+    | Some Runs -> positive runs
+    | None -> None
+  in
+  let trace =
+    Option.map (fun path -> (path, open_out_or_exit "trace" path)) trace
+  in
+  let folded =
+    Option.map (fun path -> (path, open_out_or_exit "folded-stack" path)) folded
+  in
   let sink = M3v_obs.Trace.make () in
-  with_metrics metrics (fun () -> M3v_obs.Trace.with_sink sink run_exp);
-  (match trace with
-  | None -> ()
-  | Some path ->
-      M3v_obs.Chrome.write_file path sink;
+  with_metrics metrics (fun () ->
+      M3v_obs.Trace.with_sink sink (fun () ->
+          let (_ : unit -> unit) = e.run Par.Pool.sequential size in
+          ()));
+  Option.iter
+    (fun (path, oc) ->
+      M3v_obs.Chrome.write oc sink;
+      close_out oc;
       Format.printf "trace: %d events -> %s@."
         (M3v_obs.Trace.event_count sink)
-        path);
-  (match folded with
-  | None -> ()
-  | Some path ->
-      M3v_obs.Profile.write_folded path sink;
-      Format.printf "folded stacks -> %s@." path);
+        path)
+    trace;
+  Option.iter
+    (fun (path, oc) ->
+      Buffer.output_buffer oc (M3v_obs.Profile.folded sink);
+      close_out oc;
+      Format.printf "folded stacks -> %s@." path)
+    folded;
   M3v_obs.Profile.print Format.std_formatter (M3v_obs.Profile.analyze sink)
 
 (* Fan out whole experiments as tasks (they also fan out internally via
-   the same pool); each task returns a printer thunk that main runs in
+   the same pool); each task returns its printer, which main runs in
    submission order, so the combined report is byte-identical to a
    sequential run. *)
 let all ?jobs () =
   run { default with jobs } (fun pool ->
-      Par.all pool
-        [
-          (fun () ->
-            let r = Exp_table1.run () in
-            fun () -> Exp_table1.print r);
-          (fun () ->
-            let r = Exp_table1.run_complexity () in
-            fun () -> Exp_table1.print_complexity r);
-          (fun () ->
-            let r = Exp_fig6.run ~pool () in
-            fun () -> Exp_fig6.print r);
-          (fun () ->
-            let r = Exp_fig7.run ~pool () in
-            fun () -> Exp_fig7.print r);
-          (fun () ->
-            let r = Exp_fig8.run ~pool () in
-            fun () -> Exp_fig8.print r);
-          (fun () ->
-            let r = Exp_fig9.run ~pool () in
-            fun () -> Exp_fig9.print r);
-          (fun () ->
-            let r = Exp_voice.run ~pool () in
-            fun () -> Exp_voice.print r);
-          (fun () ->
-            let r = Exp_fig10.run ~pool () in
-            fun () -> Exp_fig10.print r);
-          (fun () ->
-            let r = Ablations.run_all ~pool () in
-            fun () -> List.iter Ablations.print r);
-          (fun () ->
-            let r = Exp_fanin.run ~pool () in
-            fun () -> Exp_fanin.print r);
-          (fun () ->
-            let clean = Exp_migrate.run ~pool ~faulty:false () in
-            let faulty = Exp_migrate.run ~pool ~faulty:true () in
-            fun () ->
-              Exp_migrate.print clean;
-              Exp_migrate.print faulty);
-        ]
+      Par.all pool (List.map (fun e () -> e.run pool None) experiments)
       |> List.iter (fun print -> print ()))

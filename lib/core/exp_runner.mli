@@ -1,12 +1,13 @@
-(** Entry points used by the CLI and the benchmark harness: run an
-    experiment with paper-default parameters and print the table/figure.
-    Integer knobs follow the CLI convention that [<= 0] picks the
-    experiment's default ({!positive}).
+(** Entry points used by the CLI: run an experiment with paper-default
+    parameters and print the table/figure.  Integer knobs follow the CLI
+    convention that [<= 0] picks the experiment's default ({!positive}).
 
     Every System experiment takes the same five settings, {!opts}, and
     runs through one combinator, {!run}; [migrate], [ablations], the
     [chaos] seed sweep and [all] run through it too, with the settings
-    they lack left at their {!default}s. *)
+    they lack left at their {!default}s.  The paper's evaluation is one
+    list, {!experiments}, which [all], [profile] and the CLI's
+    per-experiment commands iterate over. *)
 
 (** [positive n] is [Some n] when [n > 0], else [None] (the default). *)
 val positive : int -> int option
@@ -46,6 +47,25 @@ val default : opts
     registry per task and merges them in submission order, so [--jobs 4]
     output is byte-identical to [--jobs 1]. *)
 val run : opts -> (M3v_par.Par.Pool.t -> unit) -> unit
+
+(** The size flag an experiment takes: [--rounds] (measured RPC round
+    trips) or [--runs] (measured repetitions). *)
+type size = Rounds | Runs
+
+type experiment = {
+  name : string;  (** the CLI subcommand *)
+  doc : string;  (** its one-line CLI doc *)
+  size : size option;
+  run : M3v_par.Par.Pool.t -> int option -> unit -> unit;
+      (** [run pool n] computes the experiment on [pool] — at size [n],
+          or its default for [None] — and returns its printer. *)
+}
+
+(** The evaluation in the paper's order — Table 1, §6.1 complexity,
+    Figs 6–9, the §6.5.1 voice assistant, Fig 10 — then our ablations. *)
+val experiments : experiment list
+
+val find : string -> experiment option
 
 (** Live-migration ablation ({!Exp_migrate}): downtime and exactly-once
     delivery vs message rate, swept clean and under a [mig_abort] fault
@@ -99,34 +119,29 @@ val shard_sweep :
     stdout — per-shard imbalance, limiter attribution, critical-path
     speedup bound.  [?trace] writes the per-shard Chrome lanes (window
     spans and barrier gaps on wall-clock axes, one pid per shard) — not
-    a simulation trace.  [tiles]/[chains]/[hops]/[weight] <= 0 pick the
-    defaults. *)
+    a simulation trace; the file is opened before the run.
+    [tiles]/[chains]/[hops]/[weight] <= 0 pick the defaults. *)
 val shard_report :
   ?jobs:int -> ?shards:int -> ?seed:int -> ?trace:string -> tiles:int ->
   chains:int -> hops:int -> weight:int -> unit -> unit
 
-val table1 : ?trace:string -> unit -> unit
-val complexity : unit -> unit
-
-(** Ablation studies for the design decisions (extent cap, TLB size,
-    topology, M3x endpoint state). *)
-val ablations : ?trace:string -> ?jobs:int -> unit -> unit
-
-(** Critical-path profiler: run [exp] (["fig6"] default; also
-    [fig7|fig8|fig9|fig10|voice]) sequentially under a trace sink, then
+(** Critical-path profiler: run [exp] (["fig6"] default; any name in
+    {!experiments}) sequentially under a trace sink, then
     decompose each message flow's end-to-end latency into paper-aligned
     segments (sender command, NoC transit, mux scheduling delay,
     activity-switch cost, buffer wait, server compute, reply) with
     p50/p99 per segment.  Segments sum exactly (in simulated picoseconds)
     to the end-to-end latency.  [trace] additionally dumps the Chrome
     trace, [folded] a flamegraph-style folded-stack file of simulated-time
-    spans, [metrics] the metrics registry JSON.  [rounds]/[runs] <= 0
-    pick the experiment defaults. *)
+    spans, [metrics] the metrics registry JSON.  [rounds] sizes an
+    experiment whose size flag is [Rounds], [runs] one whose flag is
+    [Runs]; <= 0 picks the experiment default.  Output files are opened
+    before the run: a path that cannot be written exits 1 at once. *)
 val profile :
   ?exp:string -> ?trace:string -> ?folded:string -> ?metrics:string ->
   rounds:int -> runs:int -> unit -> unit
 
-(** Everything, in the paper's evaluation order.  Whole experiments run as
-    parallel tasks (and fan out internally); printing happens on the main
-    domain in evaluation order. *)
+(** Every entry of {!experiments} at its default size.  Whole
+    experiments run as parallel tasks (and fan out internally); printing
+    happens on the main domain in evaluation order. *)
 val all : ?jobs:int -> unit -> unit

@@ -1,7 +1,7 @@
 (* Tests for the parallel execution layer (lib/par), the SoA event queue
-   rewrite, the Engine clock rule, the bench report codec — and the
-   headline determinism contract: experiments produce identical results
-   however many domains run them. *)
+   rewrite, the Engine clock rule, the JSON reader, the experiment
+   registry — and the headline determinism contract: experiments produce
+   identical results however many domains run them. *)
 
 module Par = M3v_par.Par
 module Event_queue = M3v_sim.Event_queue
@@ -270,50 +270,43 @@ let test_engine_apply_fast_path () =
     [ 3; 2; 1 ] !log;
   check_int "clock at last event" 30 (Engine.now eng)
 
-(* --- Bench_io: report codec and comparison --- *)
+(* --- Bench_io: the JSON reader perfbench parses its reports with --- *)
 
-let test_bench_io_roundtrip () =
-  let report =
-    Bench_io.make ~git_sha:"abc123" ~timestamp:"2026-08-07T00:00:00Z"
-      ~ocaml_version:"5.1.1" ~hostname:"ci \"box\" \\ 1"
-      [ ("fig6_rpc", Some 123456.5); ("fig9_scale", None) ]
+let test_json_rejects_garbage () =
+  let rejected text =
+    Result.is_error (Bench_io.json_of_string text)
+    && match Bench_io.parse_json text with
+       | _ -> false
+       | exception Bench_io.Parse_error _ -> true
   in
-  match Bench_io.of_json (Bench_io.to_json report) with
-  | Error msg -> Alcotest.failf "roundtrip failed: %s" msg
-  | Ok r ->
-      check_bool "report roundtrips" true (r = report);
-      check_string "escaped hostname survives" "ci \"box\" \\ 1" r.hostname
+  check_bool "accepts an empty object" true
+    (Bench_io.json_of_string "{ }" = Ok (Bench_io.J_obj []));
+  check_bool "not json" true (rejected "pas du json");
+  check_bool "trailing garbage" true (rejected "{ } }");
+  check_bool "unterminated string" true (rejected "{ \"a\": \"b }");
+  check_bool "missing value" true (rejected "[1, ]")
 
-let test_bench_io_rejects_garbage () =
-  check_bool "not json" true (Result.is_error (Bench_io.of_json "pas du json"));
-  check_bool "no benchmarks field" true
-    (Result.is_error (Bench_io.of_json "{ \"git_sha\": \"x\" }"));
-  check_bool "trailing garbage" true
-    (Result.is_error (Bench_io.of_json "{ \"benchmarks\": [] } }"))
+(* --- Exp_runner: the experiment registry --- *)
 
-let test_bench_io_compare () =
-  let baseline =
-    Bench_io.make
-      [ ("a", Some 100.0); ("b", Some 100.0); ("gone", Some 50.0); ("c", None) ]
-  in
-  let current =
-    Bench_io.make
-      [ ("a", Some 110.0); ("b", Some 200.0); ("new", Some 10.0); ("c", Some 5.0) ]
-  in
-  let cmp = Bench_io.compare ~threshold_pct:25.0 ~baseline ~current in
-  check_int "only both-sided tests compared" 3 (List.length cmp.Bench_io.deltas);
-  check_bool "retired test warned, not compared" true
-    (cmp.Bench_io.baseline_only = [ "gone" ]);
-  check_bool "added test warned, not compared" true
-    (cmp.Bench_io.current_only = [ "new" ]);
-  (match cmp.Bench_io.regressions with
-  | [ d ] ->
-      check_string "only b regressed" "b" d.Bench_io.test;
-      check_bool "pct = +100%" true (d.Bench_io.pct = Some 100.0)
-  | l -> Alcotest.failf "expected 1 regression, got %d" (List.length l));
-  (* Raising the threshold clears it. *)
-  let cmp' = Bench_io.compare ~threshold_pct:120.0 ~baseline ~current in
-  check_int "no regressions above 120%" 0 (List.length cmp'.Bench_io.regressions)
+let test_registry () =
+  let names = List.map (fun e -> e.Exp_runner.name) Exp_runner.experiments in
+  Alcotest.(check (list string))
+    "the paper's evaluation order"
+    [
+      "table1"; "complexity"; "fig6"; "fig7"; "fig8"; "fig9"; "voice";
+      "fig10"; "ablations"; "fanin"; "migrate";
+    ]
+    names;
+  check_int "names are unique" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  List.iter
+    (fun name ->
+      match Exp_runner.find name with
+      | Some e -> check_string "find returns the named entry" name e.name
+      | None -> Alcotest.failf "find %S failed" name)
+    names;
+  check_bool "fig11 is not an experiment" true
+    (Option.is_none (Exp_runner.find "fig11"))
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -350,11 +343,9 @@ let suite =
       test_engine_event_beyond_horizon;
     Alcotest.test_case "engine: at_apply/after_apply fast path" `Quick
       test_engine_apply_fast_path;
-    Alcotest.test_case "bench_io: json roundtrip" `Quick test_bench_io_roundtrip;
     Alcotest.test_case "bench_io: bad input rejected" `Quick
-      test_bench_io_rejects_garbage;
-    Alcotest.test_case "bench_io: comparison and threshold" `Quick
-      test_bench_io_compare;
+      test_json_rejects_garbage;
+    Alcotest.test_case "runner: experiment registry" `Quick test_registry;
   ]
   @ qsuite
       [
