@@ -12,8 +12,7 @@
 
    Parallelism: --jobs N (or M3V_JOBS) fans independent units of the
    experiment out over N domains.  Output is byte-identical to a
-   sequential run; on the System experiments --trace/--faults force
-   sequential execution. *)
+   sequential run; --trace/--faults force sequential execution. *)
 
 open Cmdliner
 
@@ -51,8 +50,8 @@ let jobs =
   let doc =
     "Run independent parts of the experiment on $(docv) domains \
      (defaults to $(b,M3V_JOBS) or the number of cores).  Output is \
-     byte-identical to --jobs 1.  Except on shard-sweep and shard-report, \
-     --trace and --faults force sequential execution."
+     byte-identical to --jobs 1.  --trace and --faults force sequential \
+     execution."
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
@@ -238,6 +237,11 @@ let load_cmd =
                   seed;
                 }
               in
+              (match M3v.Exp_load.validate cfg with
+              | Ok () -> ()
+              | Error e ->
+                  Format.eprintf "m3vsim load: %s@." e;
+                  Stdlib.exit 2);
               M3v.Exp_runner.run o (fun pool ->
                   M3v.Exp_load.(print (run ~pool ~cfg ()))))
           $ opts $ load_clients $ load_drivers $ load_rate $ load_mix
@@ -327,90 +331,6 @@ let chaos_cmd =
           $ chaos_ckpt_file $ chaos_stop_after $ chaos_resume $ chaos_rounds
           $ chaos_ops)
 
-let sweep_tiles =
-  let doc = "Comma-separated tile counts to sweep (defaults to 64,256)." in
-  Arg.(value & opt (list int) [] & info [ "tiles" ] ~docv:"N,..." ~doc)
-
-let sweep_shards =
-  let doc =
-    "Shard count for the sharded run of each point (clamped to the \
-     cluster count)."
-  in
-  Arg.(value & opt int 4 & info [ "shards" ] ~docv:"K" ~doc)
-
-let sweep_chains =
-  let doc = "Token chains per tile (<= 0 picks the default)." in
-  Arg.(value & opt int 0 & info [ "chains" ] ~docv:"N" ~doc)
-
-let sweep_hops =
-  let doc = "Hops per chain (<= 0 picks the default)." in
-  Arg.(value & opt int 0 & info [ "hops" ] ~docv:"N" ~doc)
-
-let sweep_weight =
-  let doc =
-    "Rounds of deterministic hash churn per served hop — the CPU weight \
-     of one event (<= 0 picks the default)."
-  in
-  Arg.(value & opt int 0 & info [ "weight" ] ~docv:"N" ~doc)
-
-let sweep_seed =
-  let doc = "Workload seed (same seed = byte-identical report)." in
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc)
-
-let sweep_telemetry =
-  let doc =
-    "Record per-window shard telemetry (per-shard events, limiter \
-     attribution, imbalance, critical-path speedup bound) on every \
-     multi-shard group and print the analyzer report to stderr when the \
-     run ends.  Pure observer: stdout is byte-identical with or without \
-     this flag.  See also the shard-report subcommand."
-  in
-  Arg.(value & flag & info [ "telemetry" ] ~doc)
-
-let shard_sweep_cmd =
-  Cmd.v
-    (Cmd.info "shard-sweep"
-       ~doc:
-         "Partitioned-parallel scaling: a 64-1024-tile clustered \
-          token-chain workload under the conservative-lookahead sharded \
-          scheduler.  Every point runs sequentially and sharded, asserts \
-          identical results on stdout, and reports wall-clock speedup on \
-          stderr")
-    Term.(const (fun trace metrics telemetry jobs shards seed chains hops
-                     weight tiles ->
-              M3v.Exp_runner.shard_sweep ?trace ?metrics ~telemetry ?jobs
-                ~shards ~seed ~chains ~hops ~weight ~tiles ())
-          $ trace $ metrics $ sweep_telemetry $ jobs $ sweep_shards $ sweep_seed
-          $ sweep_chains $ sweep_hops $ sweep_weight $ sweep_tiles)
-
-let report_tiles =
-  let doc = "Tile count of the analyzed run (<= 0 picks the default 256)." in
-  Arg.(value & opt int 0 & info [ "tiles" ] ~docv:"N" ~doc)
-
-let report_lanes =
-  let doc =
-    "Write per-shard Chrome trace lanes (one pid per shard: window spans \
-     and barrier gaps on wall-clock axes) to $(docv) — viewable in \
-     chrome://tracing or Perfetto.  This is the telemetry timeline, not \
-     a simulation trace."
-  in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
-let shard_report_cmd =
-  Cmd.v
-    (Cmd.info "shard-report"
-       ~doc:
-         "Analyze one sharded run with per-window telemetry: per-shard \
-          imbalance, limiter attribution (which shard's horizon bounded \
-          each window), null-message and merge counts, and a \
-          critical-path speedup bound — the data to aim partitioning and \
-          work-stealing work at")
-    Term.(const (fun lanes jobs shards seed tiles chains hops weight ->
-              M3v.Exp_runner.shard_report ?jobs ~shards ~seed ?trace:lanes
-                ~tiles ~chains ~hops ~weight ())
-          $ report_lanes $ jobs $ sweep_shards $ sweep_seed $ report_tiles
-          $ sweep_chains $ sweep_hops $ sweep_weight)
-
 let profile_exp =
   let doc =
     "Experiment to profile: "
@@ -480,8 +400,6 @@ let () =
               ablations_cmd;
               fanin_cmd;
               load_cmd;
-              shard_sweep_cmd;
-              shard_report_cmd;
               profile_cmd;
               all_cmd;
             ])))

@@ -1,7 +1,6 @@
 (** A small JSON reader, with no dependency.  perfbench parses its
     reports with it, and the tests of the repo's JSON emitters (Chrome
-    traces, the metrics registry, shard telemetry lanes) check their
-    output against it. *)
+    traces, the metrics registry) check their output against it. *)
 
 (** Generic JSON values. *)
 type json =

@@ -322,11 +322,26 @@ let attribution ~segments ~credit_stalls =
           (100.0 *. v /. total)
           credit_stalls
 
+let validate cfg =
+  let fail fmt = Printf.ksprintf Result.error fmt in
+  if cfg.clients <= 0 then fail "clients must be positive (got %d)" cfg.clients
+  else if cfg.drivers < 1 || cfg.drivers > max_drivers then
+    fail "drivers must be in [1, %d] (got %d)" max_drivers cfg.drivers
+  else if cfg.drivers > cfg.clients then
+    fail "drivers (%d) must not exceed clients (%d)" cfg.drivers cfg.clients
+  else if cfg.keys <= 0 then fail "keys must be positive (got %d)" cfg.keys
+  else if not (cfg.skew >= 0.0 && cfg.skew < 1.0) then
+    fail "skew must be in [0, 1) (got %g)" cfg.skew
+  else if not (cfg.rate_per_s > 0.0) then
+    fail "rate must be positive (got %g)" cfg.rate_per_s
+  else if cfg.fracs = [] then fail "no load steps"
+  else
+    match List.find_opt (fun f -> not (f > 0.0)) cfg.fracs with
+    | Some f -> fail "load steps must be positive (got %g)" f
+    | None -> Ok ()
+
 let run ?(pool = Par.Pool.sequential) ?(cfg = default) () =
-  if cfg.drivers < 1 || cfg.drivers > max_drivers then
-    invalid_arg
-      (Printf.sprintf "exp_load: drivers must be in [1, %d]" max_drivers);
-  if cfg.fracs = [] then invalid_arg "exp_load: no load steps";
+  Result.iter_error (fun msg -> invalid_arg ("exp_load: " ^ msg)) (validate cfg);
   let steps = Par.map pool (fun frac -> run_step cfg ~frac) cfg.fracs in
   let verdict =
     Knee.detect ~slo_p99_us:cfg.slo_p99_us

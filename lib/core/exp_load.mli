@@ -49,10 +49,17 @@ type result = {
   r_attribution : string;
 }
 
+(** [Ok ()] when [cfg] can run: drivers in [\[1, 8\]] (the services'
+    endpoint provisioning) and at most [clients], [clients] and [keys]
+    positive, [skew] in [\[0, 1)], [rate_per_s] positive, and a
+    non-empty step list of positive fractions.  Otherwise [Error msg]
+    names the first bad field. *)
+val validate : config -> (unit, string) Stdlib.result
+
 (** Steps fan out over [pool] as independent simulations and merge in
     submission order, so reports are byte-identical across [--jobs]
-    settings.  Raises [Invalid_argument] on an empty step list or a
-    driver count outside the services' endpoint provisioning. *)
+    settings.  Raises [Invalid_argument] when {!validate} rejects
+    [cfg]. *)
 val run : ?pool:M3v_par.Par.Pool.t -> ?cfg:config -> unit -> result
 
 val pp : Format.formatter -> result -> unit

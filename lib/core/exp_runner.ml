@@ -67,24 +67,6 @@ let with_metrics metrics f =
       Format.printf "@.metrics -> %s@." path;
       M3v_obs.Metrics.print Format.std_formatter reg
 
-(* --telemetry on shard-sweep: open a collection window around the run —
-   every multi-shard group created inside registers itself — and print
-   the merged per-K analyzer reports when it closes.  The report goes to
-   stderr, deliberately: telemetry tables vary with the shard count and
-   carry wall-clock times, while the experiment stream on stdout must
-   stay byte-identical with telemetry on or off and across shards/jobs
-   (asserted by tests and the CI diff). *)
-let with_telemetry telemetry f =
-  if not telemetry then f ()
-  else begin
-    M3v_par.Telemetry.start_collecting ();
-    Fun.protect
-      ~finally:(fun () ->
-        M3v_par.Telemetry.pp_groups Format.err_formatter
-          (M3v_par.Telemetry.stop_collecting ()))
-      f
-  end
-
 type opts = {
   trace : string option;
   metrics : string option;
@@ -194,8 +176,23 @@ let chaos ?trace ?faults ?(fault_seed = 7) ?jobs ?(seeds = 1)
     ~rounds ~ops () =
   let spec = Option.map parse_faults faults in
   let every_ms = Option.bind checkpoint_every_ms positive in
+  (* A checkpointed soak holds one seed and no trace sink, and a resume
+     takes its spec from the checkpoint: refuse a flag the run would
+     otherwise drop. *)
+  let refuse mode flag why =
+    Format.eprintf "m3vsim chaos: %s is incompatible with %s (%s)@." mode flag
+      why;
+    exit 2
+  in
+  let no_trace = "trace sinks hold channels, which cannot be checkpointed"
+  and seeds_flag = Printf.sprintf "--seeds %d" seeds
+  and one_seed = "a checkpointed soak holds a single seed" in
   match (resume, every_ms) with
   | Some file, _ -> (
+      if Option.is_some trace then refuse "--resume" "--trace" no_trace;
+      if Option.is_some faults then
+        refuse "--resume" "--faults" "the checkpoint fixes the fault spec";
+      if seeds > 1 then refuse "--resume" seeds_flag one_seed;
       match
         Exp_chaos.resume ~file ?stop_after:(Option.bind stop_after positive) ()
       with
@@ -204,19 +201,8 @@ let chaos ?trace ?faults ?(fault_seed = 7) ?jobs ?(seeds = 1)
           exit 1
       | Ok outcome -> chaos_outcome outcome)
   | None, Some ms ->
-      if Option.is_some trace then begin
-        Format.eprintf
-          "m3vsim chaos: --checkpoint-every is incompatible with --trace \
-           (trace sinks hold channels, which cannot be checkpointed)@.";
-        exit 2
-      end;
-      if seeds > 1 then begin
-        Format.eprintf
-          "m3vsim chaos: --checkpoint-every soaks a single seed (got \
-           --seeds %d)@."
-          seeds;
-        exit 2
-      end;
+      if Option.is_some trace then refuse "--checkpoint-every" "--trace" no_trace;
+      if seeds > 1 then refuse "--checkpoint-every" seeds_flag one_seed;
       chaos_outcome
         (Exp_chaos.run_checkpointed ?spec ~seed:fault_seed
            ?fs_rounds:(positive rounds) ?kv_ops:(positive ops)
@@ -227,47 +213,6 @@ let chaos ?trace ?faults ?(fault_seed = 7) ?jobs ?(seeds = 1)
           Exp_chaos.run_sweep ~pool ?spec ~seed:fault_seed ~seeds
             ?fs_rounds:(positive rounds) ?kv_ops:(positive ops) ()
           |> List.iter Exp_chaos.print)
-
-(* The shard sweep is never forced sequential: the sweep itself runs
-   points on the calling domain (only window dispatch uses the pool),
-   and under a trace sink the scheduler falls back to inline windows on
-   its own — so unlike the System experiments, --trace here needs no
-   sequential-pool downgrade. *)
-let shard_sweep ?trace ?metrics ?(telemetry = false) ?jobs ?(shards = 4)
-    ?(seed = 1) ~chains ~hops ~weight ~tiles () =
-  let tile_counts = match tiles with [] -> None | l -> Some l in
-  with_telemetry telemetry (fun () ->
-      Par.Pool.with_pool ?jobs (fun pool ->
-          with_trace trace (fun () ->
-              with_metrics metrics (fun () ->
-                  Exp_shard.print
-                    (Exp_shard.run ~pool ~shards
-                       ?chains_per_tile:(positive chains) ?hops:(positive hops)
-                       ?weight:(positive weight) ~seed ?tile_counts ())))))
-
-(* shard-report: one sharded run with telemetry always on; the analyzer
-   tables are the subcommand's stdout deliverable.  [trace] dumps the
-   per-shard Chrome lanes (window spans and barrier gaps on wall-clock
-   axes), not a simulation trace. *)
-let shard_report ?jobs ?(shards = 4) ?(seed = 1) ?trace ~tiles ~chains ~hops
-    ~weight () =
-  let lanes =
-    Option.map (fun path -> (path, open_out_or_exit "trace" path)) trace
-  in
-  Par.Pool.with_pool ?jobs (fun pool ->
-      let r =
-        Exp_shard.report ~pool ?tiles:(positive tiles) ~shards
-          ?chains_per_tile:(positive chains) ?hops:(positive hops)
-          ?weight:(positive weight) ~seed ()
-      in
-      Exp_shard.print_report r;
-      Option.iter
-        (fun (path, oc) ->
-          M3v_obs.Chrome.write oc
-            (M3v_par.Telemetry.to_sink r.Exp_shard.rep_telemetry);
-          close_out oc;
-          Format.printf "@.shard lanes -> %s@." path)
-        lanes)
 
 (* Critical-path profiler entry point: run one experiment sequentially
    under a private trace sink (flow events need the single-domain sink),

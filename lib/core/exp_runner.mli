@@ -87,43 +87,13 @@ val migrate :
     resume to finish); [resume:file] continues a checkpointed run instead
     of starting one.  A resumed run's report is byte-identical to an
     uninterrupted run's.  Checkpointing is single-seed and incompatible
-    with [trace]. *)
+    with [trace]; a resume takes its spec and seed from the checkpoint,
+    so [trace], [faults] or [seeds > 1] alongside [resume] exit 2 before
+    the checkpoint is loaded. *)
 val chaos :
   ?trace:string -> ?faults:string -> ?fault_seed:int -> ?jobs:int ->
   ?seeds:int -> ?checkpoint_every_ms:int -> ?checkpoint_file:string ->
   ?stop_after:int -> ?resume:string -> rounds:int -> ops:int -> unit -> unit
-
-(** Shard sweep ({!Exp_shard}): partitioned-parallel scaling of a
-    64-1024-tile clustered token-chain workload under the
-    conservative-lookahead scheduler.  Every point runs sequentially and
-    sharded and asserts identical results; wall-clock speedup goes to
-    stderr.  [chains]/[hops]/[weight] <= 0 and [tiles = []] pick the
-    defaults.  Unlike the System experiments, [?trace] does not force a
-    sequential pool: the sweep itself never fans out tasks, and the
-    scheduler falls back to inline windows under a sink on its own.
-
-    When [?telemetry] is [true], every multi-shard group created during
-    the run records per-window telemetry ({!M3v_par.Telemetry}) and the
-    merged analyzer report — per-shard imbalance, limiter attribution,
-    critical-path speedup bound — prints to {e stderr} when the run
-    ends.  Stdout is byte-identical with telemetry on or off: telemetry
-    is a pure observer and its tables (which vary with the shard count
-    and carry wall-clock times) stay in the side channel. *)
-val shard_sweep :
-  ?trace:string -> ?metrics:string -> ?telemetry:bool -> ?jobs:int ->
-  ?shards:int -> ?seed:int -> chains:int -> hops:int -> weight:int ->
-  tiles:int list -> unit -> unit
-
-(** Shard report ({!Exp_shard.report}): one sharded run of the same
-    workload with per-window telemetry always enabled, analyzed to
-    stdout — per-shard imbalance, limiter attribution, critical-path
-    speedup bound.  [?trace] writes the per-shard Chrome lanes (window
-    spans and barrier gaps on wall-clock axes, one pid per shard) — not
-    a simulation trace; the file is opened before the run.
-    [tiles]/[chains]/[hops]/[weight] <= 0 pick the defaults. *)
-val shard_report :
-  ?jobs:int -> ?shards:int -> ?seed:int -> ?trace:string -> tiles:int ->
-  chains:int -> hops:int -> weight:int -> unit -> unit
 
 (** Critical-path profiler: run [exp] (["fig6"] default; any name in
     {!experiments}) sequentially under a trace sink, then

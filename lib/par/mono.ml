@@ -1,16 +1,13 @@
-(* Monotonic wall clock, shared by every wall-time measurement in the
-   tree (speedup reporting, shard telemetry, bench warmups).
+(* Monotonic wall clock for perfbench's host-cost measurements.
 
    CLOCK_MONOTONIC via bechamel's noalloc C stub: immune to NTP steps
    and settimeofday, so elapsed times can't go negative and speedups
-   can't silently invert.  [Unix.gettimeofday] remains appropriate for
-   exactly one thing — stamping reports with a calendar date — and the
-   bench report header is its only remaining caller.
+   can't silently invert.
 
    Readings are int64 nanoseconds from an unspecified epoch: only
    differences are meaningful.  Nothing here ever touches simulated
-   time ({!M3v_sim.Time}); wall-clock values live strictly outside
-   simulator state so they can never leak into experiment output. *)
+   time; wall-clock values live strictly outside simulator state so
+   they can never leak into experiment output. *)
 
 type ns = int64
 

@@ -1,14 +1,13 @@
 (** Monotonic wall clock (CLOCK_MONOTONIC, nanoseconds).
 
-    The one sanctioned source of wall time for measurements: immune to
-    clock steps, so elapsed times are nonnegative by construction.
-    Values are nanoseconds since an unspecified epoch — only
-    differences mean anything.  Keep [Unix.gettimeofday] for calendar
-    timestamps in report headers, nothing else.
+    The one sanctioned source of wall time for measurements (perfbench
+    uses it): immune to clock steps, so elapsed times are nonnegative by
+    construction.  Values are nanoseconds since an unspecified epoch —
+    only differences mean anything.
 
     Wall-clock readings must never enter simulated state or experiment
     output: they vary run to run and would break the byte-identity
-    contracts.  Telemetry keeps them in the side-channel report only. *)
+    contracts. *)
 
 type ns = int64
 

@@ -109,8 +109,6 @@ let run ?until ?max_events t =
 
 let events_processed t = t.processed
 let pending t = Event_queue.length t.queue
-let next_event_time t = Event_queue.peek_time t.queue
-let pending_below t ~time = Event_queue.occupancy_below t.queue ~time
 
 let reset t =
   t.now <- Time.zero;

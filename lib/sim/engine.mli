@@ -45,14 +45,6 @@ val events_processed : t -> int
 (** Number of events still pending. *)
 val pending : t -> int
 
-(** Timestamp of the earliest pending event ([None] when drained) — a
-    shard's horizon advertisement for conservative synchronization. *)
-val next_event_time : t -> Time.t option
-
-(** Pending events with timestamp [<= time]: the work available inside a
-    synchronization window (see {!Event_queue.occupancy_below}). *)
-val pending_below : t -> time:Time.t -> int
-
 (** Reset the clock to zero and drop pending events. *)
 val reset : t -> unit
 

@@ -168,31 +168,6 @@ let pop q =
     Some (time, v)
   end
 
-let peek_time q = if q.size = 0 then None else Some (Array.unsafe_get q.times 0)
-
-(* Horizon accessors for the sharded scheduler.  The heap orders entries
-   only along root-to-leaf paths, so both are linear scans over the live
-   prefix — fine for their use: once per conservative-synchronization
-   window, not once per event. *)
-
-let min_time_since q ~time =
-  let best = ref Time.zero and found = ref false in
-  for i = 0 to q.size - 1 do
-    let t = Array.unsafe_get q.times i in
-    if t >= time && ((not !found) || t < !best) then begin
-      best := t;
-      found := true
-    end
-  done;
-  if !found then Some !best else None
-
-let occupancy_below q ~time =
-  let n = ref 0 in
-  for i = 0 to q.size - 1 do
-    if Array.unsafe_get q.times i <= time then incr n
-  done;
-  !n
-
 let clear q =
   (* Drop the arrays so a cleared queue retains no dead payloads, but
      remember the reached capacity: the next push re-allocates at full

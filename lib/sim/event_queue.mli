@@ -46,25 +46,6 @@ val pop_min : ('a, 'b) t2 -> 'a
     Allocates its result; kept for tests and non-hot-path users. *)
 val pop : 'a t -> (Time.t * 'a) option
 
-(** [peek_time q] is the timestamp of the earliest event without removing
-    it. *)
-val peek_time : ('a, 'b) t2 -> Time.t option
-
-(** {2 Horizon accessors}
-
-    Used by the sharded scheduler's conservative-synchronization window
-    computation.  Both are O(length) scans — called once per window, not
-    per event. *)
-
-(** [min_time_since q ~time] is the earliest timestamp [>= time] among
-    pending events, or [None] if no event lies at or after [time]. *)
-val min_time_since : ('a, 'b) t2 -> time:Time.t -> Time.t option
-
-(** [occupancy_below q ~time] counts pending events with timestamp
-    [<= time] — the work available inside a synchronization window, used
-    to decide whether parallel dispatch is worth the barrier. *)
-val occupancy_below : ('a, 'b) t2 -> time:Time.t -> int
-
 (** Drop all pending events and release payload references.  The reached
     capacity is remembered, so a cleared-and-reused queue re-sizes itself
     on the first push. *)

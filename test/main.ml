@@ -19,7 +19,5 @@ let () =
       ("migrate", Test_migrate.suite);
       ("obs", Test_obs.suite);
       ("load", Test_load.suite);
-      ("shard", Test_shard.suite);
-      ("telemetry", Test_telemetry.suite);
       ("hostcost", Test_hostcost.suite);
     ]

@@ -419,6 +419,28 @@ let test_exp_load_jobs_deterministic () =
   let par = Par.Pool.with_pool ~jobs:4 (fun pool -> render tiny_cfg pool) in
   check_string "jobs=4 report byte-identical to sequential" seq par
 
+let test_exp_load_validate () =
+  let module L = M3v.Exp_load in
+  let ok cfg = Result.is_ok (L.validate cfg) in
+  check_bool "default accepted" true (ok L.default);
+  List.iter
+    (fun (what, cfg) -> check_bool (what ^ " rejected") false (ok cfg))
+    [
+      ("drivers 9", { L.default with drivers = 9 });
+      ("drivers 0", { L.default with drivers = 0 });
+      ("drivers > clients", { L.default with clients = 3 });
+      ("clients 0", { L.default with clients = 0 });
+      ("keys 0", { L.default with keys = 0 });
+      ("skew 1.5", { L.default with skew = 1.5 });
+      ("skew -0.1", { L.default with skew = -0.1 });
+      ("rate 0", { L.default with rate_per_s = 0.0 });
+      ("no steps", { L.default with fracs = [] });
+      ("step 0", { L.default with fracs = [ 0.5; 0.0 ] });
+    ];
+  Alcotest.check_raises "run raises the validate message"
+    (Invalid_argument "exp_load: keys must be positive (got 0)") (fun () ->
+      ignore (L.run ~cfg:{ L.default with keys = 0 } ()))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_equal_seed_streams;
@@ -451,4 +473,5 @@ let suite =
     Alcotest.test_case "exp_load end to end" `Quick test_exp_load_end_to_end;
     Alcotest.test_case "exp_load jobs determinism" `Quick
       test_exp_load_jobs_deterministic;
+    Alcotest.test_case "exp_load validate" `Quick test_exp_load_validate;
   ]

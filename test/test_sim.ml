@@ -98,6 +98,70 @@ let test_engine_rejects_past () =
     (Invalid_argument "Engine.at: time 10ps is in the past (now 100ps)")
     (fun () -> Engine.at eng ~time:10 (fun () -> ()))
 
+(* --- Engine.run single-source accounting (observer-enqueue-at-until) --- *)
+
+let test_engine_counts_mid_run_enqueues_once () =
+  (* A handler that fires at exactly [until] and enqueues more work at
+     [until]: the run must process it in the same call and count it
+     exactly once (the return value is the delta of events_processed). *)
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let rec chain depth () =
+    incr fired;
+    if depth > 0 then Engine.at e ~time:100 (chain (depth - 1))
+  in
+  Engine.at e ~time:50 (fun () -> incr fired);
+  Engine.at e ~time:100 (chain 3);
+  let n = Engine.run ~until:100 e in
+  check_int "all events fired" 5 !fired;
+  check_int "return counts chained work exactly once" 5 n;
+  check_int "nothing pending" 0 (Engine.pending e);
+  check_int "clock at until" 100 (Engine.now e)
+
+let test_engine_observer_enqueue_at_until () =
+  (* The dispatch-loop observer fires every 1024 processed events; have it
+     enqueue one extra event at exactly [until].  Total counted over the
+     run must equal total handler firings — no double count, no loss. *)
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let extras = ref 0 in
+  for i = 1 to 1500 do
+    Engine.at e ~time:i (fun () -> incr fired)
+  done;
+  Engine.set_observer e
+    (Some
+       (fun _now _pending ->
+         if !extras < 2 then begin
+           incr extras;
+           Engine.at e ~time:2000 (fun () -> incr fired)
+         end));
+  let n = Engine.run ~until:2000 e in
+  Engine.set_observer e None;
+  check_bool "observer fired" true (!extras >= 1);
+  check_int "every handler fired" (1500 + !extras) !fired;
+  check_int "return = firings" (1500 + !extras) n;
+  check_int "nothing pending" 0 (Engine.pending e);
+  check_int "clock at until" 2000 (Engine.now e)
+
+let test_engine_counts_across_max_events_cuts () =
+  (* Slicing one logical run with max_events must conserve the count:
+     the per-call returns sum to the total processed. *)
+  let e = Engine.create () in
+  let fired = ref 0 in
+  for i = 1 to 100 do
+    Engine.at e ~time:i (fun () -> incr fired)
+  done;
+  let total = ref 0 in
+  let rec drain () =
+    let n = Engine.run ~until:100 ~max_events:7 e in
+    total := !total + n;
+    if n > 0 then drain ()
+  in
+  drain ();
+  check_int "all fired" 100 !fired;
+  check_int "slice counts sum to total" 100 !total;
+  check_int "processed ledger agrees" 100 (Engine.events_processed e)
+
 (* --- Proc --- *)
 
 type Proc.op += Add_op of int
@@ -221,6 +285,15 @@ let suite =
     ("engine nested", `Quick, test_engine_nested_scheduling);
     ("engine horizon", `Quick, test_engine_horizon);
     ("engine rejects past", `Quick, test_engine_rejects_past);
+    ( "engine: mid-run enqueue at until counted once",
+      `Quick,
+      test_engine_counts_mid_run_enqueues_once );
+    ( "engine: observer enqueue at until counted once",
+      `Quick,
+      test_engine_observer_enqueue_at_until );
+    ( "engine: counts conserved across max_events cuts",
+      `Quick,
+      test_engine_counts_across_max_events_cuts );
     ("proc sequencing", `Quick, test_proc_sequencing);
     ("proc repeat", `Quick, test_proc_repeat);
     ("proc fold/iter", `Quick, test_proc_fold_iter);
