@@ -970,6 +970,15 @@ let ext_config t ~ep ~owner cfg =
      forwarding pointer must not hijack the new endpoint's traffic. *)
   Hashtbl.remove t.pending_refunds ep;
   Hashtbl.remove t.moved ep;
+  (* A memory endpoint opens its window: back the window's DRAM pages now,
+     at set-up, so that DMA through it never allocates one mid-run.  A
+     restored endpoint's window was backed when it was first configured. *)
+  (match cfg with
+  | Ep.Mem m -> (
+      match t.lookup_mem m.Ep.mem_tile with
+      | Some dram -> Dram.back dram ~off:m.Ep.base ~len:m.Ep.mem_size
+      | None -> ())
+  | Ep.Invalid | Ep.Send _ | Ep.Recv _ | Ep.Mpmc_recv _ -> ());
   t.eps.(ep).Ep.cfg <- cfg;
   t.eps.(ep).Ep.owner <- owner
 

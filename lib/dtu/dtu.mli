@@ -154,7 +154,10 @@ val set_msg_arrived : t -> (Dtu_types.act_id -> unit) -> unit
 
 (** {1 External interface (controller only)} *)
 
+(** Configuring a memory endpoint backs the DRAM pages of its window
+    ({!Dram.back}); restoring one with [ext_restore_eps] does not. *)
 val ext_config : t -> ep:int -> owner:Dtu_types.act_id -> Ep.config -> unit
+
 val ext_invalidate : t -> ep:int -> unit
 val ext_read_ep : t -> ep:int -> Ep.t
 

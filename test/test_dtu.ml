@@ -322,8 +322,6 @@ let test_tlb_perms_and_act_tags () =
   Tlb.invalidate_act tlb 1;
   check_bool "invalidate act" true (Tlb.lookup tlb ~act:1 ~vpage:5 ~write:false = None)
 
-(* --- Dram --- *)
-
 (* A vDTU activity must not be able to reply through, or ack-free, a
    receive endpoint owned by another activity (the Unknown_ep rule of
    paper section 3.5 applies to the implicit-ack paths too). *)
@@ -701,11 +699,160 @@ let prop_mpmc_exactly_once_conserved =
           && sender_credits f ~ep:1 = credits
           && sender_credits f ~ep:2 = credits))
 
+(* --- Dram --- *)
+
 let test_dram_contention () =
   let dram = Dram.create ~size:4096 () in
   let t1 = Dram.access_time dram ~now:0 ~bytes:1024 in
   let t2 = Dram.access_time dram ~now:0 ~bytes:1024 in
   check_bool "second access serialized" true (t2 >= 2 * t1 - 1)
+
+let page = Dtu_types.page_size
+let zeros n = String.make n '\000'
+
+let read_string dram ~off ~len =
+  Bytes.to_string (Dram.read dram ~off ~len)
+
+let write_string dram ~off s =
+  Dram.write dram ~off ~src:(Bytes.of_string s) ~src_off:0 ~len:(String.length s)
+
+(* A store of four pages, none of them backed yet. *)
+let four_pages () = Dram.create ~size:(4 * page) ()
+
+let test_dram_unbacked_reads_zero () =
+  let dram = four_pages () in
+  Alcotest.(check string) "whole store" (zeros (4 * page))
+    (read_string dram ~off:0 ~len:(4 * page));
+  let dst = Bytes.make 100 'x' in
+  Dram.read_into dram ~off:(page - 50) ~dst ~dst_off:0 ~len:100;
+  Alcotest.(check string) "read_into overwrites with zeros" (zeros 100)
+    (Bytes.to_string dst)
+
+let test_dram_write_across_page () =
+  let dram = four_pages () in
+  let data = String.init 300 (fun i -> Char.chr (1 + (i mod 255))) in
+  write_string dram ~off:(2 * page - 100) data;
+  Alcotest.(check string) "read back" data
+    (read_string dram ~off:(2 * page - 100) ~len:300);
+  Alcotest.(check string) "bytes before untouched" (zeros 16)
+    (read_string dram ~off:(2 * page - 116) ~len:16);
+  Alcotest.(check string) "bytes after untouched" (zeros 16)
+    (read_string dram ~off:(2 * page + 200) ~len:16)
+
+let test_dram_read_backed_then_unbacked () =
+  let dram = four_pages () in
+  write_string dram ~off:page (String.make page 'w');
+  let dst = Bytes.make (2 * page) 'x' in
+  Dram.read_into dram ~off:(page + (page / 2)) ~dst ~dst_off:(page / 2) ~len:page;
+  Alcotest.(check string) "caller prefix kept" (String.make (page / 2) 'x')
+    (Bytes.sub_string dst 0 (page / 2));
+  Alcotest.(check string) "written half" (String.make (page / 2) 'w')
+    (Bytes.sub_string dst (page / 2) (page / 2));
+  Alcotest.(check string) "unbacked half" (zeros (page / 2))
+    (Bytes.sub_string dst page (page / 2));
+  Alcotest.(check string) "caller suffix kept" (String.make (page / 2) 'x')
+    (Bytes.sub_string dst (3 * page / 2) (page / 2))
+
+let test_dram_fill_across_page () =
+  let dram = four_pages () in
+  Dram.fill dram ~off:(page - 10) ~len:20 'f';
+  Alcotest.(check string) "fill across the boundary"
+    (zeros 6 ^ String.make 20 'f' ^ zeros 6)
+    (read_string dram ~off:(page - 16) ~len:32);
+  Dram.fill dram ~off:(2 * page) ~len:(2 * page) '\000';
+  Alcotest.(check string) "zero fill of unbacked pages" (zeros (2 * page))
+    (read_string dram ~off:(2 * page) ~len:(2 * page));
+  Dram.fill dram ~off:(page - 5) ~len:10 '\000';
+  Alcotest.(check string) "zero fill over written bytes"
+    (String.make 5 'f' ^ zeros 10 ^ String.make 5 'f')
+    (read_string dram ~off:(page - 10) ~len:20);
+  check_int "fills counted as writes" 3 (Dram.stats dram).Dram.writes
+
+let test_dram_out_of_range () =
+  let dram = four_pages () in
+  let outside = Invalid_argument "Dram: access [0x3ff0, 0x4010) outside store of 0x4000 bytes" in
+  let buf = Bytes.create 32 in
+  Alcotest.check_raises "read_into" outside (fun () ->
+      Dram.read_into dram ~off:(4 * page - 16) ~dst:buf ~dst_off:0 ~len:32);
+  Alcotest.check_raises "write" outside (fun () ->
+      Dram.write dram ~off:(4 * page - 16) ~src:buf ~src_off:0 ~len:32);
+  Alcotest.check_raises "fill" outside (fun () ->
+      Dram.fill dram ~off:(4 * page - 16) ~len:32 'x');
+  let s = Dram.stats dram in
+  check_int "nothing counted" 0 (s.Dram.reads + s.Dram.writes);
+  Alcotest.(check string) "the store's last bytes untouched" (zeros 16)
+    (read_string dram ~off:(4 * page - 16) ~len:16)
+
+let test_dram_fresh_marshals_small () =
+  let bytes = String.length (Marshal.to_string (Dram.create ~size:(64 lsl 20) ()) []) in
+  check_bool (Printf.sprintf "fresh 64 MiB store marshals to %d bytes < 1 MiB" bytes)
+    true (bytes < 1 lsl 20)
+
+let test_dram_rejects_zero_bandwidth () =
+  Alcotest.check_raises "bytes_per_ns:0"
+    (Invalid_argument "Dram.create: bytes_per_ns must be in [1, 1000]")
+    (fun () -> ignore (Dram.create ~size:page ~bytes_per_ns:0 ()))
+
+let test_dram_rejects_infinite_bandwidth () =
+  Alcotest.check_raises "bytes_per_ns:1001"
+    (Invalid_argument "Dram.create: bytes_per_ns must be in [1, 1000]")
+    (fun () -> ignore (Dram.create ~size:page ~bytes_per_ns:1001 ()));
+  (* 1,000 bytes/ns is the fastest the picosecond clock can express. *)
+  let dram = Dram.create ~size:page ~access_latency_ps:0 ~bytes_per_ns:1000 () in
+  check_int "one byte per ps" 4096 (Dram.access_time dram ~now:0 ~bytes:4096)
+
+let test_dram_rejects_negative_latency () =
+  Alcotest.check_raises "access_latency_ps:-1"
+    (Invalid_argument "Dram.create: access_latency_ps must not be negative")
+    (fun () -> ignore (Dram.create ~size:page ~access_latency_ps:(-1) ()))
+
+let test_dram_read_into_checks_buffer_first () =
+  let dram = four_pages () in
+  write_string dram ~off:0 "abcdefgh";
+  let dst = Bytes.make 4 'x' in
+  Alcotest.check_raises "destination too short"
+    (Invalid_argument "Dram.read_into: range [0, 8) outside buffer of 4 bytes")
+    (fun () -> Dram.read_into dram ~off:0 ~dst ~dst_off:0 ~len:8);
+  check_int "no read counted" 0 (Dram.stats dram).Dram.reads;
+  Alcotest.(check string) "destination untouched" "xxxx" (Bytes.to_string dst)
+
+let test_dram_write_checks_buffer_first () =
+  let dram = four_pages () in
+  let src = Bytes.make 4 's' in
+  Alcotest.check_raises "source offset past its end"
+    (Invalid_argument "Dram.write: range [2, 10) outside buffer of 4 bytes")
+    (fun () -> Dram.write dram ~off:(page - 4) ~src ~src_off:2 ~len:8);
+  check_int "no write counted" 0 (Dram.stats dram).Dram.writes;
+  Alcotest.(check string) "store untouched" (zeros 8)
+    (read_string dram ~off:(page - 4) ~len:8)
+
+(* A checkpoint restore rebuilds the zero-length block that marks every
+   unbacked page as one fresh block: unbacked pages must still read as
+   zeros, and a first write to one must back that page alone. *)
+type dram_state = { label : string; store : Dram.t }
+
+let test_dram_checkpoint_round_trip () =
+  let dram = four_pages () in
+  write_string dram ~off:(page + 7) "written";
+  let file = Filename.temp_file "m3v_dram" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+    (fun () ->
+      Checkpoint.save ~path:file { label = "dram"; store = dram };
+      match Checkpoint.load ~path:file with
+      | Error msg -> Alcotest.failf "load: %s" msg
+      | Ok { label; store = dram } ->
+          Alcotest.(check string) "record" "dram" label;
+          Alcotest.(check string) "written bytes" "written"
+            (read_string dram ~off:(page + 7) ~len:7);
+          Alcotest.(check string) "unbacked page" (zeros page)
+            (read_string dram ~off:(2 * page) ~len:page);
+          write_string dram ~off:(2 * page + 1) "first";
+          Alcotest.(check string) "first write to an unbacked page" "first"
+            (read_string dram ~off:(2 * page + 1) ~len:5);
+          Alcotest.(check string) "other unbacked pages still zero"
+            (zeros page ^ zeros page)
+            (read_string dram ~off:0 ~len:page ^ read_string dram ~off:(3 * page) ~len:page))
 
 let suite =
   [
@@ -732,6 +879,18 @@ let suite =
     ("tlb fifo stays bounded", `Quick, test_tlb_fifo_stays_bounded);
     ("tlb perm upgrades counted", `Quick, test_tlb_perm_upgrade_counted);
     ("dram contention", `Quick, test_dram_contention);
+    ("dram unbacked pages read zeros", `Quick, test_dram_unbacked_reads_zero);
+    ("dram write across a page", `Quick, test_dram_write_across_page);
+    ("dram read of backed + unbacked pages", `Quick, test_dram_read_backed_then_unbacked);
+    ("dram fill across a page", `Quick, test_dram_fill_across_page);
+    ("dram out-of-range access", `Quick, test_dram_out_of_range);
+    ("dram fresh store marshals small", `Quick, test_dram_fresh_marshals_small);
+    ("dram rejects zero bandwidth", `Quick, test_dram_rejects_zero_bandwidth);
+    ("dram rejects infinite bandwidth", `Quick, test_dram_rejects_infinite_bandwidth);
+    ("dram rejects negative latency", `Quick, test_dram_rejects_negative_latency);
+    ("dram read_into checks buffer first", `Quick, test_dram_read_into_checks_buffer_first);
+    ("dram write checks buffer first", `Quick, test_dram_write_checks_buffer_first);
+    ("dram checkpoint round trip", `Quick, test_dram_checkpoint_round_trip);
     ("mpmc multi-sender fan-in", `Quick, test_mpmc_multi_sender_fanin);
     ( "mpmc doorbell coalescing",
       `Quick,

@@ -1,7 +1,8 @@
 (* Host cost on the event path: layer counters are bumped in place, yet a
    [stats] value is a snapshot that later traffic leaves alone; counter
-   bumps allocate nothing; NoC routes come from a table that matches a
-   next-hop walk. *)
+   bumps allocate nothing; a memory endpoint's DRAM window is backed when
+   the endpoint is configured, and page-sized DRAM accesses allocate
+   nothing; NoC routes come from a table that matches a next-hop walk. *)
 
 open M3v_sim
 open M3v_sim.Proc.Syntax
@@ -106,6 +107,57 @@ let test_counter_bumps_do_not_allocate () =
   Alcotest.(check (float 0.0)) "counter sum" 10_001.0
     (Stats.Counter.get c "bucket/user")
 
+(* --- DRAM pages --- *)
+
+(* Words taken from the major heap so far.  Not [Gc.quick_stat]: it sees
+   a direct major-heap allocation only after the next minor collection,
+   where [Gc.counters] counts it at once. *)
+let major_words () =
+  let _, _, major = Gc.counters () in
+  major
+
+(* Configuring a memory endpoint backs its window, so the first write
+   through it finds its page and takes nothing from the major heap, and
+   page-sized accesses allocate nothing at all. *)
+let test_mem_endpoint_backs_its_window () =
+  let eng = Engine.create () in
+  let noc = Noc.create eng (Topology.star_mesh_2x2 ~tiles:2) in
+  let dtu = Dtu.create ~virtualized:true ~tile:0 eng noc in
+  let page = M3v_dtu.Dtu_types.page_size in
+  let dram = Dram.create ~size:(64 * page) () in
+  Dtu.connect dtu ~lookup_dtu:(fun _ -> None) ~lookup_mem:(function
+    | 1 -> Some dram
+    | _ -> None);
+  Dtu.ext_config dtu ~ep:1 ~owner:7
+    (Ep.mem_config ~mem_tile:1 ~base:(8 * page) ~size:(16 * page)
+       ~perm:M3v_dtu.Dtu_types.RW);
+  let buf = Bytes.make page 'p' in
+  (* An empty minor heap: no promotion falls inside the measurement. *)
+  Gc.minor ();
+  let before = major_words () in
+  Dram.write dram ~off:(20 * page) ~src:buf ~src_off:0 ~len:page;
+  let words = major_words () -. before in
+  check_bool
+    (Printf.sprintf "first 4 KiB write in the window: %.0f major words < 64" words)
+    true (words < 64.0);
+  let i = ref 0 in
+  let next_off () =
+    i := (!i + 1) mod 16;
+    (8 + !i) * page
+  in
+  let words =
+    minor_words_per_call 10_000 (fun () ->
+        Dram.read_into dram ~off:(next_off ()) ~dst:buf ~dst_off:0 ~len:page)
+  in
+  check_bool (Printf.sprintf "Dram.read_into: %.2f words/call < 1" words) true
+    (words < 1.0);
+  let words =
+    minor_words_per_call 10_000 (fun () ->
+        Dram.write dram ~off:(next_off ()) ~src:buf ~src_off:0 ~len:page)
+  in
+  check_bool (Printf.sprintf "Dram.write: %.2f words/call < 1" words) true
+    (words < 1.0)
+
 (* --- route table --- *)
 
 (* Reference routing, independent of [Topology]'s BFS: from router [r]
@@ -198,5 +250,6 @@ let suite =
     ("dtu/noc/dram stats are snapshots", `Quick, test_dtu_noc_dram_snapshots);
     ("controller/nic stats are snapshots", `Quick, test_controller_nic_snapshots);
     ("counter bumps do not allocate", `Quick, test_counter_bumps_do_not_allocate);
+    ("memory endpoint backs its window", `Quick, test_mem_endpoint_backs_its_window);
     ("route table matches next-hop walk", `Quick, test_route_table);
   ]
