@@ -43,22 +43,44 @@ let sstable_count t = List.length t.tables
 let memtable_entries t = Smap.cardinal t.memtable
 let compactions t = t.n_compactions
 
-(* Entry encoding: klen:u16, vlen:u32, key bytes, value bytes. *)
-let entry_len ~key ~value = 6 + String.length key + Bytes.length value
+(* The size of the I/O buffer and of every full write. *)
+let page = 4096
 
-let encode_entry buf ~key ~value =
-  let klen = String.length key and vlen = Bytes.length value in
-  Buffer.add_uint16_le buf klen;
-  Buffer.add_int32_le buf (Int32.of_int vlen);
-  Buffer.add_string buf key;
-  Buffer.add_bytes buf value
+(* Entry encoding: klen:u16, vlen:u32, key bytes, value bytes. *)
+let header_len = 6
+let entry_len ~key ~value = header_len + String.length key + Bytes.length value
+let klen_at data off = Bytes.get_uint16_le data off
+let vlen_at data off = Int32.to_int (Bytes.get_int32_le data (off + 2))
 
 let decode_entry data off =
-  let klen = Bytes.get_uint16_le data off in
-  let vlen = Int32.to_int (Bytes.get_int32_le data (off + 2)) in
-  let key = Bytes.sub_string data (off + 6) klen in
-  let value = Bytes.sub data (off + 6 + klen) vlen in
-  (key, value, 6 + klen + vlen)
+  let klen = klen_at data off and vlen = vlen_at data off in
+  let key = Bytes.sub_string data (off + header_len) klen in
+  let value = Bytes.sub data (off + header_len + klen) vlen in
+  (key, value, header_len + klen + vlen)
+
+(* Bytes to write, laid end to end: slice [i] is [lens.(i)] bytes of
+   [srcs.(i)] from [offs.(i)].  The page writer gathers them straight into
+   the I/O buffer, so no table or WAL record is ever encoded whole. *)
+type slices = { srcs : bytes array; offs : int array; lens : int array }
+
+let slices n =
+  { srcs = Array.make n Bytes.empty; offs = Array.make n 0; lens = Array.make n 0 }
+
+let set_slice s i src off len =
+  s.srcs.(i) <- src;
+  s.offs.(i) <- off;
+  s.lens.(i) <- len
+
+(* Entry [j] as slices [3j], [3j+1], [3j+2]: its header, encoded into
+   [headers] at [6j], its key and its value.  The key slice only reads the
+   string. *)
+let set_entry s headers j ~key ~value =
+  let h = header_len * j in
+  Bytes.set_uint16_le headers h (String.length key);
+  Bytes.set_int32_le headers (h + 2) (Int32.of_int (Bytes.length value));
+  set_slice s (3 * j) headers h header_len;
+  set_slice s ((3 * j) + 1) (Bytes.unsafe_of_string key) 0 (String.length key);
+  set_slice s ((3 * j) + 2) value 0 (Bytes.length value)
 
 let wal_path dir = dir ^ "/wal"
 let table_path dir n = Printf.sprintf "%s/sst-%04d" dir n
@@ -92,25 +114,50 @@ let io_buf t =
   match t.io_buf with
   | Some buf -> Proc.return buf
   | None ->
-      let* buf = A.alloc_buf 4096 in
+      let* buf = A.alloc_buf page in
       t.io_buf <- Some buf;
       Proc.return buf
 
-(* Write a bytes blob through the vfs in page-sized chunks. *)
-let write_blob t fd data =
+(* The page writer: gather the slices into the I/O buffer and write them
+   to [fd] as full pages and then the remainder, with no write when they
+   are empty.  Stops at the first short write; returns the bytes
+   written. *)
+let write_slices t fd s =
   let* buf = io_buf t in
-  let len = Bytes.length data in
-  let rec loop off =
-    if off >= len then Proc.return ()
-    else begin
-      let n = min 4096 (len - off) in
-      Bytes.blit data off buf.M3v_mux.Act_ops.data 0 n;
-      let* written = t.vfs.Vfs.write fd buf n in
-      if written <> n then failwith "kvstore: short write";
-      loop (off + n)
-    end
+  let dst = buf.M3v_mux.Act_ops.data in
+  let n = Array.length s.srcs in
+  (* The next byte to gather is [at] bytes into slice [i]. *)
+  let i = ref 0 and at = ref 0 in
+  let rec pages written =
+    let fill = ref 0 in
+    while !fill < page && !i < n do
+      let k = min (s.lens.(!i) - !at) (page - !fill) in
+      Bytes.blit s.srcs.(!i) (s.offs.(!i) + !at) dst !fill k;
+      fill := !fill + k;
+      at := !at + k;
+      if !at = s.lens.(!i) then begin
+        incr i;
+        at := 0
+      end
+    done;
+    let len = !fill in
+    if len = 0 then Proc.return written
+    else
+      let* got = t.vfs.Vfs.write fd buf len in
+      if got <> len then Proc.return (written + got) else pages (written + len)
   in
-  loop 0
+  pages 0
+
+(* Write [size] bytes of slices to a new table file; returns its path. *)
+let write_table t s ~size =
+  let path = table_path t.dir t.next_table in
+  t.next_table <- t.next_table + 1;
+  let* fd = t.vfs.Vfs.open_ path Fs_proto.wronly in
+  let fd = match fd with Ok fd -> fd | Error e -> failwith e in
+  let* written = write_slices t fd s in
+  if written <> size then failwith "kvstore: short write";
+  let* () = t.vfs.Vfs.close fd in
+  Proc.return path
 
 let read_blob t fd ~off ~len =
   let* () = t.vfs.Vfs.seek fd off in
@@ -119,7 +166,7 @@ let read_blob t fd ~off ~len =
   let rec loop pos =
     if pos >= len then Proc.return out
     else begin
-      let n = min 4096 (len - pos) in
+      let n = min page (len - pos) in
       let* got = t.vfs.Vfs.read fd buf n in
       if got = 0 then failwith "kvstore: unexpected EOF";
       Bytes.blit buf.M3v_mux.Act_ops.data 0 out pos got;
@@ -132,30 +179,22 @@ let read_blob t fd ~off ~len =
 let flush t =
   if Smap.is_empty t.memtable then Proc.return ()
   else begin
-    let buf = Buffer.create (t.mem_bytes + 1024) in
-    let index = ref [] in
+    let entries = Smap.cardinal t.memtable in
+    let s = slices (3 * entries) in
+    let headers = Bytes.create (header_len * entries) in
+    let index = Array.make entries ("", (0, 0)) in
+    let j = ref 0 and size = ref 0 in
     Smap.iter
       (fun key value ->
-        index := (key, (Buffer.length buf, entry_len ~key ~value)) :: !index;
-        encode_entry buf ~key ~value)
+        let len = entry_len ~key ~value in
+        set_entry s headers !j ~key ~value;
+        index.(!j) <- (key, (!size, len));
+        incr j;
+        size := !size + len)
       t.memtable;
-    let data = Buffer.to_bytes buf in
-    let entries = Smap.cardinal t.memtable in
     let* () = A.compute (entries * entry_cycles) in
-    let path = table_path t.dir t.next_table in
-    t.next_table <- t.next_table + 1;
-    let* fd = t.vfs.Vfs.open_ path Fs_proto.wronly in
-    let fd = match fd with Ok fd -> fd | Error e -> failwith e in
-    let* () = write_blob t fd data in
-    let* () = t.vfs.Vfs.close fd in
-    let table =
-      {
-        ss_path = path;
-        ss_index = Array.of_list (List.rev !index);
-        ss_size = Bytes.length data;
-      }
-    in
-    t.tables <- table :: t.tables;
+    let* path = write_table t s ~size:!size in
+    t.tables <- { ss_path = path; ss_index = index; ss_size = !size } :: t.tables;
     t.memtable <- Smap.empty;
     t.mem_bytes <- 0;
     (* Truncate the WAL: its entries are now durable in the table. *)
@@ -185,62 +224,103 @@ let index_lookup t (table : sstable) key =
   ignore t;
   Proc.return result
 
+let rec same_key data off key i =
+  i = String.length key
+  || (Bytes.get data (off + i) = key.[i] && same_key data off key (i + 1))
+
+(* Raise [Failure] unless [data], read back from [table]'s file, holds an
+   entry with the indexed key and length at every offset in the index.
+   Allocates nothing. *)
+let check_entries table data =
+  for j = 0 to Array.length table.ss_index - 1 do
+    let key, (off, len) = table.ss_index.(j) in
+    let klen = String.length key in
+    if
+      off < 0
+      || off + len > Bytes.length data
+      || len < header_len + klen
+      || klen_at data off <> klen
+      || header_len + klen + vlen_at data off <> len
+      || not (same_key data (off + header_len) key 0)
+    then failwith ("kvstore: table does not match its index: " ^ table.ss_path)
+  done
+
+(* Merge the sorted indexes of [tables], oldest first.  Returns the number
+   of distinct keys and, for the [j]th of them in key order, the table
+   holding its newest entry and that entry's position in the table's
+   index. *)
+let merge_indexes tables =
+  let k = Array.length tables in
+  let total = Array.fold_left (fun n tb -> n + Array.length tb.ss_index) 0 tables in
+  let win_table = Array.make total 0 and win_pos = Array.make total 0 in
+  let pos = Array.make k 0 in
+  let head i = fst tables.(i).ss_index.(pos.(i)) in
+  let live i = pos.(i) < Array.length tables.(i).ss_index in
+  let count = ref 0 and fin = ref false in
+  while not !fin do
+    (* Newest first, so that of equal keys the newest table's wins. *)
+    let best = ref (-1) in
+    for i = k - 1 downto 0 do
+      if live i && (!best < 0 || String.compare (head i) (head !best) < 0) then
+        best := i
+    done;
+    if !best < 0 then fin := true
+    else begin
+      let key = head !best in
+      win_table.(!count) <- !best;
+      win_pos.(!count) <- pos.(!best);
+      incr count;
+      for i = 0 to k - 1 do
+        if live i && String.equal (head i) key then pos.(i) <- pos.(i) + 1
+      done
+    end
+  done;
+  (!count, win_table, win_pos)
+
 let compact t =
   t.n_compactions <- t.n_compactions + 1;
-  (* Read every table oldest-first so newer values win, merge, rewrite. *)
-  let merged = ref Smap.empty in
+  (* Read every table oldest first and check it against its index. *)
+  let tables = Array.of_list (List.rev t.tables) in
+  let blobs = Array.make (Array.length tables) Bytes.empty in
   let* () =
-    Proc.iter_list
-      (fun table ->
+    Proc.repeat (Array.length tables) (fun i ->
+        let table = tables.(i) in
         let* fd = t.vfs.Vfs.open_ table.ss_path Fs_proto.rdonly in
         let fd = match fd with Ok fd -> fd | Error e -> failwith e in
         let* data = read_blob t fd ~off:0 ~len:table.ss_size in
+        check_entries table data;
+        blobs.(i) <- data;
         let* () = t.vfs.Vfs.close fd in
         let* _ = t.vfs.Vfs.unlink table.ss_path in
-        let rec decode off =
-          if off >= Bytes.length data then ()
-          else begin
-            let key, value, step = decode_entry data off in
-            merged := Smap.add key value !merged;
-            decode (off + step)
-          end
-        in
-        decode 0;
         A.compute (Array.length table.ss_index * entry_cycles))
-      (List.rev t.tables)
   in
   t.tables <- [];
-  let buf = Buffer.create 4096 in
-  let index = ref [] in
-  Smap.iter
-    (fun key value ->
-      index := (key, (Buffer.length buf, entry_len ~key ~value)) :: !index;
-      encode_entry buf ~key ~value)
-    !merged;
-  let data = Buffer.to_bytes buf in
-  let path = table_path t.dir t.next_table in
-  t.next_table <- t.next_table + 1;
-  let* fd = t.vfs.Vfs.open_ path Fs_proto.wronly in
-  let fd = match fd with Ok fd -> fd | Error e -> failwith e in
-  let* () = write_blob t fd data in
-  let* () = t.vfs.Vfs.close fd in
-  t.tables <-
-    [ { ss_path = path; ss_index = Array.of_list (List.rev !index);
-        ss_size = Bytes.length data } ];
+  (* Rewrite each key's newest entry straight from the bytes read back. *)
+  let n, win_table, win_pos = merge_indexes tables in
+  let s = slices n in
+  let size = ref 0 in
+  let index =
+    Array.init n (fun j ->
+        let i = win_table.(j) in
+        let key, (off, len) = tables.(i).ss_index.(win_pos.(j)) in
+        set_slice s j blobs.(i) off len;
+        let at = !size in
+        size := at + len;
+        (key, (at, len)))
+  in
+  let* path = write_table t s ~size:!size in
+  t.tables <- [ { ss_path = path; ss_index = index; ss_size = !size } ];
   Proc.return ()
 
 let put t ~key ~value =
   let* () = A.compute put_cycles in
-  (* WAL append first. *)
-  let buf = Buffer.create 64 in
-  encode_entry buf ~key ~value;
-  let record = Buffer.to_bytes buf in
+  (* WAL append first.  A short write means the file system has failed;
+     the record is not retried. *)
+  let record = slices 3 in
+  set_entry record (Bytes.create header_len) 0 ~key ~value;
   let* () = t.vfs.Vfs.seek t.wal_fd t.wal_pos in
-  let* wbuf = io_buf t in
-  let n = min (Bytes.length record) 4096 in
-  Bytes.blit record 0 wbuf.M3v_mux.Act_ops.data 0 n;
-  let* _ = t.vfs.Vfs.write t.wal_fd wbuf n in
-  t.wal_pos <- t.wal_pos + n;
+  let* _ = write_slices t t.wal_fd record in
+  t.wal_pos <- t.wal_pos + entry_len ~key ~value;
   let* () = A.compute entry_cycles in
   (if not (Smap.mem key t.memtable) then
      t.mem_bytes <- t.mem_bytes + entry_len ~key ~value);

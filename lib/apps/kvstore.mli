@@ -8,6 +8,16 @@
     is what makes them the most expensive YCSB operation.  When too many
     tables accumulate they are compacted into one.
 
+    A table file holds its entries in key order, each as klen:u16,
+    vlen:u32, key, value (little endian); its sorted index of key to
+    entry offset and length stays in memory.  Every file write goes
+    through one 4 KiB I/O buffer, as full pages and then the remainder:
+    a WAL record and a flushed table are gathered into it straight from
+    the key and value, and a compaction merges the tables' indexes (of
+    equal keys the newest table's wins) and gathers each surviving entry
+    from the bytes it read back, after checking those bytes against the
+    index ([Failure] on a mismatch).
+
     All persistence goes through the portable {!M3v_os.Vfs.t}, so the same
     store runs on m3fs and on the Linux model's tmpfs. *)
 

@@ -258,6 +258,197 @@ let test_kvstore_compaction_preserves_data () =
   check_bool "compactions ran" true (!compactions >= 1);
   Alcotest.(check (list (pair int string))) "no data lost" [] !missing
 
+(* --- kvstore file format against a reference model --- *)
+
+module Smap = Map.Make (String)
+
+(* The store's vfs, recording each write as the path of its fd and its
+   length, newest first; [on_read path buf got] may alter what a read
+   returns. *)
+let recording_vfs ?(on_read = fun _ _ _ -> ()) (vfs : M3v_os.Vfs.t) writes =
+  let paths = Hashtbl.create 8 in
+  {
+    vfs with
+    open_ =
+      (fun path flags ->
+        let* r = vfs.open_ path flags in
+        Result.iter (fun fd -> Hashtbl.replace paths fd path) r;
+        Proc.return r);
+    read =
+      (fun fd buf n ->
+        let* got = vfs.read fd buf n in
+        on_read (Hashtbl.find paths fd) buf got;
+        Proc.return got);
+    write =
+      (fun fd buf n ->
+        writes := (Hashtbl.find paths fd, n) :: !writes;
+        vfs.write fd buf n);
+  }
+
+(* The table format, encoded independently of the store: per key in
+   order, klen:u16, vlen:u32, key, value. *)
+let reference_table m =
+  let b = Buffer.create 4096 in
+  Smap.iter
+    (fun key value ->
+      Buffer.add_uint16_le b (String.length key);
+      Buffer.add_int32_le b (Int32.of_int (Bytes.length value));
+      Buffer.add_string b key;
+      Buffer.add_bytes b value)
+    m;
+  Buffer.to_bytes b
+
+let kv_key i = Printf.sprintf "k%03d" i
+
+(* 1,000-byte values, distinct per (round, key), so entries straddle the
+   4 KiB pages a table is written in. *)
+let kv_value round i =
+  Bytes.init 1000 (fun j -> Char.chr (97 + (((round * 7) + (i * 3) + j) mod 26)))
+
+(* The sizes of the writes to [path], in order. *)
+let sizes_written path writes =
+  List.rev (List.filter_map (fun (p, n) -> if p = path then Some n else None) writes)
+
+(* The one table file in [dir] after a flush or compaction (the others are
+   unlinked), read back through the vfs. *)
+let read_table vfs dir =
+  let* names = vfs.M3v_os.Vfs.readdir dir in
+  match List.filter (fun n -> n <> "wal") (Result.get_ok names) with
+  | [ name ] ->
+      let path = dir ^ "/" ^ name in
+      let* data = M3v_os.Vfs.read_all vfs path in
+      Proc.return (path, Result.get_ok data)
+  | names -> failwith ("expected one table, found " ^ String.concat "," names)
+
+(* The table at [path] holds [expect]'s reference encoding, written as
+   full 4096-byte pages and then one shorter remainder. *)
+let check_table what ~writes (path, data) expect =
+  let reference = reference_table expect in
+  check_bool (what ^ ": bytes equal the reference encoding") true
+    (Bytes.equal reference data);
+  let sizes = sizes_written path writes in
+  let full = Bytes.length reference / 4096 and rest = Bytes.length reference mod 4096 in
+  check_bool (what ^ ": the table ends mid-page") true (rest > 0);
+  Alcotest.(check (list int)) (what ^ ": write sizes")
+    (List.init full (fun _ -> 4096) @ [ rest ])
+    sizes
+
+let test_kvstore_flush_matches_reference () =
+  let writes = ref [] and table = ref None and model = ref Smap.empty in
+  let _ =
+    run_db_system (fun vfs ->
+        let vfs = recording_vfs vfs writes in
+        let* store = Kvstore.create ~vfs ~dir:"/kv" ~memtable_limit:8192 () in
+        let store = Result.get_ok store in
+        let* () =
+          Proc.iter_list
+            (fun i ->
+              model := Smap.add (kv_key i) (kv_value 0 i) !model;
+              Kvstore.put store ~key:(kv_key i) ~value:(kv_value 0 i))
+            [ 5; 1; 7; 0; 3; 6; 2; 4 ]
+        in
+        let* () = Kvstore.flush store in
+        let* t = read_table vfs "/kv" in
+        table := Some t;
+        Proc.return ())
+  in
+  check_table "flush" ~writes:!writes (Option.get !table) !model
+
+(* Four tables with updated keys and keys left only in old tables; the
+   fourth flush compacts them.  The compacted table is the model's
+   encoding with the newest value of every key, and each key reads back
+   its newest value. *)
+let test_kvstore_compaction_matches_reference () =
+  let writes = ref [] and table = ref None and model = ref Smap.empty in
+  let wrong = ref [] and tables = ref 0 in
+  let rounds =
+    [ [ 0; 1; 2; 3; 4; 5; 6; 7 ]; [ 4; 5; 6; 7; 8; 9 ]; [ 0; 2; 10; 11 ] ]
+  in
+  let _ =
+    run_db_system (fun vfs ->
+        let vfs = recording_vfs vfs writes in
+        let* store =
+          Kvstore.create ~vfs ~dir:"/kv" ~memtable_limit:8192 ~compact_threshold:3 ()
+        in
+        let store = Result.get_ok store in
+        let put round i =
+          model := Smap.add (kv_key i) (kv_value round i) !model;
+          Kvstore.put store ~key:(kv_key i) ~value:(kv_value round i)
+        in
+        let* () =
+          Proc.iter_list
+            (fun (round, keys) ->
+              let* () = Proc.iter_list (put round) keys in
+              Kvstore.flush store)
+            (List.mapi (fun r keys -> (r, keys)) rounds)
+        in
+        (* The ninth new key overflows the memtable: flush, then compact. *)
+        let* () = Proc.iter_list (put 3) [ 5; 12; 13; 14; 15; 16; 17; 18; 19 ] in
+        tables := Kvstore.sstable_count store;
+        let* t = read_table vfs "/kv" in
+        table := Some t;
+        let* () =
+          Proc.iter_list
+            (fun (key, value) ->
+              let* v = Kvstore.get store ~key in
+              if not (Option.equal Bytes.equal v (Some value)) then
+                wrong := key :: !wrong;
+              Proc.return ())
+            (Smap.bindings !model)
+        in
+        Proc.return ())
+  in
+  check_int "one table after compaction" 1 !tables;
+  Alcotest.(check (list string)) "every key reads its newest value" [] !wrong;
+  check_table "compaction" ~writes:!writes (Option.get !table) !model
+
+(* A WAL record longer than a page is logged whole, in page-sized writes. *)
+let test_kvstore_wal_logs_long_records () =
+  let writes = ref [] in
+  let key = "big" and value = Bytes.make 10240 'v' in
+  let _ =
+    run_db_system (fun vfs ->
+        let vfs = recording_vfs vfs writes in
+        let* store = Kvstore.create ~vfs ~dir:"/kv" () in
+        Kvstore.put (Result.get_ok store) ~key ~value)
+  in
+  let wal = sizes_written "/kv/wal" !writes in
+  check_int "WAL bytes = entry length" (6 + String.length key + Bytes.length value)
+    (List.fold_left ( + ) 0 wal);
+  Alcotest.(check (list int)) "page-sized WAL writes" [ 4096; 4096; 2057 ] wal
+
+(* Compaction checks what it reads back against the table's index: a key
+   byte flipped on the way fails the compaction instead of being
+   rewritten. *)
+let test_kvstore_compaction_checks_read_back () =
+  let armed = ref false in
+  let flip path buf got =
+    if !armed && got > 6 && path <> "/kv/wal" then begin
+      armed := false;
+      let data = buf.M3v_mux.Act_ops.data in
+      Bytes.set data 6 (Char.chr (Char.code (Bytes.get data 6) lxor 1))
+    end
+  in
+  match
+    run_db_system (fun vfs ->
+        let vfs = recording_vfs ~on_read:flip vfs (ref []) in
+        let* store =
+          Kvstore.create ~vfs ~dir:"/kv" ~memtable_limit:2048 ~compact_threshold:2 ()
+        in
+        let store = Result.get_ok store in
+        let put i = Kvstore.put store ~key:(kv_key i) ~value:(kv_value 0 i) in
+        (* Every third new key flushes.  Two tables, then arm: the put that
+           flushes a third compacts. *)
+        let* () = Proc.iter_list put [ 0; 1; 2; 3; 4; 5 ] in
+        check_int "two tables before the compaction" 2 (Kvstore.sstable_count store);
+        armed := true;
+        Proc.iter_list put [ 6; 7; 8 ])
+  with
+  | _ -> Alcotest.fail "compaction wrote a corrupted table"
+  | exception Failure msg ->
+      check_bool ("compaction failed: " ^ msg) true
+        (String.starts_with ~prefix:"kvstore: table does not match its index" msg)
+
 (* Regression test for the shared-data-endpoint bug: interleaving IO on
    two files must not corrupt either. *)
 let test_interleaved_fds_no_corruption () =
@@ -321,6 +512,10 @@ let suite =
     ("kvstore put/get/scan", `Quick, test_kvstore_put_get_scan);
     ("kvstore update wins", `Quick, test_kvstore_update_wins);
     ("kvstore compaction", `Quick, test_kvstore_compaction_preserves_data);
+    ("kvstore flush = reference encoding", `Quick, test_kvstore_flush_matches_reference);
+    ("kvstore compaction = reference", `Quick, test_kvstore_compaction_matches_reference);
+    ("kvstore WAL logs long records", `Quick, test_kvstore_wal_logs_long_records);
+    ("kvstore compaction checks read-back", `Quick, test_kvstore_compaction_checks_read_back);
     ("interleaved fds (regression)", `Quick, test_interleaved_fds_no_corruption);
   ]
   @ [ QCheck_alcotest.to_alcotest prop_flac_roundtrip ]
