@@ -112,9 +112,10 @@ type t = {
   mutable ep_cache_act : act_id;
   mutable ep_cache_res : (Ep.t, Dtu_types.error) result;
   (* Credit refunds that arrived while the target send endpoint was
-     Invalid (a refund racing a snapshot/teardown window).  Keyed by
-     endpoint index; applied when a send config is restored into that
-     slot, discarded when the slot is reconfigured for a new purpose. *)
+     Invalid (a refund racing a taken endpoint or a teardown).  Keyed by
+     endpoint index; applied when [ext_put] installs a send config into
+     that slot, discarded when the slot is reconfigured for a new
+     purpose. *)
   pending_refunds : (int, int) Hashtbl.t;
   (* Migration forwarding pointers: after an activity migrates away, its
      old endpoint slots may still be named by in-flight packets and by
@@ -179,7 +180,6 @@ let unread_cell t act =
 
 let unread_of t act = !(unread_cell t act)
 let cur_act t = t.cur
-let cur_unread t = unread_of t t.cur
 
 (* --- endpoint access helpers --- *)
 
@@ -383,8 +383,8 @@ let deliver dst ~dst_ep (msg : Msg.t) =
 (* Grant [n] credits back to the send endpoint [ep] on [dst_dtu].  Grants
    beyond [max_credits] are dropped (the endpoint was reset to full by a
    crash-teardown reclaim in the meantime).  If the endpoint is Invalid the
-   refund is parked in [pending_refunds]: a restore of the saved send
-   config re-applies it, while a reconfiguration discards it — either way
+   refund is parked in [pending_refunds]: [ext_put] of the taken send
+   endpoint re-applies it, while a reconfiguration discards it — either way
    no credit is minted for the wrong endpoint. *)
 let rec restore_credit_n dst_dtu ~ep n =
   if n > 0 && ep >= 0 && ep < Array.length dst_dtu.eps then
@@ -841,12 +841,6 @@ let ack t ~ep msg =
           | None -> ());
           Ok ())
 
-let has_msgs t ~ep =
-  match get_owned_ep t ep with
-  | Ok { Ep.cfg = Ep.Recv r; _ } -> not (Queue.is_empty r.Ep.pending)
-  | Ok { Ep.cfg = Ep.Mpmc_recv mp; _ } -> not (Queue.is_empty mp.Ep.mp_pending)
-  | Ok _ | Error _ -> false
-
 (* Whether [ep] is configured as an MPMC receive endpoint (any owner); the
    tile runtime uses this to charge the cheaper ack cost — releasing an
    MPMC slot is a single MMIO tail-counter store, not a full command. *)
@@ -938,7 +932,6 @@ let switch_act t ~next =
 
 let tlb_insert t ~act ~vpage ~ppage ~perm = Tlb.insert t.tlb ~act ~vpage ~ppage ~perm
 let tlb_invalidate_act t act = Tlb.invalidate_act t.tlb act
-let tlb_invalidate_page t ~act ~vpage = Tlb.invalidate_page t.tlb ~act ~vpage
 let fetch_core_req t = Queue.peek_opt t.core_reqs
 
 let ack_core_req t =
@@ -971,8 +964,9 @@ let ext_config t ~ep ~owner cfg =
   Hashtbl.remove t.pending_refunds ep;
   Hashtbl.remove t.moved ep;
   (* A memory endpoint opens its window: back the window's DRAM pages now,
-     at set-up, so that DMA through it never allocates one mid-run.  A
-     restored endpoint's window was backed when it was first configured. *)
+     at set-up, so that DMA through it never allocates one mid-run.  An
+     endpoint put back by [ext_put] had its window backed when it was first
+     configured. *)
   (match cfg with
   | Ep.Mem m -> (
       match t.lookup_mem m.Ep.mem_tile with
@@ -992,41 +986,45 @@ let ext_invalidate t ~ep =
 
 let ext_read_ep t ~ep =
   check_ep_index t ep;
-  Ep.snapshot t.eps.(ep)
+  t.eps.(ep)
 
-let ext_snapshot_eps t ~first ~count =
-  check_ep_index t first;
-  check_ep_index t (first + count - 1);
-  Array.init count (fun i -> Ep.snapshot t.eps.(first + i))
-
-let ext_restore_eps t ~first eps =
+(* Move the record out of slot [ep]: the caller gets the endpoint itself
+   and the slot a fresh Invalid record, so nothing done to the slot while
+   the endpoint is out (a reconfiguration, a delivery, a refund) reaches
+   the taken record.  Refunds that land on the empty slot are parked for
+   [ext_put]; a configured slot has none parked. *)
+let ext_take t ~ep =
+  check_ep_index t ep;
   invalidate_ep_cache t;
-  Array.iteri
-    (fun i saved ->
-      let idx = first + i in
-      check_ep_index t idx;
-      Ep.validate_config ~ctx:"ext_restore_eps" saved.Ep.cfg;
-      (* The slot is live again: a forwarding pointer left behind when a
-         previous tenant vacated it must not hijack (and ping-pong) the
-         restored endpoint's traffic.  Without this, the third hop of a
-         migration that revisits a tile chases stale [moved] entries in a
-         cycle until the hop budget runs out and delivers wherever the
-         chase happens to stop. *)
-      Hashtbl.remove t.moved idx;
-      t.eps.(idx) <- Ep.snapshot saved;
-      (* A refund that arrived while this slot sat Invalid (saved but not
-         yet restored) was parked; re-apply it now so the restored send
-         endpoint is not short of credits, capped at max_credits. *)
-      match t.eps.(idx).Ep.cfg with
-      | Ep.Send s -> (
-          match Hashtbl.find_opt t.pending_refunds idx with
-          | Some n ->
-              Hashtbl.remove t.pending_refunds idx;
-              s.Ep.credits <- min s.Ep.max_credits (s.Ep.credits + n);
-              Ep.check_credits ~ctx:"ext_restore_eps" s
-          | None -> ())
-      | _ -> Hashtbl.remove t.pending_refunds idx)
-    eps
+  Hashtbl.remove t.moved ep;
+  let e = t.eps.(ep) in
+  t.eps.(ep) <- Ep.make_invalid ();
+  e
+
+let ext_put t ~ep saved =
+  check_ep_index t ep;
+  Ep.validate_config ~ctx:"ext_put" saved.Ep.cfg;
+  invalidate_ep_cache t;
+  (* The slot is live again: a forwarding pointer left behind when a
+     previous tenant vacated it must not hijack (and ping-pong) the
+     endpoint's traffic.  Without this, the third hop of a migration that
+     revisits a tile chases stale [moved] entries in a cycle until the hop
+     budget runs out and delivers wherever the chase happens to stop. *)
+  Hashtbl.remove t.moved ep;
+  t.eps.(ep) <- saved;
+  (* A refund that arrived while the endpoint was out was parked; apply it
+     now so the send endpoint is not short of credits, capped at
+     max_credits. *)
+  match saved.Ep.cfg with
+  | Ep.Send s -> (
+      match Hashtbl.find_opt t.pending_refunds ep with
+      | Some n ->
+          Hashtbl.remove t.pending_refunds ep;
+          s.Ep.credits <- min s.Ep.max_credits (s.Ep.credits + n);
+          Ep.check_credits ~ctx:"ext_put" s
+      | None -> ())
+  | Ep.Invalid | Ep.Recv _ | Ep.Mpmc_recv _ | Ep.Mem _ ->
+      Hashtbl.remove t.pending_refunds ep
 
 let ext_inject t ~ep msg =
   (* Externally injected messages (kernel upcalls, NIC receive path) have
@@ -1126,10 +1124,6 @@ let ext_set_moved t ~ep ~dst_tile ~dst_ep =
   check_ep_index t ep;
   Hashtbl.replace t.moved ep (dst_tile, dst_ep)
 
-let ext_clear_moved t ~ep =
-  check_ep_index t ep;
-  Hashtbl.remove t.moved ep
-
 (* Rewrite every send endpoint of this DTU that targets (old_tile, ep) for
    ep in [eps] to target (new_tile, ep): the receive gates behind them
    migrated, slot indices preserved.  Credit balances are untouched —
@@ -1146,27 +1140,10 @@ let ext_retarget t ~old_tile ~new_tile ~eps =
     t.eps;
   !n
 
-(* Take (and clear) the refunds parked at [ep] so migration can carry them
-   to the activity's new tile; [ext_park_refund] deposits them there,
-   where the subsequent [ext_restore_eps] re-applies them capped. *)
-let ext_take_parked_refund t ~ep =
-  check_ep_index t ep;
-  match Hashtbl.find_opt t.pending_refunds ep with
-  | Some n ->
-      Hashtbl.remove t.pending_refunds ep;
-      n
-  | None -> 0
-
-let ext_park_refund t ~ep n =
-  check_ep_index t ep;
-  if n > 0 then
-    let cur = Option.value (Hashtbl.find_opt t.pending_refunds ep) ~default:0 in
-    Hashtbl.replace t.pending_refunds ep (cur + n)
-
 (* Rebuild the unread counter for [act] from the messages queued at its
-   receive endpoints — after migration installs snapshotted endpoints on a
-   fresh tile no [deliver] ever incremented the counter there.  Returns
-   the seeded count. *)
+   receive endpoints — after migration puts its endpoints on a fresh tile
+   no [deliver] ever incremented the counter there.  Returns the seeded
+   count. *)
 let ext_seed_unread t ~act =
   let n = ref 0 in
   Array.iter

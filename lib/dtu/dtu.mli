@@ -105,9 +105,6 @@ val mem_write :
   k:completion ->
   unit
 
-(** Whether the endpoint has unread messages (used by polling loops). *)
-val has_msgs : t -> ep:int -> bool
-
 (** Whether [ep] is configured as an MPMC receive endpoint (any owner).
     The tile runtime charges MPMC acks as a single MMIO store (the
     tail-counter bump) instead of a full command round trip. *)
@@ -116,11 +113,6 @@ val is_mpmc : t -> ep:int -> bool
 (** {1 Privileged interface (vDTU)} *)
 
 val cur_act : t -> Dtu_types.act_id
-
-(** Unread-message count of the current activity (the CUR_ACT register's
-    counter field). *)
-val cur_unread : t -> int
-
 val unread_of : t -> Dtu_types.act_id -> int
 
 (** Atomically switch to another activity; returns the old activity id and
@@ -132,7 +124,6 @@ val tlb_insert :
   t -> act:Dtu_types.act_id -> vpage:int -> ppage:int -> perm:Dtu_types.perm -> unit
 
 val tlb_invalidate_act : t -> Dtu_types.act_id -> unit
-val tlb_invalidate_page : t -> act:Dtu_types.act_id -> vpage:int -> unit
 val tlb : t -> Tlb.t
 
 (** Head of the core-request queue (the activity that received a message
@@ -155,16 +146,28 @@ val set_msg_arrived : t -> (Dtu_types.act_id -> unit) -> unit
 (** {1 External interface (controller only)} *)
 
 (** Configuring a memory endpoint backs the DRAM pages of its window
-    ({!Dram.back}); restoring one with [ext_restore_eps] does not. *)
+    ({!Dram.back}); putting one back with [ext_put] does not. *)
 val ext_config : t -> ep:int -> owner:Dtu_types.act_id -> Ep.config -> unit
 
 val ext_invalidate : t -> ep:int -> unit
+
+(** The live record of slot [ep], not a copy, for callers that read its
+    configuration or owner. *)
 val ext_read_ep : t -> ep:int -> Ep.t
 
-(** Save / restore a contiguous endpoint range (M3x remote multiplexing). *)
-val ext_snapshot_eps : t -> first:int -> count:int -> Ep.t array
+(** [ext_take t ~ep] moves slot [ep]'s own record out of the register
+    file (M3x switches, migration flips) and leaves a fresh Invalid record
+    in the slot, so a later [ext_config], delivery or refund on the slot
+    never reaches the taken record.  A command already in flight on the
+    endpoint still completes against the taken record.  Refunds that land
+    while the slot is empty are parked there for [ext_put]. *)
+val ext_take : t -> ep:int -> Ep.t
 
-val ext_restore_eps : t -> first:int -> Ep.t array -> unit
+(** [ext_put t ~ep saved] installs a record taken with [ext_take],
+    validated like an [ext_config] config.  Refunds parked at the slot are
+    applied to a Send endpoint, capped at [max_credits]; any other config
+    drops them. *)
+val ext_put : t -> ep:int -> Ep.t -> unit
 
 (** Deliver a message into a local receive endpoint on behalf of the
     controller (M3x slow path: the controller forwards messages to
@@ -198,10 +201,8 @@ val ext_release_fetched : t -> ep:int -> int
 (** Install a forwarding pointer on a vacated (Invalid) slot: in-flight
     packets and credit grants addressed to it chase the migrated activity
     to [dst_tile:dst_ep], one extra NoC leg per hop.  Cleared by
-    [ext_config]/[ext_invalidate] when the slot is reused. *)
+    [ext_config], [ext_invalidate], [ext_take] and [ext_put]. *)
 val ext_set_moved : t -> ep:int -> dst_tile:int -> dst_ep:int -> unit
-
-val ext_clear_moved : t -> ep:int -> unit
 
 (** [ext_retarget t ~old_tile ~new_tile ~eps] rewrites every send endpoint
     of this DTU targeting [(old_tile, ep)] for [ep] in [eps] to
@@ -210,17 +211,9 @@ val ext_clear_moved : t -> ep:int -> unit
     many endpoints were rewritten. *)
 val ext_retarget : t -> old_tile:int -> new_tile:int -> eps:int list -> int
 
-(** Take (and clear) credit refunds parked at an Invalid slot, so a
-    migration can carry them to the activity's new tile. *)
-val ext_take_parked_refund : t -> ep:int -> int
-
-(** Deposit carried refunds at the target slot; the subsequent
-    [ext_restore_eps] re-applies them capped at the endpoint maximum. *)
-val ext_park_refund : t -> ep:int -> int -> unit
-
 (** Rebuild the unread counter of [act] from the messages queued at its
-    receive endpoints (after installing snapshotted endpoints on a fresh
-    tile); returns the seeded count. *)
+    receive endpoints (after putting its endpoints on a fresh tile);
+    returns the seeded count. *)
 val ext_seed_unread : t -> act:Dtu_types.act_id -> int
 
 (** Drop the unread counter of a departed activity. *)

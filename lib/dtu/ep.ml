@@ -134,32 +134,6 @@ let mem_config ~mem_tile ~base ~size ~perm =
   if size <= 0 || base < 0 then invalid_arg "Ep.mem_config: bad window";
   Mem { mem_tile; base; mem_size = size; perm }
 
-let snapshot t =
-  let cfg =
-    match t.cfg with
-    | Invalid -> Invalid
-    | Send s -> Send { s with dst_tile = s.dst_tile }
-    | Recv r ->
-        Recv
-          {
-            r with
-            pending = Queue.copy r.pending;
-            seen = Hashtbl.copy r.seen;
-            seen_fifo = Queue.copy r.seen_fifo;
-          }
-    | Mpmc_recv mp ->
-        Mpmc_recv
-          {
-            mp with
-            mp_pending = Queue.copy mp.mp_pending;
-            mp_seen = Hashtbl.copy mp.mp_seen;
-            mp_seen_fifo = Queue.copy mp.mp_seen_fifo;
-            mp_refunds = Hashtbl.copy mp.mp_refunds;
-          }
-    | Mem m -> Mem { m with mem_tile = m.mem_tile }
-  in
-  { cfg; owner = t.owner }
-
 let pp fmt t =
   match t.cfg with
   | Invalid -> Format.pp_print_string fmt "invalid"

@@ -65,8 +65,13 @@ type config =
   | Mpmc_recv of mpmc
   | Mem of mem
 
+(** One endpoint register.  Saving and restoring move the record itself
+    out of and back into the register file ({!Dtu.ext_take},
+    {!Dtu.ext_put}): nothing copies it, and a taken record stays the
+    holder's until it is put back. *)
 type t = { mutable cfg : config; mutable owner : Dtu_types.act_id }
 
+(** A fresh Invalid record, owned by no activity. *)
 val make_invalid : unit -> t
 
 (** Fresh send configuration with full credits. *)
@@ -86,10 +91,7 @@ val mem_config : mem_tile:int -> base:int -> size:int -> perm:Dtu_types.perm -> 
 val check_credits : ctx:string -> send -> unit
 
 (** Structural sanity for configs arriving over the external interface
-    (restore / ext_config): credit and occupancy bounds. *)
+    ([ext_config] / [ext_put]): credit and occupancy bounds. *)
 val validate_config : ctx:string -> config -> unit
-
-(** Deep copy, used by the M3x controller to save endpoint state. *)
-val snapshot : t -> t
 
 val pp : Format.formatter -> t -> unit

@@ -400,19 +400,17 @@ let mx_stub t tile =
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Controller: no M3x stub on tile %d" tile)
 
+(* An M3x switch moves the outgoing activity's endpoint records out of the
+   register file and the incoming one's back in; nothing is copied. *)
 let snapshot_eps t st a =
   let dtu = Platform.dtu t.platform a.a_tile in
-  let snap = List.map (fun ep -> (ep, Dtu.ext_read_ep dtu ~ep)) a.ep_list in
-  List.iter (fun ep -> Dtu.ext_invalidate dtu ~ep) a.ep_list;
+  let snap = List.map (fun ep -> (ep, Dtu.ext_take dtu ~ep)) a.ep_list in
   Hashtbl.replace st.snapshots a.aid snap
 
 let restore_eps t st a =
   let dtu = Platform.dtu t.platform a.a_tile in
   (match Hashtbl.find_opt st.snapshots a.aid with
-  | Some snap ->
-      List.iter
-        (fun (ep, saved) -> Dtu.ext_restore_eps dtu ~first:ep [| saved |])
-        snap
+  | Some snap -> List.iter (fun (ep, saved) -> Dtu.ext_put dtu ~ep saved) snap
   | None -> ());
   Hashtbl.remove st.snapshots a.aid
 
@@ -422,10 +420,6 @@ let mx_register_act t ~act =
   a.mx_registered <- true;
   snapshot_eps t st a;
   Queue.add act st.ready
-
-let mx_current t ~tile =
-  match Hashtbl.find_opt t.mx_tiles tile with Some s -> s.cur | None -> None
-
 
 let pending_queue st aid =
   match Hashtbl.find_opt st.pending aid with
@@ -659,16 +653,15 @@ let handle_crash t (a : act) ~code ~k =
    TMCall boundary and hand back an opaque image (program, continuation,
    address space).  [drain] charges the NoC round trips that read the
    endpoint state out and push the image to the target.  The FLIP is a
-   single simulated instant: endpoint snapshots (with their queued
-   messages and parked credit refunds), the TLB image and the ownership
-   tables all move at once, and the vacated source slots get forwarding
-   pointers so in-flight packets and late credit grants chase the
-   activity.  Fault injection may abort the protocol at the phase
-   boundaries {e before} the flip — the image is reinstalled on the
-   source and the activity resumes as if nothing happened.  After the
-   flip the protocol can only roll forward.  Either way every message is
-   delivered exactly once and the system-wide credit total is unchanged
-   (asserted below). *)
+   single simulated instant: the endpoint records (with their queued
+   messages), the TLB image and the ownership tables all move at once,
+   and the vacated source slots get forwarding pointers so in-flight
+   packets and late credit grants chase the activity.  Fault injection
+   may abort the protocol at the phase boundaries {e before} the flip —
+   the image is reinstalled on the source and the activity resumes as if
+   nothing happened.  After the flip the protocol can only roll forward.
+   Either way every message is delivered exactly once and the
+   system-wide credit total is unchanged (asserted below). *)
 
 let register_mig_stub t ~tile stub = Hashtbl.replace t.mig_stubs tile stub
 
@@ -708,30 +701,24 @@ let mig_flip t (a : act) ~dst_tile ~eps =
   let sdtu = Platform.dtu t.platform src_tile in
   let tdtu = Platform.dtu t.platform dst_tile in
   let before = credit_inventory t in
-  let snaps =
+  (* A configured slot never has refunds parked, so the records carry every
+     credit; refunds parked at a slot that was already Invalid stay counted
+     there. *)
+  let moved =
     List.map
       (fun ep ->
-        let saved = Dtu.ext_read_ep sdtu ~ep in
-        let parked = Dtu.ext_take_parked_refund sdtu ~ep in
-        (ep, saved, parked))
+        let e = Dtu.ext_take sdtu ~ep in
+        Dtu.ext_set_moved sdtu ~ep ~dst_tile ~dst_ep:ep;
+        (ep, e))
       eps
   in
   let tlb_entries = Tlb.entries_of_act (Dtu.tlb sdtu) a.aid in
   Dtu.tlb_invalidate_act sdtu a.aid;
-  List.iter
-    (fun (ep, _, _) ->
-      Dtu.ext_invalidate sdtu ~ep;
-      Dtu.ext_set_moved sdtu ~ep ~dst_tile ~dst_ep:ep)
-    snaps;
   Dtu.ext_drop_unread sdtu ~act:a.aid;
   (* Same indices on the target: programs hold endpoint numbers in their
      closures, so migration preserves them (the target slots were checked
      Invalid before the protocol started). *)
-  List.iter
-    (fun (ep, saved, parked) ->
-      Dtu.ext_park_refund tdtu ~ep parked;
-      Dtu.ext_restore_eps tdtu ~first:ep [| saved |])
-    snaps;
+  List.iter (fun (ep, e) -> Dtu.ext_put tdtu ~ep e) moved;
   ignore (Dtu.ext_seed_unread tdtu ~act:a.aid);
   List.iter
     (fun (vpage, (e : Tlb.entry)) ->
@@ -1058,8 +1045,8 @@ let handle_sys t (msg : Msg.t) req ~k =
       else begin
         (* Start the protocol, then reply: the requester parks at its next
            TMCall boundary (typically the receive for this very reply — the
-           reply either lands before the flip and migrates inside the
-           endpoint snapshot, or after it and chases the forwarding
+           reply either lands before the flip and moves with the
+           endpoint record, or after it and chases the forwarding
            pointer).  The protocol runs concurrently with the dispatcher:
            holding the single-threaded controller for the whole migration
            could deadlock against a pager round trip the activity still

@@ -178,21 +178,14 @@ val register_tm_rgate : t -> tile:int -> ep:int -> unit
 
 val register_mx_stub : t -> tile:int -> mx_stub -> unit
 
-(** Register an activity with the M3x scheduler: its endpoints are
-    snapshotted and parked; the activity becomes ready and will be switched
-    in when the controller decides. *)
+(** Register an activity with the M3x scheduler: its endpoint records are
+    taken out of the register file and parked; the activity becomes ready
+    and will be switched in when the controller decides. *)
 val mx_register_act : t -> act:M3v_dtu.Dtu_types.act_id -> unit
-
-(** The activity whose endpoints are currently live on [tile]. *)
-val mx_current : t -> tile:int -> M3v_dtu.Dtu_types.act_id option
 
 (** Start M3x scheduling on a tile after boot (switches the first ready
     activity in). *)
 val mx_kick : t -> tile:int -> unit
-
-(** One-way notification from the M3x runtime that a blocked, current
-    activity woke up locally (fast-path message arrival). *)
-val mx_notify_wake : t -> act:M3v_dtu.Dtu_types.act_id -> unit
 
 (** {1 Statistics} *)
 

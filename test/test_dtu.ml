@@ -275,18 +275,49 @@ let test_ep_snapshot_restore () =
   let f = make_fabric () in
   setup_channel f;
   ignore (send_ok f ~size:8 (Ping 77));
-  (* Save the receiver's endpoint (including the buffered message),
-     invalidate, then restore: the message must survive (M3x switch). *)
-  let saved = Dtu.ext_snapshot_eps f.d1 ~first:1 ~count:1 in
-  Dtu.ext_invalidate f.d1 ~ep:1;
+  (* Take the receiver's endpoint (with its buffered message) out of the
+     register file, then put it back: the message must survive (M3x
+     switch). *)
+  let saved = Dtu.ext_take f.d1 ~ep:1 in
   (match Dtu.fetch f.d1 ~ep:1 with
   | Error Dtu_types.No_such_ep -> ()
-  | _ -> Alcotest.fail "invalidated ep must be gone");
-  Dtu.ext_restore_eps f.d1 ~first:1 saved;
-  match Dtu.fetch f.d1 ~ep:1 with
+  | _ -> Alcotest.fail "taken ep must be gone");
+  (* While the endpoint is out, its slot is used: a credit refund lands on
+     the empty slot and is parked, a different receive endpoint is
+     configured into it (dropping the refund) and gets a message.  None of
+     it may reach the taken record. *)
+  Dtu.ext_config f.d0 ~ep:2 ~owner:0 (Ep.recv_config ~slots:1 ~slot_size:256 ());
+  (match
+     Dtu.ext_inject f.d0 ~ep:2
+       (Msg.make ~src_tile:1 ~src_act:7 ~src_send_ep:1 ~size:8 (Ping 5))
+   with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "inject");
+  (match Dtu.fetch f.d0 ~ep:2 with
+  | Ok (Some msg) -> ignore (Dtu.ack f.d0 ~ep:2 msg)
+  | _ -> Alcotest.fail "fetch the refunding message");
+  ignore (Engine.run f.eng);
+  check_int "refund parked at the empty slot" 1 (Dtu.ext_credit_inventory f.d1);
+  Dtu.ext_config f.d1 ~ep:1 ~owner:7 (Ep.recv_config ~slots:2 ~slot_size:256 ());
+  check_int "reconfiguring drops the parked refund" 0
+    (Dtu.ext_credit_inventory f.d1);
+  (match send_ok f ~size:8 (Ping 88) with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "send into the reused slot");
+  (match saved with
+  | { Ep.cfg = Ep.Recv r; owner = 7 } ->
+      check_int "taken record keeps its slots" 4 r.Ep.slots;
+      check_int "taken record keeps its occupancy" 1 r.Ep.occupied;
+      check_int "taken record keeps its queue" 1 (Queue.length r.Ep.pending)
+  | _ -> Alcotest.fail "the taken record changed");
+  Dtu.ext_put f.d1 ~ep:1 saved;
+  (match Dtu.fetch f.d1 ~ep:1 with
   | Ok (Some msg) -> (
       match msg.Msg.data with Ping 77 -> () | _ -> Alcotest.fail "payload lost")
-  | _ -> Alcotest.fail "message lost across snapshot/restore"
+  | _ -> Alcotest.fail "message lost across take/put");
+  match Dtu.fetch f.d1 ~ep:1 with
+  | Ok None -> ()
+  | _ -> Alcotest.fail "the reused slot's message leaked into the put record"
 
 let test_ext_inject () =
   let f = make_fabric () in
@@ -525,9 +556,9 @@ let test_mpmc_full_ring_backpressure () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "send after drain: %s" (Dtu_types.error_to_string e)
 
-(* A batched refund that lands while the sender's endpoint sits in an
-   M3x-style snapshot window (Invalid) must be parked and re-applied on
-   restore — not dropped (credit leak) and never applied twice. *)
+(* A batched refund that lands while the sender's endpoint is taken out
+   (an M3x switch; the slot is Invalid) must be parked and re-applied on
+   [ext_put] — not dropped (credit leak) and never applied twice. *)
 let test_mpmc_refund_survives_snapshot_window () =
   let f = make_fabric () in
   setup_mpmc ~credits:2 ~slots:8 ~ack_batch:100 f;
@@ -537,8 +568,7 @@ let test_mpmc_refund_survives_snapshot_window () =
   (match send_from f ~ep:1 ~size:8 (Ping 2) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "send 2");
-  let saved = Dtu.ext_snapshot_eps f.d0 ~first:1 ~count:1 in
-  Dtu.ext_invalidate f.d0 ~ep:1;
+  let saved = Dtu.ext_take f.d0 ~ep:1 in
   (* Draining the ring flushes the batched refund into the Invalid slot. *)
   for _ = 1 to 2 do
     match Dtu.fetch f.d1 ~ep:1 with
@@ -546,12 +576,31 @@ let test_mpmc_refund_survives_snapshot_window () =
     | _ -> Alcotest.fail "fetch"
   done;
   ignore (Engine.run f.eng);
-  Dtu.ext_restore_eps f.d0 ~first:1 saved;
-  check_int "parked refunds applied on restore" 2 (sender_credits f ~ep:1);
+  Dtu.ext_put f.d0 ~ep:1 saved;
+  check_int "parked refunds applied on put" 2 (sender_credits f ~ep:1);
   match send_from f ~ep:1 ~size:8 (Ping 3) with
   | Ok () -> ()
   | Error e ->
-      Alcotest.failf "send after restore: %s" (Dtu_types.error_to_string e)
+      Alcotest.failf "send after put: %s" (Dtu_types.error_to_string e)
+
+(* A send in flight when its endpoint is taken completes against the taken
+   record: its failure refund comes back with the endpoint on [ext_put]. *)
+let test_take_keeps_in_flight_refund () =
+  let f = make_fabric () in
+  setup_channel ~credits:2 ~slots:1 f;
+  (match send_ok f ~size:8 (Ping 1) with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "first send fills the only slot");
+  let result = ref None in
+  Dtu.send f.d0 ~ep:1 ~msg_size:8 (Ping 2) ~k:(fun r -> result := Some r);
+  let saved = Dtu.ext_take f.d0 ~ep:1 in
+  ignore (Engine.run f.eng);
+  (match !result with
+  | Some (Error Dtu_types.Recv_gone) -> ()
+  | _ -> Alcotest.fail "second send must hit the full buffer");
+  Dtu.ext_put f.d0 ~ep:1 saved;
+  check_int "failure refund kept by the taken endpoint" 1
+    (sender_credits f ~ep:1)
 
 (* Reconfiguring the slot (revoke + re-delegate) must discard the parked
    refund: credits of the revoked gate are not minted into the new one. *)
@@ -871,6 +920,7 @@ let suite =
     ("tlb miss fails command", `Quick, test_tlb_miss_fails_command);
     ("page boundary rejected", `Quick, test_page_boundary_rejected);
     ("ep snapshot/restore", `Quick, test_ep_snapshot_restore);
+    ("take keeps an in-flight refund", `Quick, test_take_keeps_in_flight_refund);
     ("ext inject", `Quick, test_ext_inject);
     ("tlb eviction", `Quick, test_tlb_eviction);
     ("tlb perms and tags", `Quick, test_tlb_perms_and_act_tags);

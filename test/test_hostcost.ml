@@ -1,9 +1,11 @@
 (* Host cost on the event path: layer counters are bumped in place, yet a
    [stats] value is a snapshot that later traffic leaves alone; counter
-   bumps allocate nothing; a memory endpoint's DRAM window is backed when
-   the endpoint is configured, and page-sized DRAM accesses allocate
-   nothing; an LSM compaction takes under twice its tables' bytes from the
-   major heap; NoC routes come from a table that matches a next-hop walk. *)
+   bumps allocate nothing; saving and restoring endpoints moves their
+   records instead of copying them; a memory endpoint's DRAM window is
+   backed when the endpoint is configured, and page-sized DRAM accesses
+   allocate nothing; an LSM compaction takes under twice its tables' bytes
+   from the major heap; NoC routes come from a table that matches a
+   next-hop walk. *)
 
 open M3v_sim
 open M3v_sim.Proc.Syntax
@@ -108,6 +110,32 @@ let test_counter_bumps_do_not_allocate () =
     true (words < 1.0);
   Alcotest.(check (float 0.0)) "counter sum" 10_001.0
     (Stats.Counter.get c "bucket/user")
+
+(* An M3x switch moves endpoint records out of the register file and back
+   instead of copying them: taking and putting back a receive and a send
+   endpoint allocates only the two fresh Invalid records left in the
+   slots. *)
+let test_take_put_moves_endpoints () =
+  let eng = Engine.create () in
+  let noc = Noc.create eng (Topology.star_mesh_2x2 ~tiles:2) in
+  let dtu = Dtu.create ~virtualized:true ~tile:0 eng noc in
+  Dtu.ext_config dtu ~ep:1 ~owner:7 (Ep.recv_config ~slots:4 ~slot_size:256 ());
+  Dtu.ext_config dtu ~ep:2 ~owner:7
+    (Ep.send_config ~dst_tile:1 ~dst_ep:1 ~max_msg_size:240 ~credits:4 ());
+  let switch () =
+    let r = Dtu.ext_take dtu ~ep:1 in
+    let s = Dtu.ext_take dtu ~ep:2 in
+    Dtu.ext_put dtu ~ep:1 r;
+    Dtu.ext_put dtu ~ep:2 s
+  in
+  let words = minor_words_per_call 10_000 switch in
+  check_bool
+    (Printf.sprintf "take+put of a recv and a send endpoint: %.1f words < 16"
+       words)
+    true (words < 16.0);
+  match (Dtu.ext_read_ep dtu ~ep:2).Ep.cfg with
+  | Ep.Send s -> check_int "credits kept across moves" 4 s.Ep.credits
+  | _ -> Alcotest.fail "send endpoint lost across moves"
 
 (* --- DRAM pages --- *)
 
@@ -351,6 +379,7 @@ let suite =
     ("dtu/noc/dram stats are snapshots", `Quick, test_dtu_noc_dram_snapshots);
     ("controller/nic stats are snapshots", `Quick, test_controller_nic_snapshots);
     ("counter bumps do not allocate", `Quick, test_counter_bumps_do_not_allocate);
+    ("take+put moves endpoints", `Quick, test_take_put_moves_endpoints);
     ("memory endpoint backs its window", `Quick, test_mem_endpoint_backs_its_window);
     ("compaction major words", `Quick, test_compaction_major_words);
     ("route table matches next-hop walk", `Quick, test_route_table);
