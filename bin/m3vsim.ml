@@ -36,9 +36,12 @@ let metrics =
 let faults =
   let doc =
     "Inject deterministic faults described by $(docv), a comma-separated \
-     list of key=value pairs: drop, dup, delay, cmd_fail (probabilities \
-     in [0,1]) and crash, hang, stall (event counts), e.g. \
-     drop=0.01,dup=0.005,crash=2."
+     list of key=value pairs.  Probabilities in [0,1]: drop, dup and delay \
+     (per data packet), cmd_fail (per DTU command), crash_p and hang_p \
+     (per TMCall boundary, defaults 0.005) and mig_abort_p (per \
+     abortable migration phase, default 0.25).  Counts: crash, hang and \
+     mig_abort (the most to inject) and delay_ps (the largest injected \
+     delay in ps, default 200000).  E.g. drop=0.01,dup=0.005,crash=2."
   in
   Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC" ~doc)
 

@@ -41,6 +41,13 @@ let flow_fetch ~uid ~tile ~act ~ts () =
 (* Metrics category label for a receive endpoint ("ep3"). *)
 let ep_cat ep = "ep" ^ string_of_int ep
 
+(* Occupancy gauge of a receive endpoint: shared rings and classic gates
+   report under separate names. *)
+let occupancy_gauge (r : Ep.recv) =
+  match r.Ep.batch with
+  | None -> "dtu/rbuf_occupancy"
+  | Some _ -> "dtu/mpmc_occupancy"
+
 type completion = (unit, Dtu_types.error) result -> unit
 
 type stats = {
@@ -308,63 +315,29 @@ let deliver dst ~dst_ep (msg : Msg.t) =
           else if msg.Msg.size + Msg.header_bytes > r.Ep.slot_size then
             Error Recv_gone
           else begin
+            let was_empty = Queue.is_empty r.Ep.pending in
+            let shared = Option.is_some r.Ep.batch in
             Queue.add msg r.Ep.pending;
             r.Ep.occupied <- r.Ep.occupied + 1;
             if Fault.on () then Ep.note_seen r msg.Msg.uid;
+            if shared then
+              dst.stats.mpmc_deliveries <- dst.stats.mpmc_deliveries + 1;
             let owner = e.Ep.owner in
             if Trace.on () then
               flow_deliver ~uid:msg.Msg.uid ~tile:dst.tile ~act:owner
                 ~ts:(Engine.now dst.engine) ();
             if Metrics.on () then
-              Metrics.gauge_set ~name:"dtu/rbuf_occupancy" ~tile:dst.tile
+              Metrics.gauge_set ~name:(occupancy_gauge r) ~tile:dst.tile
                 ~cat:(ep_cat dst_ep)
                 ~ts:(Engine.now dst.engine)
                 (float_of_int r.Ep.occupied);
-            if dst.virtualized then begin
-              incr (unread_cell dst owner);
-              if owner <> dst.cur then push_core_req dst owner
-            end;
-            dst.msg_arrived owner;
-            Ok true
-          end
-      | Ep.Mpmc_recv mp ->
-          if Fault.on () && Ep.mp_seen_before mp msg.Msg.uid then begin
-            dst.stats.dup_drops <- dst.stats.dup_drops + 1;
-            if Trace.on () then
-              Trace.instant ~cat:"dtu" ~name:"dup_drop" ~tile:dst.tile
-                ~act:e.Ep.owner
-                ~ts:(Engine.now dst.engine)
-                ~args:[ ("ep", Trace.I dst_ep) ]
-                ();
-            Ok false
-          end
-          else if Ep.mp_occupied mp >= mp.Ep.mp_slots then Error Recv_gone
-          else if msg.Msg.size + Msg.header_bytes > mp.Ep.mp_slot_size then
-            Error Recv_gone
-          else begin
-            (* Slot reservation: bump the head counter (atomic in the
-               discrete-event simulation) — N producers share one ring. *)
-            let was_empty = Queue.is_empty mp.Ep.mp_pending in
-            Queue.add msg mp.Ep.mp_pending;
-            mp.Ep.mp_head <- mp.Ep.mp_head + 1;
-            if Fault.on () then Ep.mp_note_seen mp msg.Msg.uid;
-            dst.stats.mpmc_deliveries <- dst.stats.mpmc_deliveries + 1;
-            let owner = e.Ep.owner in
-            if Trace.on () then
-              flow_deliver ~uid:msg.Msg.uid ~tile:dst.tile ~act:owner
-                ~ts:(Engine.now dst.engine) ();
-            if Metrics.on () then
-              Metrics.gauge_set ~name:"dtu/mpmc_occupancy" ~tile:dst.tile
-                ~cat:(ep_cat dst_ep)
-                ~ts:(Engine.now dst.engine)
-                (float_of_int (Ep.mp_occupied mp));
             if dst.virtualized then incr (unread_cell dst owner);
-            (* Doorbell coalescing: only the empty→non-empty transition
-               raises a doorbell; arrivals behind an undrained queue are
-               absorbed by it (the consumer drains until empty before
+            (* A shared ring coalesces doorbells: only the empty→non-empty
+               transition raises one; arrivals behind an undrained queue
+               are absorbed by it (the consumer drains until empty before
                blocking, and the per-message unread counters keep the
                lost-wakeup net intact). *)
-            if was_empty then begin
+            if was_empty || not shared then begin
               if dst.virtualized && owner <> dst.cur then
                 push_core_req dst owner;
               dst.msg_arrived owner
@@ -410,7 +383,7 @@ let rec restore_credit_n dst_dtu ~ep n =
                 ~default:0
             in
             Hashtbl.replace dst_dtu.pending_refunds ep (cur + n))
-    | Ep.Recv _ | Ep.Mpmc_recv _ | Ep.Mem _ -> ()
+    | Ep.Recv _ | Ep.Mem _ -> ()
 
 let restore_credit dst_dtu ~ep = restore_credit_n dst_dtu ~ep 1
 
@@ -589,43 +562,44 @@ let send t ~ep ?reply_ep ?src_vaddr ?issue_ts ~msg_size data ~k =
                       Ep.check_credits ~ctx:"send_refund" s)
                     ~k
                 end)
-      | Ep.Invalid | Ep.Recv _ | Ep.Mpmc_recv _ | Ep.Mem _ ->
+      | Ep.Invalid | Ep.Recv _ | Ep.Mem _ ->
           complete_local t ~k (Error Wrong_ep_type))
 
-(* Free the receive slot a fetched message occupied.  The endpoint must be
-   owned by the current activity (the vDTU hides foreign endpoints, paper
-   section 3.5), and a slot can only be freed once: a second ack of the
-   same message fails with [Recv_gone] instead of silently minting a send
-   credit. *)
-let free_slot t ~ep (msg : Msg.t) =
-  match get_owned_ep t ep with
-  | Ok { Ep.cfg = Ep.Recv r; _ } ->
-      ignore msg;
-      if r.Ep.occupied > 0 then begin
-        r.Ep.occupied <- r.Ep.occupied - 1;
-        if Metrics.on () then
-          Metrics.gauge_set ~name:"dtu/rbuf_occupancy" ~tile:t.tile
-            ~cat:(ep_cat ep)
-            ~ts:(Engine.now t.engine)
-            (float_of_int r.Ep.occupied);
-        Ok ()
-      end
-      else Error Recv_gone
-  | Ok _ -> Error Wrong_ep_type
-  | Error e -> Error e
+(* Return one credit to the sender of [msg] in its own packet: how a
+   classic gate refunds an ack.  Credit grants ride the lossless control
+   sideband. *)
+let return_credit t (msg : Msg.t) =
+  match msg.Msg.src_send_ep with
+  | Some sep ->
+      Noc.send t.noc ~src:t.tile ~dst:msg.Msg.src_tile
+        ~bytes:credit_packet_bytes ~on_delivered:(fun () ->
+          match t.lookup_dtu msg.Msg.src_tile with
+          | Some src_dtu -> restore_credit src_dtu ~ep:sep
+          | None -> ())
+  | None -> ()
 
-(* Flush the batched credit refunds accumulated at an MPMC endpoint: one
-   credit packet per sender instead of one per message.  Entries are
-   emitted in (tile, send_ep) order so the NoC timeline is independent of
-   hash-table iteration order (required for --jobs byte-identity). *)
-let mpmc_flush_refunds t (mp : Ep.mpmc) =
-  if mp.Ep.mp_refund_total > 0 then begin
+(* Owe the sender of [msg] one credit in a shared ring's batch. *)
+let owe_refund (b : Ep.batch) (msg : Msg.t) =
+  match msg.Msg.src_send_ep with
+  | Some sep ->
+      let key = (msg.Msg.src_tile, sep) in
+      let cur = Option.value (Hashtbl.find_opt b.Ep.refunds key) ~default:0 in
+      Hashtbl.replace b.Ep.refunds key (cur + 1);
+      b.Ep.refund_total <- b.Ep.refund_total + 1
+  | None -> ()
+
+(* Flush a shared ring's batched credit refunds: one credit packet per
+   sender instead of one per message.  Entries are emitted in
+   (tile, send_ep) order so the NoC timeline is independent of hash-table
+   iteration order (required for --jobs byte-identity). *)
+let flush_refunds t (b : Ep.batch) =
+  if b.Ep.refund_total > 0 then begin
     let entries =
-      Hashtbl.fold (fun key n acc -> (key, n) :: acc) mp.Ep.mp_refunds []
+      Hashtbl.fold (fun key n acc -> (key, n) :: acc) b.Ep.refunds []
       |> List.sort compare
     in
-    Hashtbl.reset mp.Ep.mp_refunds;
-    mp.Ep.mp_refund_total <- 0;
+    Hashtbl.reset b.Ep.refunds;
+    b.Ep.refund_total <- 0;
     List.iter
       (fun ((src_tile, sep), n) ->
         let s = t.stats in
@@ -633,7 +607,6 @@ let mpmc_flush_refunds t (mp : Ep.mpmc) =
         s.mpmc_credits_refunded <- s.mpmc_credits_refunded + n;
         if Metrics.on () then
           Metrics.counter_incr ~name:"dtu/mpmc_refund_flush" ~tile:t.tile ();
-        (* Credit grants ride the lossless control sideband, like acks. *)
         Noc.send t.noc ~src:t.tile ~dst:src_tile ~bytes:credit_packet_bytes
           ~on_delivered:(fun () ->
             match t.lookup_dtu src_tile with
@@ -642,26 +615,28 @@ let mpmc_flush_refunds t (mp : Ep.mpmc) =
       entries
   end
 
-(* Release one MPMC ring slot and queue the sender's credit refund; the
-   refund batch flushes when it reaches [mp_ack_batch] or the ring drains
-   (so a quiescent sender is never starved of its credits). *)
-let mpmc_free t ~ep (mp : Ep.mpmc) (msg : Msg.t) =
-  if Ep.mp_occupied mp <= 0 then Error Recv_gone
+(* Free the receive slot a fetched message occupied.  Callers have checked
+   that the current activity owns the endpoint (the vDTU hides foreign
+   endpoints, paper section 3.5).  A slot can only be freed once: a second
+   ack of the same message fails with [Recv_gone] instead of silently
+   minting a send credit.  On a shared ring the sender's credit joins the
+   batch, which flushes when it reaches [ack_batch] or the ring empties
+   (so a quiescent sender is never starved of its credits); a classic
+   gate leaves the refund to its caller. *)
+let free_slot t ~ep (r : Ep.recv) (msg : Msg.t) =
+  if r.Ep.occupied <= 0 then Error Recv_gone
   else begin
-    mp.Ep.mp_tail <- mp.Ep.mp_tail + 1;
+    r.Ep.occupied <- r.Ep.occupied - 1;
     if Metrics.on () then
-      Metrics.gauge_set ~name:"dtu/mpmc_occupancy" ~tile:t.tile ~cat:(ep_cat ep)
+      Metrics.gauge_set ~name:(occupancy_gauge r) ~tile:t.tile ~cat:(ep_cat ep)
         ~ts:(Engine.now t.engine)
-        (float_of_int (Ep.mp_occupied mp));
-    (match msg.Msg.src_send_ep with
-    | Some sep ->
-        let key = (msg.Msg.src_tile, sep) in
-        let cur = Option.value (Hashtbl.find_opt mp.Ep.mp_refunds key) ~default:0 in
-        Hashtbl.replace mp.Ep.mp_refunds key (cur + 1);
-        mp.Ep.mp_refund_total <- mp.Ep.mp_refund_total + 1
-    | None -> ());
-    if mp.Ep.mp_refund_total >= mp.Ep.mp_ack_batch || Ep.mp_occupied mp = 0 then
-      mpmc_flush_refunds t mp;
+        (float_of_int r.Ep.occupied);
+    (match r.Ep.batch with
+    | None -> ()
+    | Some b ->
+        owe_refund b msg;
+        if b.Ep.refund_total >= b.Ep.ack_batch || r.Ep.occupied = 0 then
+          flush_refunds t b);
     Ok ()
   end
 
@@ -672,7 +647,7 @@ let reply t ~recv_ep ~to_msg ?src_vaddr ?issue_ts ~msg_size data ~k =
   | Error e -> complete_local t ~k (Error e)
   | Ok { Ep.cfg = Ep.Invalid | Ep.Send _ | Ep.Mem _; _ } ->
       complete_local t ~k (Error Wrong_ep_type)
-  | Ok ({ Ep.cfg = Ep.Recv _ | Ep.Mpmc_recv _; _ } as rep) -> (
+  | Ok { Ep.cfg = Ep.Recv r; _ } -> (
   match to_msg.Msg.reply_to with
   | None -> complete_local t ~k (Error Recv_gone)
   | Some (dst_tile, dst_ep) -> (
@@ -682,18 +657,12 @@ let reply t ~recv_ep ~to_msg ?src_vaddr ?issue_ts ~msg_size data ~k =
           (* REPLY implicitly acknowledges the request: the slot frees and
              the sender's credit returns piggybacked on the reply.  If the
              slot was already freed (the message was acked separately) no
-             credit may travel back a second time.  On an MPMC endpoint the
-             refund instead joins the ack batch — nothing piggybacks. *)
+             credit may travel back a second time.  On a shared ring the
+             refund instead joins the batch — nothing piggybacks. *)
           let freed =
-            match rep.Ep.cfg with
-            | Ep.Mpmc_recv mp -> (
-                match mpmc_free t ~ep:recv_ep mp to_msg with
-                | Ok () -> false (* refund handled by the batched path *)
-                | Error _ -> false)
-            | _ -> (
-                match free_slot t ~ep:recv_ep to_msg with
-                | Ok () -> true
-                | Error _ -> false)
+            match free_slot t ~ep:recv_ep r to_msg with
+            | Ok () -> Option.is_none r.Ep.batch
+            | Error _ -> false
           in
           let msg =
             Msg.make ~src_tile:t.tile ~src_act:t.cur ~label:to_msg.Msg.label
@@ -788,66 +757,37 @@ let fetch t ~ep =
                 flow_fetch ~uid:msg.Msg.uid ~tile:t.tile ~act:t.cur ~ts:now ()
               end;
               Ok (Some msg))
-      | Ep.Mpmc_recv mp -> (
-          match Queue.take_opt mp.Ep.mp_pending with
-          | None -> Ok None
-          | Some msg ->
-              if t.virtualized then begin
-                let cell = unread_cell t e.Ep.owner in
-                if !cell > 0 then decr cell
-              end;
-              if Trace.on () then begin
-                let now = Engine.now t.engine in
-                Trace.instant ~cat:"dtu" ~name:"fetch" ~tile:t.tile ~act:t.cur
-                  ~ts:now
-                  ~args:[ ("ep", Trace.I ep) ]
-                  ();
-                flow_fetch ~uid:msg.Msg.uid ~tile:t.tile ~act:t.cur ~ts:now ()
-              end;
-              Ok (Some msg))
       | Ep.Invalid | Ep.Send _ | Ep.Mem _ -> Error Wrong_ep_type)
 
 let ack t ~ep msg =
   t.stats.acks <- t.stats.acks + 1;
-  let traced () =
-    if Trace.on () then
-      Trace.instant ~cat:"dtu" ~name:"ack" ~tile:t.tile ~act:t.cur
-        ~ts:(Engine.now t.engine)
-        ~args:[ ("ep", Trace.I ep) ]
-        ()
-  in
   match get_owned_ep t ep with
-  | Ok { Ep.cfg = Ep.Mpmc_recv mp; _ } -> (
-      (* Batched path: the slot releases immediately, the credit refund
-         coalesces with other acks instead of sending a packet per ack. *)
-      match mpmc_free t ~ep mp msg with
+  | Ok { Ep.cfg = Ep.Recv r; _ } -> (
+      (* A shared ring's refund flush, and its credit packets, come before
+         the ack instant; a classic gate's credit packet comes after it. *)
+      match free_slot t ~ep r msg with
       | Error e -> Error e
       | Ok () ->
-          traced ();
+          if Trace.on () then
+            Trace.instant ~cat:"dtu" ~name:"ack" ~tile:t.tile ~act:t.cur
+              ~ts:(Engine.now t.engine)
+              ~args:[ ("ep", Trace.I ep) ]
+              ();
+          if Option.is_none r.Ep.batch then return_credit t msg;
           Ok ())
-  | Ok _ | Error _ -> (
-      match free_slot t ~ep msg with
-      | Error e -> Error e
-      | Ok () ->
-          traced ();
-          (match msg.Msg.src_send_ep with
-          | Some sep ->
-              (* Return the credit to the sending DTU. *)
-              Noc.send t.noc ~src:t.tile ~dst:msg.Msg.src_tile
-                ~bytes:credit_packet_bytes ~on_delivered:(fun () ->
-                  match t.lookup_dtu msg.Msg.src_tile with
-                  | Some src_dtu -> restore_credit src_dtu ~ep:sep
-                  | None -> ())
-          | None -> ());
-          Ok ())
+  | Ok _ -> Error Wrong_ep_type
+  | Error e -> Error e
 
-(* Whether [ep] is configured as an MPMC receive endpoint (any owner); the
-   tile runtime uses this to charge the cheaper ack cost — releasing an
-   MPMC slot is a single MMIO tail-counter store, not a full command. *)
+(* Whether [ep] is configured as a shared ring (any owner); the tile
+   runtime uses this to charge the cheaper ack cost — releasing a ring
+   slot is a single MMIO tail-counter store, not a full command. *)
 let is_mpmc t ~ep =
   ep >= 0
   && ep < Array.length t.eps
-  && match t.eps.(ep).Ep.cfg with Ep.Mpmc_recv _ -> true | _ -> false
+  &&
+  match t.eps.(ep).Ep.cfg with
+  | Ep.Recv { Ep.batch = Some _; _ } -> true
+  | Ep.Invalid | Ep.Send _ | Ep.Recv _ | Ep.Mem _ -> false
 
 (* --- DMA --- *)
 
@@ -909,7 +849,7 @@ let dma t ~ep ~off ~len ~vaddr ~write ~k ~action =
                                       ~bytes:response_bytes
                                       ~on_delivered:(fun () -> finish (Ok ()))
                                   end)))))
-      | Ep.Invalid | Ep.Send _ | Ep.Recv _ | Ep.Mpmc_recv _ ->
+      | Ep.Invalid | Ep.Send _ | Ep.Recv _ ->
           complete_local t ~k (Error Wrong_ep_type))
 
 let mem_read t ~ep ~off ~len ~dst_vaddr ~dst ~dst_off ~k =
@@ -972,7 +912,7 @@ let ext_config t ~ep ~owner cfg =
       match t.lookup_mem m.Ep.mem_tile with
       | Some dram -> Dram.back dram ~off:m.Ep.base ~len:m.Ep.mem_size
       | None -> ())
-  | Ep.Invalid | Ep.Send _ | Ep.Recv _ | Ep.Mpmc_recv _ -> ());
+  | Ep.Invalid | Ep.Send _ | Ep.Recv _ -> ());
   t.eps.(ep).Ep.cfg <- cfg;
   t.eps.(ep).Ep.owner <- owner
 
@@ -1023,8 +963,7 @@ let ext_put t ~ep saved =
           s.Ep.credits <- min s.Ep.max_credits (s.Ep.credits + n);
           Ep.check_credits ~ctx:"ext_put" s
       | None -> ())
-  | Ep.Invalid | Ep.Recv _ | Ep.Mpmc_recv _ | Ep.Mem _ ->
-      Hashtbl.remove t.pending_refunds ep
+  | Ep.Invalid | Ep.Recv _ | Ep.Mem _ -> Hashtbl.remove t.pending_refunds ep
 
 let ext_inject t ~ep msg =
   (* Externally injected messages (kernel upcalls, NIC receive path) have
@@ -1056,43 +995,13 @@ let ext_drain_recv t ~ep =
               let cell = unread_cell t e.Ep.owner in
               if !cell > 0 then decr cell
             end;
-            (match msg.Msg.src_send_ep with
-            | Some sep ->
-                Noc.send t.noc ~src:t.tile ~dst:msg.Msg.src_tile
-                  ~bytes:credit_packet_bytes ~on_delivered:(fun () ->
-                    match t.lookup_dtu msg.Msg.src_tile with
-                    | Some src_dtu -> restore_credit src_dtu ~ep:sep
-                    | None -> ())
-            | None -> ());
+            (match r.Ep.batch with
+            | None -> return_credit t msg
+            | Some b -> owe_refund b msg);
             loop ()
       in
       loop ();
-      !dropped
-  | Ep.Mpmc_recv mp ->
-      let dropped = ref 0 in
-      let rec loop () =
-        match Queue.take_opt mp.Ep.mp_pending with
-        | None -> ()
-        | Some msg ->
-            incr dropped;
-            if Ep.mp_occupied mp > 0 then mp.Ep.mp_tail <- mp.Ep.mp_tail + 1;
-            if t.virtualized then begin
-              let cell = unread_cell t e.Ep.owner in
-              if !cell > 0 then decr cell
-            end;
-            (match msg.Msg.src_send_ep with
-            | Some sep ->
-                let key = (msg.Msg.src_tile, sep) in
-                let cur =
-                  Option.value (Hashtbl.find_opt mp.Ep.mp_refunds key) ~default:0
-                in
-                Hashtbl.replace mp.Ep.mp_refunds key (cur + 1);
-                mp.Ep.mp_refund_total <- mp.Ep.mp_refund_total + 1
-            | None -> ());
-            loop ()
-      in
-      loop ();
-      mpmc_flush_refunds t mp;
+      Option.iter (flush_refunds t) r.Ep.batch;
       !dropped
   | Ep.Invalid | Ep.Send _ | Ep.Mem _ -> 0
 
@@ -1107,11 +1016,6 @@ let ext_release_fetched t ~ep =
       let queued = Queue.length r.Ep.pending in
       let leaked = r.Ep.occupied - queued in
       r.Ep.occupied <- queued;
-      max leaked 0
-  | Ep.Mpmc_recv mp ->
-      let queued = Queue.length mp.Ep.mp_pending in
-      let leaked = Ep.mp_occupied mp - queued in
-      mp.Ep.mp_tail <- mp.Ep.mp_head - queued;
       max leaked 0
   | Ep.Invalid | Ep.Send _ | Ep.Mem _ -> 0
 
@@ -1151,7 +1055,6 @@ let ext_seed_unread t ~act =
       if e.Ep.owner = act then
         match e.Ep.cfg with
         | Ep.Recv r -> n := !n + Queue.length r.Ep.pending
-        | Ep.Mpmc_recv mp -> n := !n + Queue.length mp.Ep.mp_pending
         | Ep.Invalid | Ep.Send _ | Ep.Mem _ -> ())
     t.eps;
   let cell = unread_cell t act in
@@ -1161,7 +1064,7 @@ let ext_seed_unread t ~act =
 let ext_drop_unread t ~act = Hashtbl.remove t.unread act
 
 (* Credit inventory as seen by this DTU: credits sitting at send
-   endpoints, plus refunds parked for Invalid slots or batched at MPMC
+   endpoints, plus refunds parked for Invalid slots or batched at shared
    rings (owed to senders but not yet granted).  Summed across all tiles
    at a quiescent instant this is conserved by migration — the test suite
    and the controller's migration assert both rely on it. *)
@@ -1171,7 +1074,7 @@ let ext_credit_inventory t =
     (fun e ->
       match e.Ep.cfg with
       | Ep.Send s -> n := !n + s.Ep.credits
-      | Ep.Mpmc_recv mp -> n := !n + mp.Ep.mp_refund_total
+      | Ep.Recv { Ep.batch = Some b; _ } -> n := !n + b.Ep.refund_total
       | Ep.Invalid | Ep.Recv _ | Ep.Mem _ -> ())
     t.eps;
   Hashtbl.iter (fun _ c -> n := !n + c) t.pending_refunds;

@@ -60,7 +60,8 @@ val send :
     in [to_msg], without consuming credits, and implicitly acknowledges the
     message (freeing the receive slot and returning the sender's credit, as
     M3's REPLY does).  [recv_ep] is the endpoint the message was fetched
-    from. *)
+    from.  A classic gate's reply carries the credit; a shared ring owes it
+    to its refund batch ({!Ep.batch}). *)
 val reply :
   t ->
   recv_ep:int ->
@@ -76,7 +77,8 @@ val reply :
 val fetch : t -> ep:int -> (Msg.t option, Dtu_types.error) result
 
 (** Acknowledge a fetched message without replying: frees the slot and
-    returns the sender's credit via a credit packet. *)
+    returns the sender's credit, in its own credit packet on a classic
+    gate and through the refund batch on a shared ring ({!Ep.batch}). *)
 val ack : t -> ep:int -> Msg.t -> (unit, Dtu_types.error) result
 
 (** DMA read from a memory endpoint's window into a local buffer.
@@ -105,9 +107,10 @@ val mem_write :
   k:completion ->
   unit
 
-(** Whether [ep] is configured as an MPMC receive endpoint (any owner).
-    The tile runtime charges MPMC acks as a single MMIO store (the
-    tail-counter bump) instead of a full command round trip. *)
+(** Whether [ep] is configured as a shared ring, a receive endpoint with a
+    [batch] (any owner).  The tile runtime charges a ring's acks as a
+    single MMIO store (the tail-counter bump) instead of a full command
+    round trip. *)
 val is_mpmc : t -> ep:int -> bool
 
 (** {1 Privileged interface (vDTU)} *)
@@ -183,8 +186,9 @@ val ext_inject : t -> ep:int -> Msg.t -> (unit, Dtu_types.error) result
 val ext_reclaim_credits : t -> dst_tile:int -> dst_ep:int -> int
 
 (** [ext_drain_recv t ~ep] drops every message still queued at a receive
-    endpoint, freeing the slots and returning the senders' credits exactly
-    as an ack would; returns how many messages were dropped.  Used by the
+    endpoint, freeing the slots and returning the senders' credits as an
+    ack would (a shared ring flushes its batch at the end); returns how
+    many messages were dropped.  Used by the
     controller when restarting a crashed activity in place: replies
     addressed to the dead incarnation must not pair with the first request
     of its successor. *)
@@ -220,7 +224,7 @@ val ext_seed_unread : t -> act:Dtu_types.act_id -> int
 val ext_drop_unread : t -> act:Dtu_types.act_id -> unit
 
 (** Credits visible at this DTU: send-endpoint balances plus refunds
-    parked at Invalid slots or batched at MPMC rings.  Summed across all
+    parked at Invalid slots or owed by the batches of shared rings.  Summed across all
     tiles at a quiescent instant, migration conserves it. *)
 val ext_credit_inventory : t -> int
 
@@ -248,11 +252,11 @@ type stats = private {
       (** deduplicated message copies dropped on receive *)
   mutable mig_forwards : int;
       (** packets/credit grants forwarded through a migration pointer *)
-  mutable mpmc_deliveries : int;  (** messages delivered into MPMC rings *)
+  mutable mpmc_deliveries : int;  (** messages delivered into shared rings *)
   mutable mpmc_doorbells_coalesced : int;
-      (** MPMC arrivals absorbed by an already-pending doorbell *)
+      (** shared-ring arrivals absorbed by an already-pending doorbell *)
   mutable mpmc_refund_flushes : int;
-      (** batched credit packets sent by MPMC acks *)
+      (** batched credit packets sent by shared rings *)
   mutable mpmc_credits_refunded : int;  (** credits carried by those packets *)
   mutable credit_stalls : int;
       (** send attempts rejected with [No_credits]; each runtime retry spin

@@ -7,6 +7,15 @@ type send = {
   mutable credits : int;
 }
 
+type batch = {
+  ack_batch : int;
+  (* Credits owed per sender: (src_tile, src_send_ep) -> count.  Flushed
+     as one credit packet per sender when [refund_total] reaches
+     [ack_batch] or the queue drains. *)
+  refunds : (int * int, int) Hashtbl.t;
+  mutable refund_total : int;
+}
+
 type recv = {
   slots : int;
   slot_size : int;
@@ -16,41 +25,18 @@ type recv = {
      messages, bounded FIFO.  Unused (and empty) when faults are off. *)
   seen : (int, unit) Hashtbl.t;
   seen_fifo : int Queue.t;
+  batch : batch option;
 }
 
 let seen_cap = 256
 
-let note_seen_tbl seen seen_fifo uid =
-  Hashtbl.replace seen uid ();
-  Queue.add uid seen_fifo;
-  if Queue.length seen_fifo > seen_cap then
-    Hashtbl.remove seen (Queue.pop seen_fifo)
+let note_seen r uid =
+  Hashtbl.replace r.seen uid ();
+  Queue.add uid r.seen_fifo;
+  if Queue.length r.seen_fifo > seen_cap then
+    Hashtbl.remove r.seen (Queue.pop r.seen_fifo)
 
-let note_seen r uid = note_seen_tbl r.seen r.seen_fifo uid
 let seen_before r uid = Hashtbl.mem r.seen uid
-
-type mpmc = {
-  mp_slots : int;
-  mp_slot_size : int;
-  mp_ack_batch : int;
-  (* Monotonic reservation counters over the shared ring: a slot is reserved
-     by bumping [mp_head] at delivery and released by bumping [mp_tail] at
-     ack.  Occupancy is [mp_head - mp_tail]. *)
-  mutable mp_head : int;
-  mutable mp_tail : int;
-  mp_pending : Msg.t Queue.t;
-  mp_seen : (int, unit) Hashtbl.t;
-  mp_seen_fifo : int Queue.t;
-  (* Batched credit refunds: (src_tile, src_send_ep) -> credits owed.  Flushed
-     as one credit packet per sender when [mp_refund_total] reaches
-     [mp_ack_batch] or the queue drains. *)
-  mp_refunds : (int * int, int) Hashtbl.t;
-  mutable mp_refund_total : int;
-}
-
-let mp_occupied mp = mp.mp_head - mp.mp_tail
-let mp_note_seen mp uid = note_seen_tbl mp.mp_seen mp.mp_seen_fifo uid
-let mp_seen_before mp uid = Hashtbl.mem mp.mp_seen uid
 
 type mem = {
   mem_tile : int;
@@ -63,7 +49,6 @@ type config =
   | Invalid
   | Send of send
   | Recv of recv
-  | Mpmc_recv of mpmc
   | Mem of mem
 
 type t = { mutable cfg : config; mutable owner : Dtu_types.act_id }
@@ -74,8 +59,7 @@ let send_config ~dst_tile ~dst_ep ?(label = 0) ~max_msg_size ~credits () =
   if credits <= 0 then invalid_arg "Ep.send_config: credits must be positive";
   Send { dst_tile; dst_ep; label; max_msg_size; max_credits = credits; credits }
 
-let recv_config ~slots ~slot_size () =
-  if slots <= 0 then invalid_arg "Ep.recv_config: slots must be positive";
+let make_recv ~slots ~slot_size batch =
   Recv
     {
       slots;
@@ -84,24 +68,18 @@ let recv_config ~slots ~slot_size () =
       pending = Queue.create ();
       seen = Hashtbl.create 8;
       seen_fifo = Queue.create ();
+      batch;
     }
+
+let recv_config ~slots ~slot_size () =
+  if slots <= 0 then invalid_arg "Ep.recv_config: slots must be positive";
+  make_recv ~slots ~slot_size None
 
 let mpmc_config ~slots ~slot_size ?(ack_batch = 16) () =
   if slots <= 0 then invalid_arg "Ep.mpmc_config: slots must be positive";
   if ack_batch <= 0 then invalid_arg "Ep.mpmc_config: ack_batch must be positive";
-  Mpmc_recv
-    {
-      mp_slots = slots;
-      mp_slot_size = slot_size;
-      mp_ack_batch = ack_batch;
-      mp_head = 0;
-      mp_tail = 0;
-      mp_pending = Queue.create ();
-      mp_seen = Hashtbl.create 8;
-      mp_seen_fifo = Queue.create ();
-      mp_refunds = Hashtbl.create 8;
-      mp_refund_total = 0;
-    }
+  make_recv ~slots ~slot_size
+    (Some { ack_batch; refunds = Hashtbl.create 8; refund_total = 0 })
 
 (* Satellite: credit-accounting invariant, asserted at every mutation site.
    A send endpoint must never hold negative credits nor more than it was
@@ -123,11 +101,6 @@ let validate_config ~ctx cfg =
         invalid_arg
           (Printf.sprintf "Ep config invalid (%s): occupied=%d not in [0,%d]" ctx r.occupied
              r.slots)
-  | Mpmc_recv mp ->
-      if mp_occupied mp < 0 || mp_occupied mp > mp.mp_slots then
-        invalid_arg
-          (Printf.sprintf "Ep config invalid (%s): mpmc occupancy %d not in [0,%d]" ctx
-             (mp_occupied mp) mp.mp_slots)
   | Invalid | Mem _ -> ()
 
 let mem_config ~mem_tile ~base ~size ~perm =
@@ -141,13 +114,13 @@ let pp fmt t =
       Format.fprintf fmt "send[->t%d:ep%d credits=%d/%d owner=%a]" s.dst_tile
         s.dst_ep s.credits s.max_credits Dtu_types.pp_act t.owner
   | Recv r ->
-      Format.fprintf fmt "recv[slots=%d occ=%d pending=%d owner=%a]" r.slots
-        r.occupied (Queue.length r.pending) Dtu_types.pp_act t.owner
-  | Mpmc_recv mp ->
-      Format.fprintf fmt "mpmc[slots=%d occ=%d pending=%d refunds=%d owner=%a]"
-        mp.mp_slots (mp_occupied mp)
-        (Queue.length mp.mp_pending)
-        mp.mp_refund_total Dtu_types.pp_act t.owner
+      Format.fprintf fmt "%s[slots=%d occ=%d pending=%d%s owner=%a]"
+        (match r.batch with None -> "recv" | Some _ -> "mpmc")
+        r.slots r.occupied (Queue.length r.pending)
+        (match r.batch with
+        | None -> ""
+        | Some b -> Printf.sprintf " refunds=%d" b.refund_total)
+        Dtu_types.pp_act t.owner
   | Mem m ->
       Format.fprintf fmt "mem[t%d base=%#x size=%#x owner=%a]" m.mem_tile m.base
         m.mem_size Dtu_types.pp_act t.owner

@@ -1,9 +1,11 @@
 (** DTU endpoints.
 
     Each endpoint is either invalid or configured as a send, receive, or
-    memory endpoint.  Only the controller (via the DTU's external interface)
-    may change endpoint configurations; the vDTU additionally tags every
-    endpoint with the owning activity (paper, sections 2.1 and 3.5). *)
+    memory endpoint.  A receive endpoint is a classic gate or a shared
+    multi-producer ring, told apart by its [batch].  Only the controller
+    (via the DTU's external interface) may change endpoint configurations;
+    the vDTU additionally tags every endpoint with the owning activity
+    (paper, sections 2.1 and 3.5). *)
 
 type send = {
   dst_tile : int;
@@ -14,6 +16,20 @@ type send = {
   mutable credits : int;
 }
 
+(** How a shared ring returns credits.  A receive endpoint without one is
+    a classic gate: each ack sends the sender its credit in one packet,
+    and a reply carries the request's credit back.  A receive endpoint
+    with one is a shared multi-producer ring: its acks and replies owe the
+    credit to the batch, which sends one packet per sender once
+    [refund_total] reaches [ack_batch] or the ring empties, and only the
+    empty-to-non-empty transition rings the owner's doorbell. *)
+type batch = {
+  ack_batch : int;  (** flush threshold *)
+  refunds : (int * int, int) Hashtbl.t;
+      (** (src_tile, src_send_ep) -> credits owed, not yet sent *)
+  mutable refund_total : int;  (** sum of [refunds] *)
+}
+
 type recv = {
   slots : int;  (** receive-buffer capacity in messages *)
   slot_size : int;  (** maximum message size (incl. header) per slot *)
@@ -22,6 +38,7 @@ type recv = {
   seen : (int, unit) Hashtbl.t;
       (** uids of recently delivered messages (dedup under fault injection) *)
   seen_fifo : int Queue.t;  (** eviction order for [seen], bounded *)
+  batch : batch option;  (** [Some] on a shared ring, [None] on a classic gate *)
 }
 
 (** Record [uid] as delivered on [r] (bounded: oldest entries are evicted). *)
@@ -30,26 +47,6 @@ val note_seen : recv -> int -> unit
 (** Whether [uid] was already delivered to [r] (a retransmitted or
     NoC-duplicated copy). *)
 val seen_before : recv -> int -> bool
-
-type mpmc = {
-  mp_slots : int;  (** shared ring capacity in messages *)
-  mp_slot_size : int;  (** maximum message size (incl. header) per slot *)
-  mp_ack_batch : int;  (** flush threshold for batched credit refunds *)
-  mutable mp_head : int;  (** monotonic reservation counter (bumped at delivery) *)
-  mutable mp_tail : int;  (** monotonic release counter (bumped at ack) *)
-  mp_pending : Msg.t Queue.t;  (** delivered, not yet fetched *)
-  mp_seen : (int, unit) Hashtbl.t;
-  mp_seen_fifo : int Queue.t;
-  mp_refunds : (int * int, int) Hashtbl.t;
-      (** (src_tile, src_send_ep) -> credits owed, flushed in batches *)
-  mutable mp_refund_total : int;
-}
-
-(** Occupancy of the shared ring: [mp_head - mp_tail]. *)
-val mp_occupied : mpmc -> int
-
-val mp_note_seen : mpmc -> int -> unit
-val mp_seen_before : mpmc -> int -> bool
 
 type mem = {
   mem_tile : int;
@@ -62,7 +59,6 @@ type config =
   | Invalid
   | Send of send
   | Recv of recv
-  | Mpmc_recv of mpmc
   | Mem of mem
 
 (** One endpoint register.  Saving and restoring move the record itself
@@ -78,10 +74,12 @@ val make_invalid : unit -> t
 val send_config :
   dst_tile:int -> dst_ep:int -> ?label:int -> max_msg_size:int -> credits:int -> unit -> config
 
+(** Fresh classic receive gate ([batch = None]). *)
 val recv_config : slots:int -> slot_size:int -> unit -> config
 
-(** Shared multi-producer receive queue; [ack_batch] (default 16) bounds how
-    many acks may accumulate before a batched credit refund is flushed. *)
+(** Fresh shared multi-producer ring: a receive endpoint whose [batch]
+    holds [ack_batch] (default 16), the number of owed credits that
+    triggers a refund flush. *)
 val mpmc_config : slots:int -> slot_size:int -> ?ack_batch:int -> unit -> config
 
 val mem_config : mem_tile:int -> base:int -> size:int -> perm:Dtu_types.perm -> config

@@ -90,18 +90,34 @@ let parse s =
     (fun acc kv -> Result.bind acc (fun spec -> parse_field spec kv))
     (Ok none) fields
 
+(* Every field that differs from [none], in [parse]'s key order.  A float
+   prints with %g unless that loses bits, so [parse] reads back the same
+   spec. *)
 let spec_to_string spec =
   let b = Buffer.create 64 in
-  let fld name v = if v > 0. then Buffer.add_string b (Printf.sprintf "%s=%g," name v) in
-  let ifld name v = if v > 0 then Buffer.add_string b (Printf.sprintf "%s=%d," name v) in
-  fld "drop" spec.drop;
-  fld "dup" spec.dup;
-  fld "delay" spec.delay;
-  if spec.delay > 0. then ifld "delay_ps" spec.delay_ps;
-  fld "cmd_fail" spec.cmd_fail;
-  ifld "crash" spec.crash;
-  ifld "hang" spec.hang;
-  ifld "mig_abort" spec.mig_abort;
+  let fld name v d =
+    if v <> d then begin
+      let s = Printf.sprintf "%g" v in
+      let s = if float_of_string s = v then s else Printf.sprintf "%.17g" v in
+      Buffer.add_string b (Printf.sprintf "%s=%s," name s)
+    end
+  in
+  let ifld name v d =
+    if v <> d then Buffer.add_string b (Printf.sprintf "%s=%d," name v)
+  in
+  fld "drop" spec.drop none.drop;
+  fld "dup" spec.dup none.dup;
+  fld "delay" spec.delay none.delay;
+  (* The size of each delay: shown whenever delays are on. *)
+  if spec.delay > 0. || spec.delay_ps <> none.delay_ps then
+    Buffer.add_string b (Printf.sprintf "delay_ps=%d," spec.delay_ps);
+  fld "cmd_fail" spec.cmd_fail none.cmd_fail;
+  ifld "crash" spec.crash none.crash;
+  fld "crash_p" spec.crash_p none.crash_p;
+  ifld "hang" spec.hang none.hang;
+  fld "hang_p" spec.hang_p none.hang_p;
+  ifld "mig_abort" spec.mig_abort none.mig_abort;
+  fld "mig_abort_p" spec.mig_abort_p none.mig_abort_p;
   let s = Buffer.contents b in
   if s = "" then "none" else String.sub s 0 (String.length s - 1)
 

@@ -31,13 +31,18 @@ type spec = {
   mig_abort_p : float;  (** per-abortable-phase abort probability *)
 }
 
-(** All rates and budgets zero. *)
+(** No faults: every rate and budget zero.  [delay_ps], [crash_p],
+    [hang_p] and [mig_abort_p] keep defaults that act only once [delay] or
+    a budget is set. *)
 val none : spec
 
 (** Parse a ["drop=0.01,dup=0.005,crash=2"]-style spec string.  Unset keys
     keep their {!none} defaults. *)
 val parse : string -> (spec, string) result
 
+(** The spec as [parse] reads it: every field that differs from {!none},
+    and [delay_ps] whenever [delay > 0]; ["none"] for {!none}.
+    [parse (spec_to_string s)] is [Ok s]. *)
 val spec_to_string : spec -> string
 
 type stats = {

@@ -3,8 +3,7 @@ module Dtu_types = M3v_dtu.Dtu_types
 type rgate = {
   rg_slots : int;
   rg_slot_size : int;
-  rg_mpmc : bool;
-  rg_ack_batch : int;
+  rg_ack_batch : int option;
   mutable rg_loc : (int * int) option;
 }
 
@@ -96,7 +95,7 @@ let rec live_count t =
 let pp fmt t =
   let kind =
     match t.obj with
-    | Rgate { rg_mpmc = true; _ } -> "mpmc-rgate"
+    | Rgate { rg_ack_batch = Some _; _ } -> "mpmc-rgate"
     | Rgate _ -> "rgate"
     | Sgate _ -> "sgate"
     | Mgate m -> Printf.sprintf "mgate[t%d+%#x,%#x]" m.mg_tile m.mg_base m.mg_size

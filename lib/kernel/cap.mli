@@ -12,10 +12,10 @@
 type rgate = {
   rg_slots : int;
   rg_slot_size : int;
-  rg_mpmc : bool;
-      (** shared multi-producer receive queue: many sgates may be delegated
-          against it and the receiver acks in batches *)
-  rg_ack_batch : int;  (** credit-refund flush threshold (MPMC only) *)
+  rg_ack_batch : int option;
+      (** [Some n]: a shared multi-producer ring, against which many sgates
+          may be delegated, whose receiver refunds credits in batches of
+          [n] ({!M3v_dtu.Ep.batch}); [None]: a classic receive gate *)
   mutable rg_loc : (int * int) option;  (** (tile, endpoint) once activated *)
 }
 

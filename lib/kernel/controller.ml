@@ -229,7 +229,7 @@ let new_sel a =
 
 let put_cap a cap = Hashtbl.replace a.caps cap.Cap.sel cap
 
-let host_new_rgate t ~act ~slots ~slot_size =
+let new_rgate t ~act ~slots ~slot_size ~ack_batch =
   let a = find_act t act in
   let sel = new_sel a in
   let cap =
@@ -238,33 +238,21 @@ let host_new_rgate t ~act ~slots ~slot_size =
          {
            rg_slots = slots;
            rg_slot_size = slot_size;
-           rg_mpmc = false;
-           rg_ack_batch = 1;
-           rg_loc = None;
-         })
-  in
-  put_cap a cap;
-  sel
-
-(* A shared multi-producer receive gate: send gates delegated against it
-   from any number of activities all target the same endpoint, and the
-   receiver's acks batch credit refunds ([ack_batch] per flush). *)
-let host_new_mpmc_rgate t ~act ~slots ~slot_size ?(ack_batch = 16) () =
-  let a = find_act t act in
-  let sel = new_sel a in
-  let cap =
-    Cap.make ~sel ~owner:act
-      (Cap.Rgate
-         {
-           rg_slots = slots;
-           rg_slot_size = slot_size;
-           rg_mpmc = true;
            rg_ack_batch = ack_batch;
            rg_loc = None;
          })
   in
   put_cap a cap;
   sel
+
+let host_new_rgate t ~act ~slots ~slot_size =
+  new_rgate t ~act ~slots ~slot_size ~ack_batch:None
+
+(* A shared multi-producer receive gate: send gates delegated against it
+   from any number of activities all target the same endpoint, and the
+   receiver's acks batch credit refunds ([ack_batch] per flush). *)
+let host_new_mpmc_rgate t ~act ~slots ~slot_size ?(ack_batch = 16) () =
+  new_rgate t ~act ~slots ~slot_size ~ack_batch:(Some ack_batch)
 
 let rgate_of_cap cap =
   match cap.Cap.obj with
@@ -306,12 +294,11 @@ let find_cap t ~act ~sel =
 (* Compute the endpoint configuration an activation implies. *)
 let activation_config cap =
   match cap.Cap.obj with
-  | Cap.Rgate rg when rg.Cap.rg_mpmc ->
+  | Cap.Rgate { rg_slots = slots; rg_slot_size = slot_size; rg_ack_batch; _ } ->
       Ok
-        (Ep.mpmc_config ~slots:rg.Cap.rg_slots ~slot_size:rg.Cap.rg_slot_size
-           ~ack_batch:rg.Cap.rg_ack_batch ())
-  | Cap.Rgate rg ->
-      Ok (Ep.recv_config ~slots:rg.Cap.rg_slots ~slot_size:rg.Cap.rg_slot_size ())
+        (match rg_ack_batch with
+        | None -> Ep.recv_config ~slots ~slot_size ()
+        | Some ack_batch -> Ep.mpmc_config ~slots ~slot_size ~ack_batch ())
   | Cap.Sgate { sg_rgate; sg_label; sg_credits } -> (
       match sg_rgate.Cap.rg_loc with
       | None -> Error "receive gate not activated yet"
@@ -498,21 +485,37 @@ let mx_make_ready t a =
   if st.cur <> Some a.aid && not (Queue.fold (fun f x -> f || x = a.aid) false st.ready)
   then Queue.add a.aid st.ready
 
-let mx_notify_wake t ~act =
-  let a = find_act t act in
+(* A wake-up for [a]: restore it in place if it is the tile's current,
+   blocked activity, otherwise note the wake and queue it for a switch.
+   [k] runs once the controller is done with the tile. *)
+let mx_wake t a ~k =
   let st = mx_tile_state t a.a_tile in
-  if st.cur = Some act && not st.switching then begin
+  if st.cur = Some a.aid && not st.switching then begin
     if a.mx_blocked then begin
       a.mx_blocked <- false;
-      (mx_stub t a.a_tile).mx_restore act ~k:(fun () -> ())
+      (mx_stub t a.a_tile).mx_restore a.aid ~k:(fun () -> ())
     end
-    else a.mx_wake_pending <- true
+    else a.mx_wake_pending <- true;
+    k ()
   end
   else begin
     a.mx_wake_pending <- true;
     mx_make_ready t a;
-    mx_try_switch t a.a_tile ~k:(fun () -> ())
+    mx_try_switch t a.a_tile ~k
   end
+
+(* Invalidate each (tile, endpoint) over the external interface, one
+   charged round trip per endpoint, and forget its owner. *)
+let rec invalidate_eps t eps ~k =
+  match eps with
+  | [] -> k ()
+  | (tile, ep) :: rest ->
+      charge t revoke_per_cap_cycles (fun () ->
+          ext_round_trip t ~dst:tile ~bytes:32
+            ~apply:(fun () ->
+              Dtu.ext_invalidate (Platform.dtu t.platform tile) ~ep;
+              Hashtbl.remove t.ep_owners (tile, ep))
+            ~k:(fun () -> invalidate_eps t rest ~k))
 
 (* --- crash recovery (M3v) --- *)
 
@@ -577,20 +580,10 @@ let teardown_act t (a : act) ~k =
   in
   reclaim_credits_for t a ~k:(fun () ->
       let own = List.map (fun ep -> (a.a_tile, ep)) a.ep_list in
-      let rec invalidate = function
-        | [] ->
-            a.ep_list <- [];
-            a.syscall_eps <- None;
-            k ()
-        | (tile, ep) :: rest ->
-            charge t revoke_per_cap_cycles (fun () ->
-                ext_round_trip t ~dst:tile ~bytes:32
-                  ~apply:(fun () ->
-                    Dtu.ext_invalidate (Platform.dtu t.platform tile) ~ep;
-                    Hashtbl.remove t.ep_owners (tile, ep))
-                  ~k:(fun () -> invalidate rest))
-      in
-      invalidate (revoked_eps @ own))
+      invalidate_eps t (revoked_eps @ own) ~k:(fun () ->
+          a.ep_list <- [];
+          a.syscall_eps <- None;
+          k ()))
 
 (* Policy for a nonzero exit code: restart the activity in place if it is
    marked restartable and has budget left (its endpoints, capabilities and
@@ -864,7 +857,7 @@ let migrate t ~act ~dst_tile ~k =
               ||
               match (Dtu.ext_read_ep tdtu ~ep).Ep.cfg with
               | Ep.Invalid -> false
-              | Ep.Send _ | Ep.Recv _ | Ep.Mpmc_recv _ | Ep.Mem _ -> true)
+              | Ep.Send _ | Ep.Recv _ | Ep.Mem _ -> true)
             eps
         in
         if clash then k (Error "target endpoint slots are busy")
@@ -924,11 +917,6 @@ let handle_sys t (msg : Msg.t) req ~k =
   | Protocol.Create_rgate { slots; slot_size } ->
       let sel = host_new_rgate t ~act:requester.aid ~slots ~slot_size in
       finish (Protocol.Ok_sel sel)
-  | Protocol.Create_mpmc_rgate { slots; slot_size; ack_batch } ->
-      let sel =
-        host_new_mpmc_rgate t ~act:requester.aid ~slots ~slot_size ~ack_batch ()
-      in
-      finish (Protocol.Ok_sel sel)
   | Protocol.Create_sgate_for { target; rgate_sel; label; credits } -> (
       match find_cap t ~act:requester.aid ~sel:rgate_sel with
       | Some rcap when rcap.Cap.live -> (
@@ -984,17 +972,7 @@ let handle_sys t (msg : Msg.t) req ~k =
               | Some owner -> Hashtbl.remove owner.caps c.Cap.sel
               | None -> ())
             killed;
-          let rec invalidate = function
-            | [] -> finish Protocol.Ok_unit
-            | (tile, ep) :: rest ->
-                charge t revoke_per_cap_cycles (fun () ->
-                    ext_round_trip t ~dst:tile ~bytes:32
-                      ~apply:(fun () ->
-                        Dtu.ext_invalidate (Platform.dtu t.platform tile) ~ep;
-                        Hashtbl.remove t.ep_owners (tile, ep))
-                      ~k:(fun () -> invalidate rest))
-          in
-          invalidate eps
+          invalidate_eps t eps ~k:(fun () -> finish Protocol.Ok_unit)
       | Some _ | None -> finish (Protocol.Sys_err "unknown selector"))
   | Protocol.Map_for { target; vpage; ppage; perm } -> (
       let b = find_act t target in
@@ -1081,27 +1059,12 @@ let handle_mx t (msg : Msg.t) ~k =
   ignore (Dtu.ack t.dtu ~ep:syscall_ep msg);
   match msg.Msg.data with
   | Protocol.Mx_wake ->
-      charge t (mx_fwd_cycles / 2) (fun () ->
-          let a = sender in
-          let st = mx_tile_state t a.a_tile in
-          if st.cur = Some a.aid && not st.switching then begin
-            if a.mx_blocked then begin
-              a.mx_blocked <- false;
-              (mx_stub t a.a_tile).mx_restore a.aid ~k:(fun () -> ())
-            end
-            else a.mx_wake_pending <- true;
-            k ()
-          end
-          else begin
-            a.mx_wake_pending <- true;
-            mx_make_ready t a;
-            mx_try_switch t a.a_tile ~k
-          end)
+      charge t (mx_fwd_cycles / 2) (fun () -> mx_wake t sender ~k)
   | Protocol.Mx_block ->
       charge t (mx_fwd_cycles / 2) (fun () ->
           if sender.mx_wake_pending then begin
             sender.mx_wake_pending <- false;
-            mx_notify_wake t ~act:sender.aid;
+            mx_wake t sender ~k:(fun () -> ());
             mx_try_switch t sender.a_tile ~k
           end
           else begin
@@ -1167,7 +1130,6 @@ let req_name (data : Msg.data) =
       | Protocol.Noop -> "sys/noop"
       | Protocol.Alloc_mem _ -> "sys/alloc_mem"
       | Protocol.Create_rgate _ -> "sys/create_rgate"
-      | Protocol.Create_mpmc_rgate _ -> "sys/create_mpmc_rgate"
       | Protocol.Create_sgate_for _ -> "sys/create_sgate_for"
       | Protocol.Derive_mem_for _ -> "sys/derive_mem_for"
       | Protocol.Activate _ -> "sys/activate"

@@ -55,13 +55,14 @@ val host_alloc_ep_anon : t -> tile:int -> int
     tiles); returns (memory tile, base offset). *)
 val host_alloc_mem : t -> size:int -> int * int
 
+(** Create a classic receive gate ([rg_ack_batch = None]). *)
 val host_new_rgate :
   t -> act:M3v_dtu.Dtu_types.act_id -> slots:int -> slot_size:int -> int
 
-(** Create a shared multi-producer (MPMC) receive gate: send gates delegated
-    against it from many activities all target the same endpoint, and the
-    receiver's acks batch credit refunds ([ack_batch] per flush, default
-    16). *)
+(** Create a shared multi-producer (MPMC) receive gate
+    ([rg_ack_batch = Some ack_batch]): send gates delegated against it from
+    many activities all target the same endpoint, and the receiver's acks
+    batch credit refunds ([ack_batch] per flush, default 16). *)
 val host_new_mpmc_rgate :
   t ->
   act:M3v_dtu.Dtu_types.act_id ->

@@ -2,7 +2,6 @@ type sys_req =
   | Noop
   | Alloc_mem of { size : int; perm : M3v_dtu.Dtu_types.perm }
   | Create_rgate of { slots : int; slot_size : int }
-  | Create_mpmc_rgate of { slots : int; slot_size : int; ack_batch : int }
   | Create_sgate_for of {
       target : M3v_dtu.Dtu_types.act_id;
       rgate_sel : int;
@@ -67,7 +66,6 @@ let sys_req_size = function
   | Noop -> 8
   | Alloc_mem _ -> 24
   | Create_rgate _ -> 24
-  | Create_mpmc_rgate _ -> 32
   | Create_sgate_for _ -> 40
   | Derive_mem_for _ -> 48
   | Activate _ -> 24
@@ -86,9 +84,6 @@ let pp_sys_req fmt = function
   | Alloc_mem { size; _ } -> Format.fprintf fmt "alloc_mem(%d)" size
   | Create_rgate { slots; slot_size } ->
       Format.fprintf fmt "create_rgate(%dx%d)" slots slot_size
-  | Create_mpmc_rgate { slots; slot_size; ack_batch } ->
-      Format.fprintf fmt "create_mpmc_rgate(%dx%d, batch%d)" slots slot_size
-        ack_batch
   | Create_sgate_for { target; rgate_sel; _ } ->
       Format.fprintf fmt "create_sgate_for(act%d, sel%d)" target rgate_sel
   | Derive_mem_for { target; src_sel; off; len; _ } ->

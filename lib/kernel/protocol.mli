@@ -11,10 +11,6 @@ type sys_req =
   | Alloc_mem of { size : int; perm : M3v_dtu.Dtu_types.perm }
       (** allocate physical memory; yields a memory capability *)
   | Create_rgate of { slots : int; slot_size : int }
-  | Create_mpmc_rgate of { slots : int; slot_size : int; ack_batch : int }
-      (** create a shared multi-producer receive gate: send gates delegated
-          against it from many activities all target the same endpoint, and
-          the receiver's acks batch their credit refunds *)
   | Create_sgate_for of {
       target : M3v_dtu.Dtu_types.act_id;
       rgate_sel : int;  (** selector in the {e requester}'s table *)

@@ -44,7 +44,6 @@ type arec = {
   addr : Addrspace.t;
   mutable st : astate;
   mutable resume : (unit -> unit) option;
-  mutable wait_eps : int list;
   mutable slice_left : Time.t;
   mutable busy_ps : int;
   mutable bucket : string;
@@ -99,7 +98,6 @@ type t = {
   mutable current : act_id option;
   mutable irq_pending : bool;
   mutable dispatch_pending : bool;
-  mutable in_mux : bool;  (** TileMux code is running (interrupts disabled) *)
   (* TileMux's own communication (page-fault RPCs to the pager) *)
   tm_rgate : int;  (** valid in M3v mode *)
   mutable pager_sgate : int option;
@@ -288,11 +286,8 @@ and resume_act t (a : arec) =
 and handle_core_reqs t ~k =
   let rec loop ~first =
     match Dtu.fetch_core_req t.dtu with
-    | None ->
-        t.in_mux <- false;
-        k ()
+    | None -> k ()
     | Some target ->
-        t.in_mux <- true;
         Stats.Counter.incr t.counters "core_req";
         let entry = if first then t.core.Core_model.trap_cycles else 0 in
         charge_mux t (entry + t.core.Core_model.core_req_cycles) (fun () ->
@@ -482,7 +477,7 @@ and mx_slow_send t (a : arec) ~ep ~reply_ep ~size ~data ~k =
            { fwd_dst_tile = s.Ep.dst_tile; fwd_dst_ep = s.Ep.dst_ep; fwd;
              fwd_block = false })
         ~k
-  | Ep.Invalid | Ep.Recv _ | Ep.Mpmc_recv _ | Ep.Mem _ ->
+  | Ep.Invalid | Ep.Recv _ | Ep.Mem _ ->
       failwith "Runtime: slow-path send on a non-send endpoint"
 
 and mx_slow_reply t (a : arec) ~(to_msg : Msg.t) ~size ~data ~k =
@@ -536,7 +531,6 @@ and mig_park_now t (a : arec) action =
   in
   a.mig_park <- None;
   a.resume <- None;
-  a.wait_eps <- [];
   let was_current = t.current = Some a.aid in
   if was_current then begin
     note_run_end t a ~why:"migrate";
@@ -682,7 +676,6 @@ and interp_op t (a : arec) op (k : Proc.resp -> unit) =
       else
         charge_act t a t.core.Core_model.trap_cycles (fun () ->
             a.st <- Blocked_recv;
-            a.wait_eps <- [];
             a.resume <- Some (fun () -> k Proc.Unit);
             let token = a.wait_token and aid = a.aid in
             Engine.after t.engine ~delay:d (fun () ->
@@ -702,8 +695,8 @@ and interp_op t (a : arec) op (k : Proc.resp -> unit) =
       do_reply t a ~recv_ep:rp_recv_ep ~msg:rp_msg ~vaddr:rp_vaddr ~size:rp_size
         ~data:rp_data ~k
   | Op_ack { a_ep; a_msg } ->
-      (* Acking an MPMC slot is one MMIO store (the shared ring's tail
-         bump); a regular ack is a full DTU command round trip. *)
+      (* Acking a shared-ring slot is one MMIO store (the ring's tail
+         bump); a classic ack is a full DTU command round trip. *)
       let ack_cost =
         if Dtu.is_mpmc t.dtu ~ep:a_ep then t.core.Core_model.mmio_cycles
         else Core_model.cmd_overhead_cycles t.core
@@ -823,7 +816,6 @@ and recv_loop t (a : arec) ?deadline eps k =
                 (* TMCall: block until a message arrives (paper, 3.7). *)
                 charge_act t a t.core.Core_model.trap_cycles (fun () ->
                     a.st <- Blocked_recv;
-                    a.wait_eps <- eps;
                     a.resume <- Some (fun () -> recv_loop t a ?deadline eps k);
                     arm_recv_deadline t a ?deadline ();
                     mux_instant t "block";
@@ -836,7 +828,6 @@ and recv_loop t (a : arec) ?deadline eps k =
                    bucket: it is idle occupancy, not attributable work. *)
                 Stats.Counter.incr t.counters "poll";
                 a.st <- Polling;
-                a.wait_eps <- eps;
                 a.resume <- Some (fun () -> recv_loop t a ?deadline eps k);
                 arm_recv_deadline t a ?deadline ()
               end
@@ -848,13 +839,11 @@ and recv_loop t (a : arec) ?deadline eps k =
                    running (paper, section 2.2). *)
                 Stats.Counter.incr t.counters "poll";
                 a.st <- Polling;
-                a.wait_eps <- eps;
                 a.resume <- Some (fun () -> recv_loop t a eps k)
               end
               else begin
                 Stats.Counter.incr t.counters "mx_block";
                 a.st <- Blocked_recv;
-                a.wait_eps <- eps;
                 a.resume <- Some (fun () -> recv_loop t a eps k);
                 send_ctl t a Proto.Mx_block ~k:(fun () -> ())
               end))
@@ -1040,7 +1029,6 @@ let respawn t ~act =
       (Printf.sprintf "Runtime.respawn: activity %s is not dead" a.aname);
   a.st <- Ready;
   a.resume <- None;
-  a.wait_eps <- [];
   a.slice_left <- t.timeslice;
   a.started <- false;
   a.wake_sent <- false;
@@ -1097,7 +1085,6 @@ let mig_install t ~image ~sys_sgate ~sys_rgate =
           addr = im_addr;
           st = Migrating;
           resume = None;
-          wait_eps = [];
           slice_left = t.timeslice;
           busy_ps = im_busy_ps;
           bucket = im_bucket;
@@ -1220,7 +1207,6 @@ let create ~mode ~controller ~tile ?(timeslice = Time.ms 1) () =
       current = None;
       irq_pending = false;
       dispatch_pending = false;
-      in_mux = false;
       tm_rgate;
       pager_sgate = None;
       tm_cont = None;
@@ -1258,7 +1244,6 @@ let spawn t ~name ?(premap = true) ~program () =
       addr = Addrspace.create ();
       st = Blocked_recv;
       resume = None;
-      wait_eps = [];
       slice_left = t.timeslice;
       busy_ps = 0;
       bucket = "user";

@@ -2,8 +2,6 @@ open M3v_sim.Proc.Syntax
 module Proc = M3v_sim.Proc
 module A = M3v_mux.Act_api
 module Proto = M3v_kernel.Protocol
-module Msg = M3v_dtu.Msg
-module Fault = M3v_fault.Fault
 open Fs_proto
 
 type window = {
@@ -44,76 +42,15 @@ let create ~env ~sgate ~reply_ep ~data_ep =
 
 let extent_switches t = t.switches
 
-(* Per-attempt reply deadline under fault injection: generous relative to
-   the DTU's own retransmit budget, so it only trips when the server is
-   really gone (crashed and not yet restarted, or wedged). *)
-let rpc_timeout = M3v_sim.Time.ms 8
-let rpc_attempts = 3
-
-(* Drop stale replies (from a timed-out attempt, or addressed to a
-   pre-crash incarnation of this client) so a retried request cannot pair
-   with an old response. *)
-let rec drain_replies t =
-  let* m = A.try_recv ~eps:[ t.reply_ep ] in
-  match m with
-  | None -> Proc.return ()
-  | Some (_ep, msg) ->
-      let* () = A.ack ~ep:t.reply_ep msg in
-      drain_replies t
-
-let decode_reply ~tag (msg : Msg.t) =
-  match msg.Msg.data with
-  | Fs_rep (tag', rep) when tag' = tag -> rep
-  | Fs_rep _ -> failwith "Fs_client: reply tag mismatch"
-  | _ -> failwith "Fs_client: malformed reply"
+let wrap tag req = Fs (tag, req)
+let tag_of = function Fs_rep (tag, _) -> tag | _ -> -1
+let rep_of = function Fs_rep (_, rep) -> rep | _ -> invalid_arg "Fs_client.rep_of"
+let give_up = R_err "EIO"
 
 let rpc t req =
   t.seq <- t.seq + 1;
-  let tag = t.seq in
-  if not (Fault.on ()) then
-    let* msg =
-      A.call ~sgate:t.sgate ~reply_ep:t.reply_ep ~size:(req_size req)
-        (Fs (tag, req))
-    in
-    Proc.return (decode_reply ~tag msg)
-  else
-    (* Under fault injection the server may have crashed: bound every wait
-       and retry a few times before surfacing EIO instead of blocking
-       forever. *)
-    let rec attempt n =
-      let* r =
-        A.call_timeout ~sgate:t.sgate ~reply_ep:t.reply_ep
-          ~size:(req_size req) ~timeout:rpc_timeout (Fs (tag, req))
-      in
-      check r n
-    and check r n =
-      match r with
-      | None ->
-          if n >= rpc_attempts then Proc.return (R_err "EIO")
-          else
-            let* () = drain_replies t in
-            attempt (n + 1)
-      | Some msg -> (
-          match msg.Msg.data with
-          | Fs_rep (tag', rep) when tag' = tag -> Proc.return rep
-          | Fs_rep _ ->
-              (* Reply to an earlier, abandoned attempt: discard it and
-                 keep waiting for ours without resending. *)
-              let* r = A.recv_timeout ~eps:[ t.reply_ep ] ~timeout:rpc_timeout in
-              let* r =
-                match r with
-                | None -> Proc.return None
-                | Some (_ep, m) ->
-                    let* () = A.ack ~ep:t.reply_ep m in
-                    Proc.return (Some m)
-              in
-              check r n
-          | _ -> failwith "Fs_client: malformed reply")
-    in
-    (* Drain first as well: a restarted incarnation of this client may
-       find replies addressed to its predecessor still queued. *)
-    let* () = drain_replies t in
-    attempt 1
+  Rpc.call ~sgate:t.sgate ~reply_ep:t.reply_ep ~size:(req_size req) ~tag:t.seq
+    ~wrap ~tag_of ~rep_of ~give_up req
 
 let fd_state t fd =
   match Hashtbl.find_opt t.fds fd with

@@ -1,8 +1,5 @@
 open M3v_sim.Proc.Syntax
 module Proc = M3v_sim.Proc
-module A = M3v_mux.Act_api
-module Msg = M3v_dtu.Msg
-module Fault = M3v_fault.Fault
 open Net_proto
 
 type t = {
@@ -13,69 +10,15 @@ type t = {
 
 let create ~sgate ~reply_ep = { sgate; reply_ep; seq = 0 }
 
-(* See [Fs_client.rpc_timeout]: only trips when the server is really
-   gone. *)
-let rpc_timeout = M3v_sim.Time.ms 8
-let rpc_attempts = 3
-
-let rec drain_replies t =
-  let* m = A.try_recv ~eps:[ t.reply_ep ] in
-  match m with
-  | None -> Proc.return ()
-  | Some (_ep, msg) ->
-      let* () = A.ack ~ep:t.reply_ep msg in
-      drain_replies t
-
-let decode_reply ~tag (msg : Msg.t) =
-  match msg.Msg.data with
-  | Net_rep (tag', rep) when tag' = tag -> rep
-  | Net_rep _ -> failwith "Net_client: reply tag mismatch"
-  | _ -> failwith "Net_client: malformed reply"
+let wrap tag req = Net (tag, req)
+let tag_of = function Net_rep (tag, _) -> tag | _ -> -1
+let rep_of = function Net_rep (_, rep) -> rep | _ -> invalid_arg "Net_client.rep_of"
+let give_up = N_err "ECONNRESET"
 
 let rpc t req =
   t.seq <- t.seq + 1;
-  let tag = t.seq in
-  if not (Fault.on ()) then
-    let* msg =
-      A.call ~sgate:t.sgate ~reply_ep:t.reply_ep ~size:(req_size req)
-        (Net (tag, req))
-    in
-    Proc.return (decode_reply ~tag msg)
-  else
-    (* Bounded waits + retries under fault injection; a dead connection
-       surfaces as ECONNRESET instead of blocking forever. *)
-    let rec attempt n =
-      let* r =
-        A.call_timeout ~sgate:t.sgate ~reply_ep:t.reply_ep
-          ~size:(req_size req) ~timeout:rpc_timeout (Net (tag, req))
-      in
-      check r n
-    and check r n =
-      match r with
-      | None ->
-          if n >= rpc_attempts then Proc.return (N_err "ECONNRESET")
-          else
-            let* () = drain_replies t in
-            attempt (n + 1)
-      | Some msg -> (
-          match msg.Msg.data with
-          | Net_rep (tag', rep) when tag' = tag -> Proc.return rep
-          | Net_rep _ ->
-              (* Reply to an earlier, abandoned attempt: discard it and
-                 keep waiting for ours without resending. *)
-              let* r = A.recv_timeout ~eps:[ t.reply_ep ] ~timeout:rpc_timeout in
-              let* r =
-                match r with
-                | None -> Proc.return None
-                | Some (_ep, m) ->
-                    let* () = A.ack ~ep:t.reply_ep m in
-                    Proc.return (Some m)
-              in
-              check r n
-          | _ -> failwith "Net_client: malformed reply")
-    in
-    let* () = drain_replies t in
-    attempt 1
+  Rpc.call ~sgate:t.sgate ~reply_ep:t.reply_ep ~size:(req_size req) ~tag:t.seq
+    ~wrap ~tag_of ~rep_of ~give_up req
 
 let socket t =
   let* rep = rpc t Socket in

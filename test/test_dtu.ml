@@ -10,6 +10,7 @@ type Msg.data += Ping of int
    layer, to exercise the DTU in isolation. *)
 type fabric = {
   eng : Engine.t;
+  noc : M3v_noc.Noc.t;
   d0 : Dtu.t;
   d1 : Dtu.t;
   dram : Dram.t;
@@ -26,7 +27,7 @@ let make_fabric ?(virtualized = true) () =
   let lookup_mem = function 2 -> Some dram | _ -> None in
   Dtu.connect d0 ~lookup_dtu ~lookup_mem;
   Dtu.connect d1 ~lookup_dtu ~lookup_mem;
-  { eng; d0; d1; dram }
+  { eng; noc; d0; d1; dram }
 
 (* Standard channel: d0 ep1 (send, owned by act 0) -> d1 ep1 (recv, act 7). *)
 let setup_channel ?(credits = 2) ?(slots = 4) f =
@@ -447,17 +448,21 @@ let test_tlb_perm_upgrade_counted () =
 
 module Fault = M3v_fault.Fault
 
-(* MPMC ring on d1 ep1 (owned by act 7); two send gates on d0 (ep1 and
-   ep2, both act 0) target it — the minimal multi-producer setup. *)
-let setup_mpmc ?(credits = 2) ?(slots = 8) ?(ack_batch = 4) f =
-  Dtu.ext_config f.d1 ~ep:1 ~owner:7
-    (Ep.mpmc_config ~slots ~slot_size:256 ~ack_batch ());
+(* Receive endpoint [cfg] on d1 ep1 (owned by act 7); two send gates on
+   d0 (ep1 and ep2, both act 0) target it — the minimal multi-producer
+   setup. *)
+let setup_two_senders ?(credits = 2) f cfg =
+  Dtu.ext_config f.d1 ~ep:1 ~owner:7 cfg;
   Dtu.ext_config f.d0 ~ep:1 ~owner:0
     (Ep.send_config ~dst_tile:1 ~dst_ep:1 ~label:1 ~max_msg_size:240 ~credits ());
   Dtu.ext_config f.d0 ~ep:2 ~owner:0
     (Ep.send_config ~dst_tile:1 ~dst_ep:1 ~label:2 ~max_msg_size:240 ~credits ());
   ignore (Dtu.switch_act f.d0 ~next:0);
   ignore (Dtu.switch_act f.d1 ~next:7)
+
+(* The same with a shared ring (MPMC) on d1 ep1. *)
+let setup_mpmc ?credits ?(slots = 8) ?(ack_batch = 4) f =
+  setup_two_senders ?credits f (Ep.mpmc_config ~slots ~slot_size:256 ~ack_batch ())
 
 let send_from f ~ep ~size data =
   let result = ref None in
@@ -659,6 +664,50 @@ let test_mpmc_stale_memo_after_revoke () =
   | Ok None -> ()
   | _ -> Alcotest.fail "new owner must see a fresh empty ring"
 
+(* Crash recovery on either receive kind: the controller frees the slots
+   the dead owner fetched but never acked ([ext_release_fetched]) and
+   drops what is still queued ([ext_drain_recv]), returning each dropped
+   message's credit to its sender — a classic gate in one packet per
+   message, a shared ring in one batched packet per sender. *)
+let test_drain_and_release cfg () =
+  let f = make_fabric () in
+  setup_two_senders ~credits:2 f cfg;
+  List.iter
+    (fun (ep, i) ->
+      match send_from f ~ep ~size:8 (Ping i) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "send %d: %s" i (Dtu_types.error_to_string e))
+    [ (1, 1); (2, 2); (1, 3) ];
+  let recv () =
+    match (Dtu.ext_read_ep f.d1 ~ep:1).Ep.cfg with
+    | Ep.Recv r -> r
+    | _ -> Alcotest.fail "receive endpoint vanished"
+  in
+  (match Dtu.fetch f.d1 ~ep:1 with
+  | Ok (Some { Msg.data = Ping 1; _ }) -> ()
+  | _ -> Alcotest.fail "fetch");
+  check_int "fetched slot released" 1 (Dtu.ext_release_fetched f.d1 ~ep:1);
+  check_int "occupancy is the queue" (Queue.length (recv ()).Ep.pending)
+    (recv ()).Ep.occupied;
+  let flushes () = (Dtu.stats f.d1).Dtu.mpmc_refund_flushes in
+  let flushes0 = flushes () in
+  let packets0 = (M3v_noc.Noc.stats f.noc).M3v_noc.Noc.packets in
+  check_int "queued messages dropped" 2 (Dtu.ext_drain_recv f.d1 ~ep:1);
+  check_int "nothing unread" 0 (Dtu.unread_of f.d1 7);
+  check_int "no slot held" 0 (recv ()).Ep.occupied;
+  ignore (Engine.run f.eng);
+  (* Ping 2 and Ping 3 were dropped; the fetched Ping 1 keeps its credit
+     spent (crash recovery reclaims that one at the sender). *)
+  check_int "sender 1 got Ping 3's credit" 1 (sender_credits f ~ep:1);
+  check_int "sender 2 got Ping 2's credit" 2 (sender_credits f ~ep:2);
+  check_int "one credit packet per message or per sender" 2
+    ((M3v_noc.Noc.stats f.noc).M3v_noc.Noc.packets - packets0);
+  match (recv ()).Ep.batch with
+  | None -> check_int "a classic gate never flushes a batch" flushes0 (flushes ())
+  | Some b ->
+      check_int "one flush per sender" (flushes0 + 2) (flushes ());
+      check_int "batch empty" 0 b.Ep.refund_total
+
 (* Exactly-once delivery and global credit conservation under random
    fault plans: at every quiescent point
        credits(s1) + credits(s2) + ring occupancy + batched refunds
@@ -695,9 +744,9 @@ let prop_mpmc_exactly_once_conserved =
           let payload m = match m.Msg.data with Ping i -> i | _ -> -1 in
           let credit_sum () =
             match (Dtu.ext_read_ep f.d1 ~ep:1).Ep.cfg with
-            | Ep.Mpmc_recv mp ->
+            | Ep.Recv ({ Ep.batch = Some b; _ } as r) ->
                 sender_credits f ~ep:1 + sender_credits f ~ep:2
-                + Ep.mp_occupied mp + mp.Ep.mp_refund_total
+                + r.Ep.occupied + b.Ep.refund_total
             | _ -> Alcotest.fail "mpmc ep vanished"
           in
           let send ep =
@@ -953,5 +1002,11 @@ let suite =
       `Quick,
       test_mpmc_refund_discarded_on_reconfigure );
     ("mpmc stale memo after revoke", `Quick, test_mpmc_stale_memo_after_revoke);
+    ( "drain and release: classic gate",
+      `Quick,
+      test_drain_and_release (Ep.recv_config ~slots:8 ~slot_size:256 ()) );
+    ( "drain and release: shared ring",
+      `Quick,
+      test_drain_and_release (Ep.mpmc_config ~slots:8 ~slot_size:256 ~ack_batch:4 ()) );
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_mpmc_exactly_once_conserved ]

@@ -74,21 +74,34 @@ let test_parse_spec () =
   bad "drop=-0.5";
   bad "crash=1.5"
 
+(* Every one of the eleven fields is drawn, each probability sometimes at
+   its default: [spec_to_string] must print whatever [parse] needs to
+   rebuild the spec. *)
 let prop_spec_roundtrip =
+  let prob = QCheck.int_bound 100 and count = QCheck.int_bound 4 in
   QCheck.Test.make ~name:"fault spec survives print/parse round trip"
-    ~count:200
+    ~count:500
     QCheck.(
-      quad (int_bound 100) (int_bound 100) (int_bound 100)
-        (pair (int_bound 4) (int_bound 4)))
-    (fun (d, u, dl, (c, h)) ->
+      triple
+        (quad prob prob prob prob)
+        (quad (int_bound 400_000) count count count)
+        (quad (int_bound 10) (int_bound 10) (int_bound 100) (int_bound 9)))
+    (fun ((d, u, dl, cf), (dps, c, h, ma), (cp, hp, map, odd)) ->
       let spec =
         {
-          Fault.none with
-          drop = float_of_int d /. 100.;
+          Fault.drop = float_of_int d /. 100.;
           dup = float_of_int u /. 100.;
           delay = float_of_int dl /. 100.;
+          delay_ps = dps;
+          cmd_fail = float_of_int cf /. 100.;
           crash = c;
+          crash_p = float_of_int cp /. 1000.;
           hang = h;
+          hang_p = float_of_int hp /. 1000.;
+          mig_abort = ma;
+          (* An odd fraction that %g alone would round. *)
+          mig_abort_p =
+            (if odd = 0 then 1. /. 3. else float_of_int map /. 100.);
         }
       in
       match Fault.parse (Fault.spec_to_string spec) with
