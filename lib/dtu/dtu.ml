@@ -216,6 +216,9 @@ let get_owned_ep t ep =
 
 let invalidate_ep_cache t = t.ep_cache_idx <- -1
 
+let note_tlb_hit t =
+  if Metrics.on () then Metrics.counter_incr ~name:"dtu/tlb_hit" ~tile:t.tile ()
+
 (* TLB check for the local buffer of a command.  Only virtualized DTUs
    translate; plain DTUs (controller, memory, accelerator tiles) use
    physical addressing. *)
@@ -229,8 +232,7 @@ let check_vaddr t ~vaddr ~len ~write =
         let vpage = page_of_addr addr in
         (match Tlb.lookup t.tlb ~act:t.cur ~vpage ~write with
         | Some _ ->
-            if Metrics.on () then
-              Metrics.counter_incr ~name:"dtu/tlb_hit" ~tile:t.tile ();
+            note_tlb_hit t;
             Ok ()
         | None ->
             t.stats.translation_faults <- t.stats.translation_faults + 1;
@@ -246,32 +248,39 @@ let check_vaddr t ~vaddr ~len ~write =
 let complete_local t ~k result =
   Engine.after_apply t.engine ~delay:cmd_process_ps k result
 
-(* Wrap a command's completion so the whole lifetime — issue to completion
-   acknowledgement — shows up as one span, and its duration feeds the
-   per-command latency histogram.  Identity when tracing is off. *)
+(* Record a command issued at [ts] for [act] that completes now with
+   [result]: one span over its whole lifetime, and its duration in the
+   per-command latency histogram. *)
+let note_completion t ~name ~act ~ts result =
+  if Trace.on () || Metrics.on () then begin
+    let dur = Engine.now t.engine - ts in
+    if Trace.on () then begin
+      Trace.complete ~cat:"dtu" ~name ~tile:t.tile ~act ~ts ~dur
+        ~args:
+          [
+            ( "result",
+              Trace.S
+                (match result with
+                | Ok () -> "ok"
+                | Error e -> error_to_string e) );
+          ]
+        ();
+      Trace.latency_int ("dtu/" ^ name) dur
+    end;
+    if Metrics.on () then
+      Metrics.observe ~name:"dtu/cmd_ps" ~tile:t.tile ~cat:name
+        (float_of_int dur)
+  end
+
+(* Wrap a command's completion so that it records the command's span and
+   latency ([note_completion]).  Identity when tracing is off. *)
 let traced_completion t ~name ~k =
   if not (Trace.on () || Metrics.on ()) then k
   else begin
     let ts = Engine.now t.engine in
     let act = t.cur in
     fun result ->
-      let dur = Engine.now t.engine - ts in
-      if Trace.on () then begin
-        Trace.complete ~cat:"dtu" ~name ~tile:t.tile ~act ~ts ~dur
-          ~args:
-            [
-              ( "result",
-                Trace.S
-                  (match result with
-                  | Ok () -> "ok"
-                  | Error e -> error_to_string e) );
-            ]
-          ();
-        Trace.latency_int ("dtu/" ^ name) dur
-      end;
-      if Metrics.on () then
-        Metrics.observe ~name:"dtu/cmd_ps" ~tile:t.tile ~cat:name
-          (float_of_int dur);
+      note_completion t ~name ~act ~ts result;
       k result
   end
 
@@ -511,6 +520,11 @@ let transmit t ~dst_tile ~dst_ep ~(msg : Msg.t) ~on_credit_fail ~k =
                   ~bytes:credit_packet_bytes ~on_delivered:(fun () ->
                     finish res))))
 
+let note_credit_stall t =
+  t.stats.credit_stalls <- t.stats.credit_stalls + 1;
+  if Metrics.on () then
+    Metrics.counter_incr ~name:"dtu/credit_stall" ~tile:t.tile ()
+
 let send t ~ep ?reply_ep ?src_vaddr ?issue_ts ~msg_size data ~k =
   t.stats.sends <- t.stats.sends + 1;
   let k = traced_completion t ~name:"send" ~k in
@@ -526,10 +540,7 @@ let send t ~ep ?reply_ep ?src_vaddr ?issue_ts ~msg_size data ~k =
             | Error err -> complete_local t ~k (Error err)
             | Ok () ->
                 if s.Ep.credits <= 0 then begin
-                  t.stats.credit_stalls <- t.stats.credit_stalls + 1;
-                  if Metrics.on () then
-                    Metrics.counter_incr ~name:"dtu/credit_stall" ~tile:t.tile
-                      ();
+                  note_credit_stall t;
                   complete_local t ~k (Error No_credits)
                 end
                 else begin
@@ -564,6 +575,68 @@ let send t ~ep ?reply_ep ?src_vaddr ?issue_ts ~msg_size data ~k =
                 end)
       | Ep.Invalid | Ep.Recv _ | Ep.Mem _ ->
           complete_local t ~k (Error Wrong_ep_type))
+
+(* --- a send stalled for credits, parked outside the event queue ---
+
+   A SEND that fails with [No_credits] touches no endpoint, so its whole
+   effect is bookkeeping: at issue, [send] counts the attempt, the TLB
+   hit of its buffer and the stall; [cmd_process_ps] later, its
+   completion closes the command's span.  [spin_send] parks the retry
+   loop with {!Engine.spin} and does exactly that bookkeeping at each
+   poll and completion, for as long as [send_stalls] says the next SEND
+   would stall. *)
+
+(* Whether a SEND on [ep] would fail with [No_credits] now: the tests of
+   [send], in its order, without counting anything. *)
+let send_stalls t ~ep ?src_vaddr ~msg_size () =
+  match get_owned_ep t ep with
+  | Error _ -> false
+  | Ok e -> (
+      match e.Ep.cfg with
+      | Ep.Send s ->
+          msg_size <= s.Ep.max_msg_size
+          && (match src_vaddr with
+             | None -> true
+             | Some addr ->
+                 (not (crosses_page addr msg_size))
+                 && ((not t.virtualized)
+                    || Tlb.would_hit t.tlb ~act:t.cur
+                         ~vpage:(page_of_addr addr) ~write:false))
+          && s.Ep.credits <= 0
+      | Ep.Invalid | Ep.Recv _ | Ep.Mem _ -> false)
+
+(* What [send] counts for an attempt that stalls. *)
+let note_stalled_send t ?src_vaddr () =
+  t.stats.sends <- t.stats.sends + 1;
+  (match src_vaddr with
+  | Some addr when t.virtualized ->
+      ignore
+        (Tlb.lookup t.tlb ~act:t.cur ~vpage:(page_of_addr addr) ~write:false);
+      note_tlb_hit t
+  | Some _ | None -> ());
+  note_credit_stall t
+
+let spin_send t ~ep ?src_vaddr ~msg_size ~poll_ps ~on_poll ~on_settle retry =
+  (* The activity the stalled command was issued for, which its span
+     names. *)
+  let act = ref t.cur in
+  Engine.spin t.engine ~gap:poll_ps ~settle:cmd_process_ps
+    ~poll:(fun () ->
+      if send_stalls t ~ep ?src_vaddr ~msg_size () then begin
+        act := t.cur;
+        on_poll ();
+        note_stalled_send t ?src_vaddr ();
+        true
+      end
+      else begin
+        retry ();
+        false
+      end)
+    ~settled:(fun () ->
+      note_completion t ~name:"send" ~act:!act
+        ~ts:(Engine.now t.engine - cmd_process_ps)
+        (Error No_credits);
+      on_settle ())
 
 (* Return one credit to the sender of [msg] in its own packet: how a
    classic gate refunds an ack.  Credit grants ride the lossless control

@@ -56,6 +56,32 @@ val send :
   k:completion ->
   unit
 
+(** [spin_send t ~ep ?src_vaddr ~msg_size ~poll_ps ~on_poll ~on_settle
+    retry] retries a SEND that failed with [No_credits] every [poll_ps]
+    until it would not stall, without an engine event per retry (see
+    {!M3v_sim.Engine.spin}).  Call it from the failed command's
+    completion, in place of scheduling [retry] [poll_ps] later.  Each
+    poll checks, without side effects, whether a SEND on [ep] with these
+    arguments would fail with [No_credits] again.  If so, it calls
+    [on_poll ()] and counts what [send] counts for such an attempt: one
+    send, the TLB hit of [src_vaddr] on a vDTU, one credit stall.  The
+    stalled command's completion follows the DTU's command time later: it
+    records the [send] span and latency that [send] records, then calls
+    [on_settle ()].  The first poll that finds the SEND would not stall
+    calls [retry ()], which issues it with [send], in the slot where a
+    scheduled retry would have run.  Everything simulated is as if
+    [retry] had been scheduled each time, the event count included. *)
+val spin_send :
+  t ->
+  ep:int ->
+  ?src_vaddr:int ->
+  msg_size:int ->
+  poll_ps:M3v_sim.Time.t ->
+  on_poll:(unit -> unit) ->
+  on_settle:(unit -> unit) ->
+  (unit -> unit) ->
+  unit
+
 (** [reply t ~to_msg ...] sends a reply through the reply endpoint recorded
     in [to_msg], without consuming credits, and implicitly acknowledges the
     message (freeing the receive slot and returning the sender's credit, as

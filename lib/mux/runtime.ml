@@ -445,19 +445,20 @@ and tm_translate t (a : arec) ~vpage ~write ~k =
 
 and send_ctl t (a : arec) data ~k =
   charge_act t a (Core_model.cmd_overhead_cycles t.core) (fun () ->
-      let rec attempt () =
-        Dtu.send t.dtu ~ep:a.env.Act_api.sys_sgate ~msg_size:16 data
-          ~k:(fun result ->
-            match result with
-            | Ok () -> k ()
-            | Error (No_credits | Recv_gone | Timeout) ->
-                (* Controller busy — or, under fault injection, the wire
-                   timed out (credit already refunded): retry shortly. *)
-                Engine.after t.engine ~delay:(Time.us 2) attempt
-            | Error e ->
-                failwith
-                  ("Runtime: control message failed: "
-                  ^ Dtu_types.error_to_string e))
+      let ep = a.env.Act_api.sys_sgate in
+      let rec attempt () = Dtu.send t.dtu ~ep ~msg_size:16 data ~k:complete
+      and complete = function
+        | Ok () -> k ()
+        | Error (No_credits | Recv_gone | Timeout) ->
+            (* Controller busy — or, under fault injection, the wire
+               timed out (credit already refunded, so the first poll
+               sends again): retry every 2 us. *)
+            Dtu.spin_send t.dtu ~ep ~msg_size:16 ~poll_ps:(Time.us 2)
+              ~on_poll:ignore ~on_settle:ignore attempt
+        | Error e ->
+            failwith
+              ("Runtime: control message failed: "
+              ^ Dtu_types.error_to_string e)
       in
       attempt ())
 
@@ -882,33 +883,46 @@ and do_send t (a : arec) ~ep ~reply_ep ~vaddr ~size ~data ~k =
      covers command overhead and any credit-stall spins. *)
   let issue_ts = Engine.now t.engine in
   charge_act t a (Core_model.cmd_overhead_cycles t.core) (fun () ->
+      (* [attempt] and [complete] are one closure, allocated once per
+         send: no attempt allocates its own completion. *)
       let rec attempt () =
         a.st <- Stalled;
         note_stall_start a ~now:(Engine.now t.engine);
         Dtu.send t.dtu ~ep ?reply_ep ?src_vaddr:vaddr ~issue_ts ~msg_size:size
-          data
-          ~k:(fun result ->
-            note_stall_end t a ~now:(Engine.now t.engine);
-            a.st <- Running;
-            match result with
-            | Ok () -> k Proc.Unit
-            | Error (Translation_fault vpage) ->
-                tm_translate t a ~vpage ~write:false ~k:attempt
-            | Error No_credits ->
-                (* Out of credits: spin until the receiver acknowledges. *)
-                Engine.after t.engine ~delay:(Time.us 2) attempt
-            | Error Recv_gone when t.rmode = M3x_mode ->
-                mx_slow_send t a ~ep ~reply_ep ~size ~data ~k:(fun () -> k Proc.Unit)
-            | Error (Recv_gone | Timeout) when t.rmode = M3v_mode && Fault.on () ->
-                (* The peer died or the wire gave up: EOF semantics — the
-                   send is dropped and the program carries on (it observes
-                   the failure at the protocol level, e.g. a reply
-                   deadline). *)
-                Stats.Counter.incr t.counters "send_eof";
-                mux_instant t "send_eof";
-                k Proc.Unit
-            | Error e ->
-                failwith ("Runtime: send failed: " ^ Dtu_types.error_to_string e))
+          data ~k:complete
+      and complete result =
+        note_stall_end t a ~now:(Engine.now t.engine);
+        a.st <- Running;
+        match result with
+        | Ok () -> k Proc.Unit
+        | Error (Translation_fault vpage) ->
+            tm_translate t a ~vpage ~write:false ~k:attempt
+        | Error No_credits ->
+            (* Out of credits: spin until the receiver acknowledges.  Each
+               poll and each failed completion does what a real attempt
+               does around [Dtu.send], so the watchdog and the bucket
+               counters see the same stall. *)
+            Dtu.spin_send t.dtu ~ep ?src_vaddr:vaddr ~msg_size:size
+              ~poll_ps:(Time.us 2)
+              ~on_poll:(fun () ->
+                a.st <- Stalled;
+                note_stall_start a ~now:(Engine.now t.engine))
+              ~on_settle:(fun () ->
+                note_stall_end t a ~now:(Engine.now t.engine);
+                a.st <- Running)
+              attempt
+        | Error Recv_gone when t.rmode = M3x_mode ->
+            mx_slow_send t a ~ep ~reply_ep ~size ~data ~k:(fun () -> k Proc.Unit)
+        | Error (Recv_gone | Timeout) when t.rmode = M3v_mode && Fault.on () ->
+            (* The peer died or the wire gave up: EOF semantics — the
+               send is dropped and the program carries on (it observes
+               the failure at the protocol level, e.g. a reply
+               deadline). *)
+            Stats.Counter.incr t.counters "send_eof";
+            mux_instant t "send_eof";
+            k Proc.Unit
+        | Error e ->
+            failwith ("Runtime: send failed: " ^ Dtu_types.error_to_string e)
       in
       attempt ())
 

@@ -45,29 +45,29 @@ let rec pump t =
         t.bytes_out <- t.bytes_out + out_size;
         let work = Time.ns (t.ns_per_byte * max 1 payload) in
         Engine.after t.engine ~delay:work (fun () ->
-            Dtu.send t.dtu ~ep:t.out_ep ~msg_size:out_size out_data
-              ~k:(fun result ->
-                (match result with
-                | Ok () -> ()
-                | Error M3v_dtu.Dtu_types.No_credits | Error M3v_dtu.Dtu_types.Recv_gone ->
-                    (* Downstream backpressure: retry shortly. *)
-                    retry_send t out_data out_size
-                | Error e ->
-                    failwith
-                      ("Accel: forward failed: "
-                      ^ M3v_dtu.Dtu_types.error_to_string e));
-                (match Dtu.ack t.dtu ~ep:t.rgate msg with
-                | Ok () | Error _ -> ());
-                t.busy <- false;
-                pump t))
+            forward t msg out_data out_size)
     | Ok None | Error _ -> ()
 
-and retry_send t data size =
-  Engine.after t.engine ~delay:(Time.us 5) (fun () ->
-      Dtu.send t.dtu ~ep:t.out_ep ~msg_size:size data ~k:(fun result ->
-          match result with
-          | Ok () -> ()
-          | Error _ -> retry_send t data size))
+(* Send the stage's output for input [msg].  The stage stays busy until
+   the output has gone out, and only then acks its input and takes the
+   next message, so blocks leave in the order they came in. *)
+and forward t msg data size =
+  let rec attempt () =
+    Dtu.send t.dtu ~ep:t.out_ep ~msg_size:size data ~k:complete
+  and complete = function
+    | Ok () ->
+        (match Dtu.ack t.dtu ~ep:t.rgate msg with Ok () | Error _ -> ());
+        t.busy <- false;
+        pump t
+    | Error (M3v_dtu.Dtu_types.No_credits | M3v_dtu.Dtu_types.Recv_gone) ->
+        (* Downstream backpressure: retry every 5 us. *)
+        Dtu.spin_send t.dtu ~ep:t.out_ep ~msg_size:size ~poll_ps:(Time.us 5)
+          ~on_poll:ignore ~on_settle:ignore attempt
+    | Error e ->
+        failwith
+          ("Accel: forward failed: " ^ M3v_dtu.Dtu_types.error_to_string e)
+  in
+  attempt ()
 
 let attach ~engine ~dtu ~rgate ~out_ep ~ns_per_byte ~transform () =
   let t =

@@ -28,6 +28,34 @@ val at_apply : t -> time:Time.t -> ('a -> unit) -> 'a -> unit
     [now]; see {!at_apply}. *)
 val after_apply : t -> delay:Time.t -> ('a -> unit) -> 'a -> unit
 
+(** [spin eng ~gap ~settle ~poll ~settled] parks a retry loop outside
+    the event queue.  It is called from the completion of a command that
+    failed, in place of [after eng ~delay:gap retry].  It replays the
+    two-event loop that [after] would start, step by step:
+
+    - a poll, [gap] after the previous step: [poll ()] returns [true] when
+      the command would fail again, having done the failed command's
+      bookkeeping; its completion is then due [settle] later.  [false]
+      means [poll] ran the real command itself, and the loop ends;
+    - a completion: [settled ()] does the failed completion's
+      bookkeeping, and the next poll is due [gap] later.
+
+    Each step runs at the exact [(time, seq)] slot its heap event would
+    have had: it reserves its sequence number where the heap version
+    would have pushed the event (the first poll's at this call, each
+    later one's at the end of the step before).  A step counts as one
+    event in {!events_processed}, in [run]'s result and [max_events]
+    budget and in the observer's cadence, and each parked loop counts as
+    one event in {!pending}.  The engine allocates one record per parked
+    loop and nothing per step; only [poll] and [settled] can. *)
+val spin :
+  t ->
+  gap:Time.t ->
+  settle:Time.t ->
+  poll:(unit -> bool) ->
+  settled:(unit -> unit) ->
+  unit
+
 (** Run until the event queue drains or [until] is reached.  Returns the
     number of events processed, defined as the delta of
     {!events_processed} over the call — a single source of truth, so work
@@ -36,16 +64,18 @@ val after_apply : t -> delay:Time.t -> ('a -> unit) -> 'a -> unit
 
     The clock advances to [until] only when no pending event remains at or
     before it — if [max_events] stops the loop with such events pending,
-    [now] stays at the last processed event. *)
+    [now] stays at the last processed event.  Parked loops' steps
+    ({!spin}) run in the same order and under the same [until] and
+    [max_events] rules as events. *)
 val run : ?until:Time.t -> ?max_events:int -> t -> int
 
 (** Number of events processed so far over the engine's lifetime. *)
 val events_processed : t -> int
 
-(** Number of events still pending. *)
+(** Number of events still pending, one per parked loop included. *)
 val pending : t -> int
 
-(** Reset the clock to zero and drop pending events. *)
+(** Reset the clock to zero and drop pending events and parked loops. *)
 val reset : t -> unit
 
 (** [set_observer t (Some f)] installs a dispatch-loop observer: [f now

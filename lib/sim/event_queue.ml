@@ -66,10 +66,14 @@ let ensure_room q a b =
     q.hint <- ncap
   end
 
-let push2 q ~time a b =
-  ensure_room q a b;
+let take_seq q =
   let seq = q.next_seq in
   q.next_seq <- seq + 1;
+  seq
+
+let push2 q ~time a b =
+  ensure_room q a b;
+  let seq = take_seq q in
   let i = ref q.size in
   q.size <- q.size + 1;
   (* Sift the hole up: only strictly-later parents move down — an
@@ -97,6 +101,10 @@ let push q ~time v = push2 q ~time v ()
 let next_time q =
   if q.size = 0 then invalid_arg "Event_queue.next_time: empty queue";
   Array.unsafe_get q.times 0
+
+let top_seq q =
+  if q.size = 0 then invalid_arg "Event_queue.top_seq: empty queue";
+  Array.unsafe_get q.seqs 0
 
 let top_fst q =
   if q.size = 0 then invalid_arg "Event_queue.top_fst: empty queue";

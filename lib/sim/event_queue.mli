@@ -26,6 +26,12 @@ val push : 'a t -> time:Time.t -> 'a -> unit
 
 val push2 : ('a, 'b) t2 -> time:Time.t -> 'a -> 'b -> unit
 
+(** [take_seq q] reserves the next insertion sequence number, as a push
+    would, without inserting anything.  An entry kept outside the heap
+    (the engine's parked retry loops) orders against the heap by
+    [(time, seq)] with the number reserved here. *)
+val take_seq : ('a, 'b) t2 -> int
+
 (** {2 Non-allocating accessors}
 
     The fast path for the dispatch loop: read the earliest entry's fields
@@ -34,6 +40,11 @@ val push2 : ('a, 'b) t2 -> time:Time.t -> 'a -> 'b -> unit
     first. *)
 
 val next_time : ('a, 'b) t2 -> Time.t
+
+(** The earliest entry's insertion sequence number: with [next_time], its
+    place in the [(time, seq)] order. *)
+val top_seq : ('a, 'b) t2 -> int
+
 val top_fst : ('a, 'b) t2 -> 'a
 val top_snd : ('a, 'b) t2 -> 'b
 val drop_min : ('a, 'b) t2 -> unit

@@ -259,6 +259,81 @@ let test_tlb_miss_fails_command () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "send after TLB fill: %s" (Dtu_types.error_to_string e)
 
+(* A SEND stalled for credits, retried every 2 us until the receiver acks
+   at 9 us: parked with [spin_send], it must count and complete exactly as
+   when each retry is a [Dtu.send] scheduled with [Engine.after]. *)
+let stalled_send ~parked =
+  let reg = M3v_obs.Metrics.create () in
+  M3v_obs.Metrics.with_registry reg (fun () ->
+      let f = make_fabric () in
+      setup_channel ~credits:1 f;
+      let vpage = 0x20_0000 / Dtu_types.page_size in
+      let vaddr = 0x20_0000 + 64 in
+      Dtu.tlb_insert f.d0 ~act:0 ~vpage ~ppage:33 ~perm:Dtu_types.RW;
+      let send ~k =
+        Dtu.send f.d0 ~ep:1 ~src_vaddr:vaddr ~msg_size:16 (Ping 1) ~k
+      in
+      (* The first send takes the only credit. *)
+      send ~k:(fun _ -> ());
+      let polls = ref 0 and done_at = ref (-1) in
+      let rec attempt () = send ~k:complete
+      and complete = function
+        | Ok () -> done_at := Engine.now f.eng
+        | Error Dtu_types.No_credits ->
+            if parked then
+              Dtu.spin_send f.d0 ~ep:1 ~src_vaddr:vaddr ~msg_size:16
+                ~poll_ps:(Time.us 2)
+                ~on_poll:(fun () -> incr polls)
+                ~on_settle:ignore attempt
+            else Engine.after f.eng ~delay:(Time.us 2) attempt
+        | Error e -> Alcotest.failf "send: %s" (Dtu_types.error_to_string e)
+      in
+      attempt ();
+      Engine.at f.eng ~time:(Time.us 9) (fun () ->
+          match Dtu.fetch f.d1 ~ep:1 with
+          | Ok (Some msg) -> ignore (Dtu.ack f.d1 ~ep:1 msg)
+          | _ -> Alcotest.fail "the first message was not delivered");
+      ignore (Engine.run f.eng);
+      let st = Dtu.stats f.d0 in
+      ( !polls,
+        ( !done_at,
+          st.Dtu.sends,
+          st.Dtu.credit_stalls,
+          (Tlb.stats (Dtu.tlb f.d0)).Tlb.hits,
+          Engine.events_processed f.eng,
+          M3v_obs.Metrics.to_json reg ) ))
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+let test_spin_send_matches_retried_sends () =
+  let _, heap = stalled_send ~parked:false in
+  let polls, parked = stalled_send ~parked:true in
+  let done_at, sends, stalls, hits, events, metrics = parked in
+  check_int "parked polls that stalled" 4 polls;
+  check_int "sends counted" 7 sends;
+  check_int "credit stalls" 5 stalls;
+  check_int "tlb hits" 7 hits;
+  check_bool "completed after the ack" true (done_at > Time.us 9);
+  let heap_done_at, heap_sends, heap_stalls, heap_hits, heap_events, heap_metrics =
+    heap
+  in
+  check_int "completion time" heap_done_at done_at;
+  check_int "sends" heap_sends sends;
+  check_int "credit stalls" heap_stalls stalls;
+  check_int "tlb hits" heap_hits hits;
+  check_int "events" heap_events events;
+  List.iter
+    (fun name ->
+      check_bool (name ^ " recorded") true
+        (contains ~sub:("\"name\":\"" ^ name ^ "\"") metrics))
+    [ "dtu/credit_stall"; "dtu/tlb_hit"; "dtu/cmd_ps" ];
+  Alcotest.(check string) "metrics" heap_metrics metrics
+
 let test_page_boundary_rejected () =
   let f = make_fabric () in
   setup_channel f;
@@ -967,6 +1042,7 @@ let suite =
     ("dma read/write", `Quick, test_dma_read_write);
     ("dma bounds and perms", `Quick, test_dma_bounds_and_perms);
     ("tlb miss fails command", `Quick, test_tlb_miss_fails_command);
+    ("spin_send = sends retried by the engine", `Quick, test_spin_send_matches_retried_sends);
     ("page boundary rejected", `Quick, test_page_boundary_rejected);
     ("ep snapshot/restore", `Quick, test_ep_snapshot_restore);
     ("take keeps an in-flight refund", `Quick, test_take_keeps_in_flight_refund);

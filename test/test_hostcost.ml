@@ -1,6 +1,6 @@
 (* Host cost on the event path: layer counters are bumped in place, yet a
    [stats] value is a snapshot that later traffic leaves alone; counter
-   bumps allocate nothing; saving and restoring endpoints moves their
+   bumps and a parked retry loop's steps allocate nothing; saving and restoring endpoints moves their
    records instead of copying them; a memory endpoint's DRAM window is
    backed when the endpoint is configured, and page-sized DRAM accesses
    allocate nothing; an LSM compaction takes under twice its tables' bytes
@@ -110,6 +110,37 @@ let test_counter_bumps_do_not_allocate () =
     true (words < 1.0);
   Alcotest.(check (float 0.0)) "counter sum" 10_001.0
     (Stats.Counter.get c "bucket/user")
+
+(* A SEND stalled for credits is retried by a parked loop
+   ([Dtu.spin_send] on [Engine.spin]): each poll checks the endpoint and
+   bumps counters, and neither it nor the failed completion after it
+   allocates.  Retried through the heap instead, the loop allocates about
+   4.5 words per event. *)
+let test_parked_polls_do_not_allocate () =
+  let eng = Engine.create () in
+  let noc = Noc.create eng (Topology.star_mesh_2x2 ~tiles:2) in
+  let dtu = Dtu.create ~virtualized:true ~tile:0 eng noc in
+  Dtu.ext_config dtu ~ep:1 ~owner:7
+    (Ep.send_config ~dst_tile:1 ~dst_ep:1 ~max_msg_size:64 ~credits:1 ());
+  (match (Dtu.ext_read_ep dtu ~ep:1).Ep.cfg with
+  | Ep.Send s -> s.Ep.credits <- 0
+  | Ep.Invalid | Ep.Recv _ | Ep.Mem _ -> Alcotest.fail "expected a send endpoint");
+  ignore (Dtu.switch_act dtu ~next:7);
+  Dtu.spin_send dtu ~ep:1 ~msg_size:16 ~poll_ps:(Time.us 2) ~on_poll:ignore
+    ~on_settle:ignore (fun () -> Alcotest.fail "no credit ever comes back");
+  (* Warm up: the first poll and its completion. *)
+  check_int "warm-up steps" 2 (Engine.run ~max_events:2 eng);
+  let before = Gc.minor_words () in
+  let steps = Engine.run ~max_events:20_000 eng in
+  let words = (Gc.minor_words () -. before) /. float_of_int steps in
+  check_int "10,000 polls and completions" 20_000 steps;
+  check_bool
+    (Printf.sprintf "parked step: %.4f words < 0.01" words)
+    true (words < 0.01);
+  check_int "one parked loop pending" 1 (Engine.pending eng);
+  let st = Dtu.stats dtu in
+  check_int "each poll counted a send" 10_001 st.Dtu.sends;
+  check_int "and a credit stall" 10_001 st.Dtu.credit_stalls
 
 (* An M3x switch moves endpoint records out of the register file and back
    instead of copying them: taking and putting back a receive and a send
@@ -379,6 +410,7 @@ let suite =
     ("dtu/noc/dram stats are snapshots", `Quick, test_dtu_noc_dram_snapshots);
     ("controller/nic stats are snapshots", `Quick, test_controller_nic_snapshots);
     ("counter bumps do not allocate", `Quick, test_counter_bumps_do_not_allocate);
+    ("parked polls do not allocate", `Quick, test_parked_polls_do_not_allocate);
     ("take+put moves endpoints", `Quick, test_take_put_moves_endpoints);
     ("memory endpoint backs its window", `Quick, test_mem_endpoint_backs_its_window);
     ("compaction major words", `Quick, test_compaction_major_words);

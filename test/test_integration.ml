@@ -222,6 +222,79 @@ let test_accel_chain () =
     (Bytes.to_string !result);
   check_int "stage 1 processed one block" 1 (M3v_os.Accel.processed a1)
 
+(* Source (tile 0) -> accelerator (tile 1) -> sink (tile 2) on bare DTUs.
+   The source holds 8 credits to the stage, the stage 1 credit to the
+   sink; the stage takes 300 ns per byte.  The source sends six one-byte
+   blocks 100 ns apart. *)
+let accel_line () =
+  let eng = Engine.create () in
+  let noc = M3v_noc.Noc.create eng (M3v_noc.Topology.star_mesh_2x2 ~tiles:3) in
+  let dtus =
+    Array.init 3 (fun tile -> M3v_dtu.Dtu.create ~virtualized:false ~tile eng noc)
+  in
+  Array.iter
+    (fun d ->
+      M3v_dtu.Dtu.connect d
+        ~lookup_dtu:(fun i -> if i < 3 then Some dtus.(i) else None)
+        ~lookup_mem:(fun _ -> None))
+    dtus;
+  let src = dtus.(0) and acc = dtus.(1) and sink = dtus.(2) in
+  let recv_gate d =
+    M3v_dtu.Dtu.ext_config d ~ep:1 ~owner:0
+      (M3v_dtu.Ep.recv_config ~slots:8 ~slot_size:64 ())
+  in
+  recv_gate acc;
+  recv_gate sink;
+  M3v_dtu.Dtu.ext_config src ~ep:2 ~owner:0
+    (M3v_dtu.Ep.send_config ~dst_tile:1 ~dst_ep:1 ~max_msg_size:32 ~credits:8 ());
+  M3v_dtu.Dtu.ext_config acc ~ep:2 ~owner:0
+    (M3v_dtu.Ep.send_config ~dst_tile:2 ~dst_ep:1 ~max_msg_size:32 ~credits:1 ());
+  let _stage =
+    M3v_os.Accel.attach ~engine:eng ~dtu:acc ~rgate:1 ~out_ep:2 ~ns_per_byte:300
+      ~transform:Fun.id ()
+  in
+  for i = 0 to 5 do
+    Engine.at eng ~time:(Time.ns (100 * i)) (fun () ->
+        M3v_dtu.Dtu.send src ~ep:2 ~msg_size:1
+          (M3v_os.Accel.Data (Bytes.make 1 (Char.chr i)))
+          ~k:(fun _ -> ()))
+  done;
+  (eng, acc, sink)
+
+(* A backpressured stage keeps its output in order.  The sink acks one
+   message at 1 us and then every 7 us.  While a block waits for the
+   credit, the stage must not take the next one: the blocks arrive in the
+   order they were sent.  (A stage that went on to the next block while
+   its retry waited delivered 0 2 1 3 5 4 here.) *)
+let test_accel_backpressure_keeps_order () =
+  let eng, _acc, sink = accel_line () in
+  let got = ref [] in
+  let rec drain () =
+    (match M3v_dtu.Dtu.fetch sink ~ep:1 with
+    | Ok (Some msg) ->
+        (match msg.Msg.data with
+        | M3v_os.Accel.Data b -> got := Char.code (Bytes.get b 0) :: !got
+        | _ -> Alcotest.fail "unexpected payload");
+        ignore (M3v_dtu.Dtu.ack sink ~ep:1 msg)
+    | Ok None | Error _ -> ());
+    if List.length !got < 6 then Engine.after eng ~delay:(Time.us 7) drain
+  in
+  Engine.at eng ~time:(Time.us 1) drain;
+  ignore (Engine.run ~until:(Time.ms 1) eng);
+  Alcotest.(check (list int)) "blocks arrive in order" [ 0; 1; 2; 3; 4; 5 ]
+    (List.rev !got)
+
+(* A retried output fails on the errors the first attempt fails on: the
+   stage's output endpoint disappears while a block waits for credit, and
+   the next retry fails loudly instead of retrying for ever. *)
+let test_accel_retry_fails_on_permanent_error () =
+  let eng, acc, _sink = accel_line () in
+  Engine.at eng ~time:(Time.us 3) (fun () -> M3v_dtu.Dtu.ext_invalidate acc ~ep:2);
+  match Engine.run ~until:(Time.ms 1) eng with
+  | _ -> Alcotest.fail "the stage kept retrying a send with no endpoint"
+  | exception Failure msg ->
+      Alcotest.(check string) "error" "Accel: forward failed: no such endpoint" msg
+
 (* --- experiment harness smoke tests (tiny instances, shape asserts) --- *)
 
 let test_fig9_shape_smoke () =
@@ -270,6 +343,10 @@ let suite =
     ("determinism", `Quick, test_determinism);
     ("nic drop injection", `Quick, test_nic_drop_injection);
     ("accelerator chain", `Quick, test_accel_chain);
+    ("accelerator backpressure keeps order", `Quick, test_accel_backpressure_keeps_order);
+    ( "accelerator retry fails on a permanent error",
+      `Quick,
+      test_accel_retry_fails_on_permanent_error );
     ("fig9 shape (smoke)", `Slow, test_fig9_shape_smoke);
     ("fig7 shape (smoke)", `Slow, test_fig7_shape_smoke);
     ("ablation extent (smoke)", `Slow, test_ablation_extent_smoke);

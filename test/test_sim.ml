@@ -162,6 +162,253 @@ let test_engine_counts_across_max_events_cuts () =
   check_int "slice counts sum to total" 100 !total;
   check_int "processed ledger agrees" 100 (Engine.events_processed e)
 
+(* --- Engine.spin: parked retry loops ---
+
+   A script of senders sharing a pool of credits, plus interfering
+   events.  Each sender makes a few sends; a send that finds no credit
+   fails [settle] later and is retried every [gap], as TileMux retries a
+   stalled SEND.  [run_script ~parked] runs the script with each retry
+   loop either built from [Engine.after] (the reference: poll, its
+   failed completion [settle] later, the next poll [gap] after that) or
+   parked with [Engine.spin].  Both runs must log the same (label, time)
+   pairs and report the same counts after every slice. *)
+
+type action =
+  | Note
+  | Grant  (** one more credit *)
+  | Take of int  (** borrow a credit, if any, and give it back this much later *)
+  | Child of int  (** push a child event this far ahead *)
+
+type script = {
+  gap : int;
+  settle : int;
+  credits : int;
+  senders : (int * int list) list;
+      (** start time, then the think time before each further send *)
+  ack_after : int;  (** a delivered send's credit comes back this much later *)
+  noise : (int * action) list;
+  slices : (int option * int option) list;  (** [until], [max_events] *)
+}
+
+type outcome = {
+  log : (string * int) list;
+  counts : (int * int * int * int) list;
+      (** per slice: returned, pending, events_processed, now *)
+}
+
+let run_script ~parked sc =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note label = log := (label, Engine.now e) :: !log in
+  let credits = ref sc.credits in
+  Engine.set_observer e
+    (Some (fun now pending -> log := ("observe " ^ string_of_int pending, now) :: !log));
+  List.iteri
+    (fun i (start, thinks) ->
+      let name = "s" ^ string_of_int i ^ " " in
+      let rec send thinks =
+        let rec attempt () =
+          if !credits <= 0 then begin
+            note (name ^ "stall");
+            Engine.after e ~delay:sc.settle failed
+          end
+          else begin
+            decr credits;
+            note (name ^ "send");
+            Engine.after e ~delay:sc.settle sent
+          end
+        and failed () =
+          note (name ^ "failed");
+          if parked then
+            Engine.spin e ~gap:sc.gap ~settle:sc.settle
+              ~poll:(fun () ->
+                if !credits <= 0 then begin
+                  note (name ^ "stall");
+                  true
+                end
+                else begin
+                  attempt ();
+                  false
+                end)
+              ~settled:(fun () -> note (name ^ "failed"))
+          else Engine.after e ~delay:sc.gap attempt
+        and sent () =
+          note (name ^ "sent");
+          Engine.after e ~delay:sc.ack_after (fun () ->
+              incr credits;
+              note (name ^ "acked"));
+          match thinks with
+          | [] -> ()
+          | d :: rest -> Engine.after e ~delay:d (fun () -> send rest)
+        in
+        attempt ()
+      in
+      Engine.at e ~time:start (fun () -> send thinks))
+    sc.senders;
+  List.iter
+    (fun (time, action) ->
+      Engine.at e ~time (fun () ->
+          match action with
+          | Note -> note "noise"
+          | Grant ->
+              incr credits;
+              note "grant"
+          | Take back ->
+              if !credits > 0 then begin
+                decr credits;
+                note "take";
+                Engine.after e ~delay:back (fun () ->
+                    incr credits;
+                    note "give back")
+              end
+          | Child d ->
+              note "parent";
+              Engine.after e ~delay:d (fun () -> note "child")))
+    sc.noise;
+  let counts () =
+    (Engine.pending e, Engine.events_processed e, Engine.now e)
+  in
+  let sliced =
+    List.map
+      (fun (until, max_events) ->
+        let n = Engine.run ?until ?max_events e in
+        let p, ev, now = counts () in
+        (n, p, ev, now))
+      sc.slices
+  in
+  (* Every stall ends (credits only come back), but a broken engine
+     must not run for ever. *)
+  let n = Engine.run ~max_events:100_000 e in
+  let p, ev, now = counts () in
+  { log = List.rev !log; counts = sliced @ [ (n, p, ev, now) ] }
+
+let gen_script seed =
+  let st = Random.State.make [| seed |] in
+  let int lo hi = lo + Random.State.int st (hi - lo + 1) in
+  let list n f = List.init n (fun _ -> f ()) in
+  let gap = int 1 6 and settle = int 0 3 in
+  let noise () =
+    let time = int 0 80 in
+    let action =
+      match int 0 5 with
+      | 0 -> Note
+      | 1 -> Grant
+      | 2 -> Take (int 0 (2 * (gap + settle)))
+      | _ ->
+          Child
+            (match int 0 3 with
+            | 0 -> 0
+            | 1 -> gap
+            | 2 -> settle
+            | _ -> gap + settle)
+    in
+    (time, action)
+  in
+  let slice () =
+    ( (if int 0 3 = 0 then None else Some (int 0 100)),
+      if int 0 2 = 0 then None else Some (int 0 30) )
+  in
+  {
+    gap;
+    settle;
+    credits = int 1 2;
+    senders = list (int 1 3) (fun () -> (int 0 20, list (int 0 3) (fun () -> int 0 10)));
+    ack_after = int 1 40;
+    noise = list (int 0 25) noise;
+    slices = list (int 0 5) slice;
+  }
+
+let test_spin_replays_heap_loop =
+  QCheck.Test.make ~name:"Engine.spin replays the two-event retry loop"
+    ~count:2000
+    QCheck.(make ~print:string_of_int (Gen.int_bound 1_000_000_000))
+    (fun seed ->
+      let sc = gen_script seed in
+      run_script ~parked:false sc = run_script ~parked:true sc)
+
+(* A long stall: 1,500 polls, so the observer's every-1,024-events
+   cadence falls on parked steps as it would on heap events. *)
+let test_spin_observer_cadence () =
+  let sc =
+    {
+      gap = 2;
+      settle = 1;
+      credits = 0;
+      senders = [ (0, []) ];
+      ack_after = 1;
+      noise = [ (4500, Grant) ];
+      slices = [ (Some 1000, None); (None, Some 700) ];
+    }
+  in
+  let ref_run = run_script ~parked:false sc in
+  check_bool "observer fired"
+    true
+    (List.exists (fun (l, _) -> String.starts_with ~prefix:"observe" l) ref_run.log);
+  check_bool "parked run identical" true (ref_run = run_script ~parked:true sc)
+
+(* Checkpoints marshal the engine, parked loops included.  A run cut
+   while a loop is parked, and one cut while none is, must resume from a
+   [Marshal] copy exactly as the uninterrupted run goes on. *)
+type ckpt_state = { eng : Engine.t; clog : (string * int) list ref }
+
+let spin_scenario () =
+  let eng = Engine.create () in
+  let clog = ref [] in
+  let note label = clog := (label, Engine.now eng) :: !clog in
+  let credit = ref false in
+  let rec attempt () =
+    if !credit then note "send"
+    else begin
+      note "stall";
+      Engine.after eng ~delay:1 (fun () ->
+          note "failed";
+          Engine.spin eng ~gap:5 ~settle:1
+            ~poll:(fun () ->
+              if !credit then begin
+                attempt ();
+                false
+              end
+              else begin
+                note "stall";
+                true
+              end)
+            ~settled:(fun () -> note "failed"))
+    end
+  in
+  Engine.at eng ~time:10 attempt;
+  Engine.at eng ~time:40 (fun () ->
+      credit := true;
+      note "grant");
+  Engine.at eng ~time:60 (fun () -> note "later");
+  { eng; clog }
+
+let test_spin_checkpoint_resume () =
+  let full = spin_scenario () in
+  ignore (Engine.run full.eng);
+  let log st = List.rev !(st.clog) in
+  let resume ~cut ~parked =
+    let st = spin_scenario () in
+    ignore (Engine.run ~until:cut st.eng);
+    let stalled = List.exists (fun (l, _) -> l = "stall") (log st) in
+    let sent = List.exists (fun (l, _) -> l = "send") (log st) in
+    check_bool (Printf.sprintf "cut at %d: loop parked" cut) parked (stalled && not sent);
+    let copy : ckpt_state =
+      Marshal.from_bytes (Marshal.to_bytes st [ Marshal.Closures ]) 0
+    in
+    let n = Engine.run copy.eng in
+    Alcotest.(check (list (pair string int)))
+      (Printf.sprintf "cut at %d: resumed log" cut)
+      (log full) (log copy);
+    check_int
+      (Printf.sprintf "cut at %d: events" cut)
+      (Engine.events_processed full.eng)
+      (Engine.events_processed copy.eng);
+    check_bool "resumed run did work" true (n > 0)
+  in
+  resume ~cut:5 ~parked:false;
+  resume ~cut:23 ~parked:true;
+  resume ~cut:50 ~parked:false
+
 (* --- Proc --- *)
 
 type Proc.op += Add_op of int
@@ -294,6 +541,8 @@ let suite =
     ( "engine: counts conserved across max_events cuts",
       `Quick,
       test_engine_counts_across_max_events_cuts );
+    ("engine: parked steps keep the observer cadence", `Quick, test_spin_observer_cadence);
+    ("engine: checkpoint mid-spin resumes identically", `Quick, test_spin_checkpoint_resume);
     ("proc sequencing", `Quick, test_proc_sequencing);
     ("proc repeat", `Quick, test_proc_repeat);
     ("proc fold/iter", `Quick, test_proc_fold_iter);
@@ -305,4 +554,4 @@ let suite =
     ("stats stddev", `Quick, test_stats_stddev);
     ("stats counter", `Quick, test_counter);
   ]
-  @ qsuite [ test_queue_many; test_rng_bounds ]
+  @ qsuite [ test_queue_many; test_spin_replays_heap_loop; test_rng_bounds ]
