@@ -14,9 +14,9 @@
    was never consumed at the receiver, so refunding the credit on final
    timeout cannot mint credits.
 
-   When no plan is installed ([on () = false]) every hook is a single
-   boolean load and the simulated timeline is bit-identical to a build
-   without this library. *)
+   When no domain has a plan installed every hook is a single atomic
+   load, and with none on this domain ([on () = false]) the simulated
+   timeline is bit-identical to a build without this library. *)
 
 module Rng = M3v_sim.Rng
 module Trace = M3v_obs.Trace
@@ -168,21 +168,24 @@ let spec t = t.spec
    experiment tasks each run under their own plan (or none) --- *)
 
 let current : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-let enabled : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
+let installed = Atomic.make 0
 
-let install t =
-  Domain.DLS.set current (Some t);
-  Domain.DLS.set enabled true
+let set_current v =
+  (match (Domain.DLS.get current, v) with
+  | None, Some _ -> Atomic.incr installed
+  | Some _, None -> Atomic.decr installed
+  | None, None | Some _, Some _ -> ());
+  Domain.DLS.set current v
 
-let uninstall () =
-  Domain.DLS.set current None;
-  Domain.DLS.set enabled false
+let active () = if Atomic.get installed = 0 then None else Domain.DLS.get current
+let on () = Atomic.get installed > 0 && Option.is_some (Domain.DLS.get current)
+let installed_domains () = Atomic.get installed
+let install t = set_current (Some t)
+let uninstall () = set_current None
 
 let with_plan t f =
   install t;
   Fun.protect ~finally:uninstall f
-
-let on () = Domain.DLS.get enabled
 
 (* [protect] exempts an activity from crash/hang injection (e.g. the
    pager, whose loss would wedge every faulting activity on the tile
@@ -194,7 +197,7 @@ let protect t ~act = Hashtbl.replace t.protected act ()
 type noc_fate = Deliver | Drop | Duplicate | Delay of int
 
 let noc_fate ~now ~src ~dst =
-  match Domain.DLS.get current with
+  match active () with
   | None -> Deliver
   | Some p ->
       let r = Rng.float p.rng in
@@ -227,7 +230,7 @@ let noc_fate ~now ~src ~dst =
       else Deliver
 
 let cmd_fails ~now ~tile =
-  match Domain.DLS.get current with
+  match active () with
   | None -> false
   | Some p ->
       p.spec.cmd_fail > 0.
@@ -245,7 +248,7 @@ type act_fate = Crash | Hang
    [spec.hang] hangs are injected across the whole run, each with
    per-boundary probability [crash_p]/[hang_p] while budget remains. *)
 let act_fate ~now ~tile ~act =
-  match Domain.DLS.get current with
+  match active () with
   | None -> None
   | Some p ->
       if Hashtbl.mem p.protected act then None
@@ -271,7 +274,7 @@ let act_fate ~now ~tile ~act =
    [mig_abort_p] while budget remains.  After the flip the protocol can
    only roll forward, so the controller stops consulting this hook. *)
 let mig_fate ~now ~tile ~act ~phase =
-  match Domain.DLS.get current with
+  match active () with
   | None -> false
   | Some p ->
       p.mig_abort_left > 0

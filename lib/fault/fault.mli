@@ -2,7 +2,7 @@
 
     A fault plan combines a {!spec} — NoC drop/duplicate/delay rates, DTU
     command glitch rate, and crash/hang budgets for activities — with a
-    dedicated {!M3v_sim.Rng} stream.  Installed process-globally (like the
+    dedicated {!M3v_sim.Rng} stream.  Installed on a domain (like the
     trace sink), it is consulted by the NoC, the DTU and TileMux at
     injection points.  Decisions are drawn in simulation order, so a given
     spec and seed reproduce the same fault schedule exactly.
@@ -13,9 +13,9 @@
     message never occupied a receive slot, making the DTU's
     refund-credit-on-timeout recovery credit-safe.
 
-    When no plan is installed, every hook short-circuits on one boolean
-    load — runs without [--faults] are bit-identical to a build without
-    this library. *)
+    When no domain has a plan installed, every hook short-circuits on one
+    atomic load — runs without [--faults] are bit-identical to a build
+    without this library. *)
 
 type spec = {
   drop : float;  (** per-data-packet drop probability *)
@@ -72,8 +72,13 @@ val with_plan : t -> (unit -> 'a) -> 'a
 
 (** Whether a plan is installed.  Injection points and recovery machinery
     (retransmit timers, watchdogs, RPC deadlines) check this first so the
-    fault-free fast path stays untouched. *)
+    fault-free fast path stays untouched.  Like {!M3v_obs.Trace.on}, it
+    reads the process-wide count of domains with a plan first. *)
 val on : unit -> bool
+
+(** The number of domains that have a plan installed now.  For tests,
+    like {!M3v_obs.Trace.installed_domains}. *)
+val installed_domains : unit -> int
 
 (** Exempt activity [act] from crash/hang injection (e.g. the pager). *)
 val protect : t -> act:int -> unit

@@ -47,9 +47,10 @@ type arec = {
   mutable slice_left : Time.t;
   mutable busy_ps : int;
   mutable bucket : string;
-  mutable bucket_key : string;
-      (** ["bucket/" ^ bucket], built when the bucket changes so that time
-          charging does not concatenate per charge *)
+  mutable bucket_cell : Stats.Counter.cell;
+      (** the ["bucket/" ^ bucket] cell of the owning runtime's counters,
+          resolved when the bucket changes so that time charging neither
+          concatenates nor hashes per charge *)
   mutable started : bool;
   mutable wake_sent : bool;  (** M3x: an Mx_wake is outstanding *)
   mutable stall_since : Time.t;
@@ -105,6 +106,14 @@ type t = {
   tm_queue : (Msg.data * int * (Msg.t -> unit)) Queue.t;
   mutable next_ppage : int;
   counters : Stats.Counter.t;
+  (* The cells of [counters] that the event path bumps, resolved once. *)
+  mux_cell : Stats.Counter.cell;  (** ["bucket/mux"] *)
+  ctx_switch_cell : Stats.Counter.cell;
+  core_req_cell : Stats.Counter.cell;
+  poll_cell : Stats.Counter.cell;
+  poll_wake_cell : Stats.Counter.cell;
+  mx_block_cell : Stats.Counter.cell;
+  mx_slow_send_cell : Stats.Counter.cell;
   mutable mux_busy_ps : int;
   mutable run_since : Time.t;  (** when the current activity got the core *)
   mutable wd_epoch : int;
@@ -127,10 +136,12 @@ let busy_of t aid = (find t aid).busy_ps
 let bucket_key bucket = "bucket/" ^ bucket
 let busy_of_bucket t bucket = Stats.Counter.get t.counters (bucket_key bucket)
 
-let set_bucket (a : arec) bucket =
+let bucket_cell t bucket = Stats.Counter.cell t.counters (bucket_key bucket)
+
+let set_bucket t (a : arec) bucket =
   if not (String.equal a.bucket bucket) then begin
     a.bucket <- bucket;
-    a.bucket_key <- bucket_key bucket
+    a.bucket_cell <- bucket_cell t bucket
   end
 
 let finished t aid = (find t aid).st = Dead
@@ -145,7 +156,7 @@ let charge_act t (a : arec) cycles k =
   else begin
     let d = Core_model.cycles t.core cycles in
     a.busy_ps <- a.busy_ps + d;
-    Stats.Counter.add t.counters a.bucket_key (float_of_int d);
+    Stats.Counter.bump a.bucket_cell (float_of_int d);
     Engine.after t.engine ~delay:d k
   end
 
@@ -155,7 +166,7 @@ let charge_mux t cycles k =
   else begin
     let d = Core_model.cycles t.core cycles in
     t.mux_busy_ps <- t.mux_busy_ps + d;
-    Stats.Counter.add t.counters "bucket/mux" (float_of_int d);
+    Stats.Counter.bump t.mux_cell (float_of_int d);
     Engine.after t.engine ~delay:d k
   end
 
@@ -190,11 +201,11 @@ let mux_instant t name =
 
 let note_stall_start (a : arec) ~now = a.stall_since <- now
 
-let note_stall_end t (a : arec) ~now =
+let note_stall_end (a : arec) ~now =
   let d = Time.sub now a.stall_since in
   if d > 0 then begin
     a.busy_ps <- a.busy_ps + d;
-    Stats.Counter.add t.counters a.bucket_key (float_of_int d)
+    Stats.Counter.bump a.bucket_cell (float_of_int d)
   end
 
 (* --- scheduling --- *)
@@ -230,7 +241,7 @@ and do_dispatch t =
         | Ready ->
             a.st <- Running;
             t.current <- Some aid;
-            Stats.Counter.incr t.counters "ctx_switch";
+            Stats.Counter.bump t.ctx_switch_cell 1.0;
             mux_instant t "ctx_switch";
             (* Schedule + register/address-space switch + the vDTU's atomic
                activity-switch command (2 MMIO accesses). *)
@@ -288,7 +299,7 @@ and handle_core_reqs t ~k =
     match Dtu.fetch_core_req t.dtu with
     | None -> k ()
     | Some target ->
-        Stats.Counter.incr t.counters "core_req";
+        Stats.Counter.bump t.core_req_cell 1.0;
         let entry = if first then t.core.Core_model.trap_cycles else 0 in
         charge_mux t (entry + t.core.Core_model.core_req_cycles) (fun () ->
             if target = tilemux_act then
@@ -463,7 +474,7 @@ and send_ctl t (a : arec) data ~k =
       attempt ())
 
 and mx_slow_send t (a : arec) ~ep ~reply_ep ~size ~data ~k =
-  Stats.Counter.incr t.counters "mx_slow_send";
+  Stats.Counter.bump t.mx_slow_send_cell 1.0;
   match (Dtu.ext_read_ep t.dtu ~ep).Ep.cfg with
   | Ep.Send s ->
       let reply_to =
@@ -482,7 +493,7 @@ and mx_slow_send t (a : arec) ~ep ~reply_ep ~size ~data ~k =
       failwith "Runtime: slow-path send on a non-send endpoint"
 
 and mx_slow_reply t (a : arec) ~(to_msg : Msg.t) ~size ~data ~k =
-  Stats.Counter.incr t.counters "mx_slow_send";
+  Stats.Counter.bump t.mx_slow_send_cell 1.0;
   match to_msg.Msg.reply_to with
   | None -> failwith "Runtime: slow-path reply without reply endpoint"
   | Some (dst_tile, dst_ep) ->
@@ -639,7 +650,7 @@ and interp_op t (a : arec) op (k : Proc.resp -> unit) =
       ignore line;
       k Proc.Unit
   | Op_acct bucket ->
-      set_bucket a bucket;
+      set_bucket t a bucket;
       k Proc.Unit
   | Op_alloc_buf size ->
       let vaddr = Addrspace.alloc_region a.addr ~size in
@@ -739,7 +750,7 @@ and interp_yield t (a : arec) k =
             schedule_dispatch t)
       else charge_act t a t.core.Core_model.trap_cycles (fun () -> k Proc.Unit)
   | M3x_mode ->
-      Stats.Counter.incr t.counters "mx_block";
+      Stats.Counter.bump t.mx_block_cell 1.0;
       send_ctl t a Proto.Mx_yield ~k:(fun () ->
           a.st <- Blocked_recv;
           a.resume <- Some (fun () -> k Proc.Unit))
@@ -827,7 +838,7 @@ and recv_loop t (a : arec) ?deadline eps k =
                 (* Nothing else to run: poll the vDTU (paper, 3.7).  The
                    wait is not charged to the activity's accounting
                    bucket: it is idle occupancy, not attributable work. *)
-                Stats.Counter.incr t.counters "poll";
+                Stats.Counter.bump t.poll_cell 1.0;
                 a.st <- Polling;
                 a.resume <- Some (fun () -> recv_loop t a ?deadline eps k);
                 arm_recv_deadline t a ?deadline ()
@@ -838,12 +849,12 @@ and recv_loop t (a : arec) ?deadline eps k =
                    wakes it on message arrival, without the controller —
                    M3x retains the fast path while the recipient is
                    running (paper, section 2.2). *)
-                Stats.Counter.incr t.counters "poll";
+                Stats.Counter.bump t.poll_cell 1.0;
                 a.st <- Polling;
                 a.resume <- Some (fun () -> recv_loop t a eps k)
               end
               else begin
-                Stats.Counter.incr t.counters "mx_block";
+                Stats.Counter.bump t.mx_block_cell 1.0;
                 a.st <- Blocked_recv;
                 a.resume <- Some (fun () -> recv_loop t a eps k);
                 send_ctl t a Proto.Mx_block ~k:(fun () -> ())
@@ -868,7 +879,7 @@ and arm_recv_deadline t (a : arec) ?deadline () =
                   make_ready t a;
                   schedule_dispatch t
               | Polling when t.current = Some aid ->
-                  Stats.Counter.incr t.counters "poll_wake";
+                  Stats.Counter.bump t.poll_wake_cell 1.0;
                   a.st <- Running;
                   arm_watchdog t a;
                   charge_act t a (2 * t.core.Core_model.mmio_cycles) (fun () ->
@@ -891,7 +902,7 @@ and do_send t (a : arec) ~ep ~reply_ep ~vaddr ~size ~data ~k =
         Dtu.send t.dtu ~ep ?reply_ep ?src_vaddr:vaddr ~issue_ts ~msg_size:size
           data ~k:complete
       and complete result =
-        note_stall_end t a ~now:(Engine.now t.engine);
+        note_stall_end a ~now:(Engine.now t.engine);
         a.st <- Running;
         match result with
         | Ok () -> k Proc.Unit
@@ -908,7 +919,7 @@ and do_send t (a : arec) ~ep ~reply_ep ~vaddr ~size ~data ~k =
                 a.st <- Stalled;
                 note_stall_start a ~now:(Engine.now t.engine))
               ~on_settle:(fun () ->
-                note_stall_end t a ~now:(Engine.now t.engine);
+                note_stall_end a ~now:(Engine.now t.engine);
                 a.st <- Running)
               attempt
         | Error Recv_gone when t.rmode = M3x_mode ->
@@ -935,7 +946,7 @@ and do_reply t (a : arec) ~recv_ep ~msg ~vaddr ~size ~data ~k =
         Dtu.reply t.dtu ~recv_ep ~to_msg:msg ?src_vaddr:vaddr ~issue_ts
           ~msg_size:size data
           ~k:(fun result ->
-            note_stall_end t a ~now:(Engine.now t.engine);
+            note_stall_end a ~now:(Engine.now t.engine);
             a.st <- Running;
             match result with
             | Ok () -> k Proc.Unit
@@ -959,7 +970,7 @@ and do_dma t (a : arec) ~write ~ep ~off ~len ~vaddr ~buf ~buf_off ~k =
         a.st <- Stalled;
         note_stall_start a ~now:(Engine.now t.engine);
         let complete result =
-          note_stall_end t a ~now:(Engine.now t.engine);
+          note_stall_end a ~now:(Engine.now t.engine);
           a.st <- Running;
           match result with
           | Ok () -> k Proc.Unit
@@ -993,7 +1004,7 @@ let on_msg_arrived t owner =
   | None -> ()
   | Some a ->
       if t.current = Some owner && a.st = Polling then begin
-        Stats.Counter.incr t.counters "poll_wake";
+        Stats.Counter.bump t.poll_wake_cell 1.0;
         mux_instant t "wake";
         a.st <- Running;
         arm_watchdog t a;
@@ -1102,7 +1113,7 @@ let mig_install t ~image ~sys_sgate ~sys_rgate =
           slice_left = t.timeslice;
           busy_ps = im_busy_ps;
           bucket = im_bucket;
-          bucket_key = bucket_key im_bucket;
+          bucket_cell = bucket_cell t im_bucket;
           started = im_started;
           wake_sent = false;
           stall_since = Time.zero;
@@ -1177,7 +1188,7 @@ let install_mx_stub t =
                 mx_resume_act t a;
                 k ())
           else begin
-            Stats.Counter.incr t.counters "ctx_switch";
+            Stats.Counter.bump t.ctx_switch_cell 1.0;
             mux_instant t "ctx_switch";
             charge_mux t (t.core.Core_model.ctx_switch_cycles / 2) (fun () ->
                 t.current <- Some aid;
@@ -1206,6 +1217,8 @@ let create ~mode ~controller ~tile ?(timeslice = Time.ms 1) () =
         ep
     | M3x_mode -> -1
   in
+  let counters = Stats.Counter.create () in
+  let cell = Stats.Counter.cell counters in
   let t =
     {
       rmode = mode;
@@ -1226,7 +1239,14 @@ let create ~mode ~controller ~tile ?(timeslice = Time.ms 1) () =
       tm_cont = None;
       tm_queue = Queue.create ();
       next_ppage = 0x1000;
-      counters = Stats.Counter.create ();
+      counters;
+      mux_cell = cell "bucket/mux";
+      ctx_switch_cell = cell "ctx_switch";
+      core_req_cell = cell "core_req";
+      poll_cell = cell "poll";
+      poll_wake_cell = cell "poll_wake";
+      mx_block_cell = cell "mx_block";
+      mx_slow_send_cell = cell "mx_slow_send";
       mux_busy_ps = 0;
       run_since = Time.zero;
       wd_epoch = 0;
@@ -1261,7 +1281,7 @@ let spawn t ~name ?(premap = true) ~program () =
       slice_left = t.timeslice;
       busy_ps = 0;
       bucket = "user";
-      bucket_key = bucket_key "user";
+      bucket_cell = bucket_cell t "user";
       started = false;
       wake_sent = false;
       stall_since = Time.zero;

@@ -2,8 +2,9 @@ module Stats = M3v_sim.Stats
 module H = Stats.Histogram
 
 (* Typed metrics with (tile, act, cat) labels.  Like Trace, the registry
-   is ambient and domain-local: emitters are no-ops (one DLS bool load,
-   zero allocation) unless a registry is installed on the running domain.
+   is ambient and domain-local: emitters are no-ops (one atomic load while
+   no domain has a registry, zero allocation) unless a registry is
+   installed on the running domain.
 
    Parallel runs shard the registry per task: [shard_task] wraps a task
    so it records into a private shard, and returns a merge thunk the pool
@@ -39,18 +40,23 @@ let create ?(series_cap = default_series_cap) () =
 
 (* --- ambient registry --- *)
 
+(* [installed] counts the domains that hold a registry; [set_current] is
+   the only writer of [current] and keeps the count, as in Trace. *)
 let current : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-let enabled : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
+let installed = Atomic.make 0
 
-let on () = Domain.DLS.get enabled
+let set_current v =
+  (match (Domain.DLS.get current, v) with
+  | None, Some _ -> Atomic.incr installed
+  | Some _, None -> Atomic.decr installed
+  | None, None | Some _, Some _ -> ());
+  Domain.DLS.set current v
 
-let install r =
-  Domain.DLS.set current (Some r);
-  Domain.DLS.set enabled true
-
-let uninstall () =
-  Domain.DLS.set current None;
-  Domain.DLS.set enabled false
+let active () = if Atomic.get installed = 0 then None else Domain.DLS.get current
+let on () = Atomic.get installed > 0 && Option.is_some (Domain.DLS.get current)
+let installed_domains () = Atomic.get installed
+let install r = set_current (Some r)
+let uninstall () = set_current None
 
 let with_registry r f =
   install r;
@@ -70,7 +76,7 @@ let key ~name ~tile ~act ~cat =
   { k_name = name; k_tile = tile; k_act = act; k_cat = cat }
 
 let counter_add ~name ?(tile = -1) ?(act = -1) ?(cat = "") v =
-  match Domain.DLS.get current with
+  match active () with
   | None -> ()
   | Some r -> (
       match
@@ -84,7 +90,7 @@ let counter_incr ~name ?tile ?act ?cat () =
   counter_add ~name ?tile ?act ?cat 1.0
 
 let gauge_set ~name ?(tile = -1) ?(act = -1) ?(cat = "") ~ts v =
-  match Domain.DLS.get current with
+  match active () with
   | None -> ()
   | Some r -> (
       match
@@ -97,7 +103,7 @@ let gauge_set ~name ?(tile = -1) ?(act = -1) ?(cat = "") ~ts v =
       | _ -> invalid_arg ("Metrics: " ^ name ^ " is not a gauge"))
 
 let observe ~name ?(tile = -1) ?(act = -1) ?(cat = "") v =
-  match Domain.DLS.get current with
+  match active () with
   | None -> ()
   | Some r -> (
       match
@@ -152,7 +158,7 @@ let sample r ~ts =
     r.table
 
 let sample_ambient ~ts =
-  match Domain.DLS.get current with None -> () | Some r -> sample r ~ts
+  match active () with None -> () | Some r -> sample r ~ts
 
 (* --- merging --- *)
 
@@ -230,19 +236,14 @@ let merge ~into src =
    submission time.  [None] when metrics are off, so the pool adds zero
    overhead in plain runs. *)
 let shard_task f =
-  match Domain.DLS.get current with
+  match active () with
   | None -> None
   | Some parent ->
       let shard = create ~series_cap:parent.series_cap () in
       let wrapped () =
         let saved = Domain.DLS.get current in
-        let saved_on = Domain.DLS.get enabled in
         install shard;
-        Fun.protect
-          ~finally:(fun () ->
-            Domain.DLS.set current saved;
-            Domain.DLS.set enabled saved_on)
-          f
+        Fun.protect ~finally:(fun () -> set_current saved) f
       in
       Some (wrapped, fun () -> merge ~into:parent shard)
 

@@ -2,9 +2,10 @@
     (tile, activity, category), with ring-buffer time-series sampling and
     deterministic text/JSON export.
 
-    Like {!Trace}, the registry is ambient and domain-local: emitters cost
-    one boolean load and allocate nothing when no registry is installed,
-    so instrumented hot paths are free in ordinary runs.
+    Like {!Trace}, the registry is ambient and domain-local: emitters
+    allocate nothing when no registry is installed, and while no domain
+    has one they cost one atomic load, so instrumented hot paths are free
+    in ordinary runs.
 
     Parallel experiment runs shard the registry per pool task via
     {!shard_task}; the pool merges each shard back at [await] in
@@ -26,8 +27,14 @@ val uninstall : unit -> unit
 val with_registry : t -> (unit -> 'a) -> 'a
 
 (** Whether a registry is installed on this domain.  Hot call sites check
-    this before computing emitter arguments. *)
+    this before computing emitter arguments.  Like {!Trace.on}, it reads
+    the process-wide count of domains with a registry first. *)
 val on : unit -> bool
+
+(** The number of domains that have a registry installed now (a
+    {!shard_task} counts while it runs).  For tests, like
+    {!Trace.installed_domains}. *)
+val installed_domains : unit -> int
 
 (** {1 Emitters} — no-ops when no registry is installed.  A name must keep
     one metric type for the whole run; mixing types raises

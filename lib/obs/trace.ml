@@ -39,13 +39,27 @@ let make ?(max_events = 500_000) () =
 (* The sink is ambient so tracepoints need no plumbing through every
    constructor — but it is domain-local, not process-global: experiment
    tasks fanned out over a Domain pool each install their own sink without
-   seeing each other's.  [enabled] mirrors the option to keep the disabled
-   check a single DLS load; every tracepoint below returns immediately
-   (allocating nothing) when no sink is installed on this domain. *)
+   seeing each other's.  [installed] counts the domains that hold a sink,
+   and [set_current] is the only writer of [current], so the count moves
+   with every install and uninstall.  The disabled check reads the count
+   first and touches domain-local storage only when some domain traces.
+   It is exact: a domain's own install precedes its own reads, and the
+   count never drops below the number of installed domains. *)
 let current : sink option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-let enabled : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
+let installed = Atomic.make 0
 
-let on () = Domain.DLS.get enabled
+let set_current v =
+  (match (Domain.DLS.get current, v) with
+  | None, Some _ -> Atomic.incr installed
+  | Some _, None -> Atomic.decr installed
+  | None, None | Some _, Some _ -> ());
+  Domain.DLS.set current v
+
+(* This domain's sink; every tracepoint below returns immediately
+   (allocating nothing) when it is [None]. *)
+let active () = if Atomic.get installed = 0 then None else Domain.DLS.get current
+let on () = Atomic.get installed > 0 && Option.is_some (Domain.DLS.get current)
+let installed_domains () = Atomic.get installed
 
 (* Run-local allocator resets (e.g. the message uid counter).  Trace
    output must be a pure function of the traced run, but flow events
@@ -59,12 +73,9 @@ let at_install f = install_hooks := f :: !install_hooks
 
 let install s =
   List.iter (fun f -> f ()) !install_hooks;
-  Domain.DLS.set current (Some s);
-  Domain.DLS.set enabled true
+  set_current (Some s)
 
-let uninstall () =
-  Domain.DLS.set current None;
-  Domain.DLS.set enabled false
+let uninstall () = set_current None
 
 let with_sink s f =
   install s;
@@ -116,7 +127,7 @@ let push s ev =
   end
 
 let complete ~cat ~name ?(tile = -1) ?(act = -1) ~ts ~dur ?(args = []) () =
-  match Domain.DLS.get current with
+  match active () with
   | None -> ()
   | Some s ->
       push s
@@ -133,7 +144,7 @@ let complete ~cat ~name ?(tile = -1) ?(act = -1) ~ts ~dur ?(args = []) () =
         }
 
 let instant ~cat ~name ?(tile = -1) ?(act = -1) ~ts ?(args = []) () =
-  match Domain.DLS.get current with
+  match active () with
   | None -> ()
   | Some s ->
       push s
@@ -150,7 +161,7 @@ let instant ~cat ~name ?(tile = -1) ?(act = -1) ~ts ?(args = []) () =
         }
 
 let counter ~cat ~name ?(tile = -1) ?(act = -1) ~ts ~value () =
-  match Domain.DLS.get current with
+  match active () with
   | None -> ()
   | Some s ->
       push s
@@ -170,7 +181,7 @@ let counter ~cat ~name ?(tile = -1) ?(act = -1) ~ts ~value () =
    Chrome matches s/t/f by that triple — so the point kind (issue, inject,
    deliver, fetch) travels in [args] instead of the name. *)
 let flow ph ~cat ~name ~id ?(tile = -1) ?(act = -1) ~ts ?(args = []) () =
-  match Domain.DLS.get current with
+  match active () with
   | None -> ()
   | Some s ->
       push s
@@ -191,7 +202,7 @@ let flow_step = flow Flow_step
 let flow_end = flow Flow_end
 
 let latency name v =
-  match Domain.DLS.get current with
+  match active () with
   | None -> ()
   | Some s -> Stats.Histogram.add (histogram s name) v
 

@@ -2,15 +2,17 @@
 
     Tracepoints throughout the stack (engine dispatch, NoC packets, DTU
     command lifecycles, TileMux scheduling, controller syscalls) report
-    into one process-global {!sink}.  The sink records events in simulated
-    time, keyed by tile ("pid") and activity ("tid"), and accumulates
-    latency histograms plus per-tile/per-category tallies.
+    into the {!sink} installed on the running domain.  The sink records
+    events in simulated time, keyed by tile ("pid") and activity ("tid"),
+    and accumulates latency histograms plus per-tile/per-category
+    tallies.
 
-    When no sink is installed every tracepoint is a cheap no-op: the
-    disabled check is a single boolean/option load and nothing is
-    allocated, so instrumented hot paths cost nothing in ordinary runs
-    (benchmark figures are bit-identical with tracing off).  Call sites on
-    hot paths additionally guard argument construction with {!on}.
+    When no sink is installed every tracepoint is a cheap no-op that
+    allocates nothing (benchmark figures are bit-identical with tracing
+    off).  While no domain of the process has a sink, the disabled check
+    is one atomic load of a process-wide count; only when some domain
+    traces does it also read this domain's sink.  Call sites on hot paths
+    additionally guard argument construction with {!on}.
 
     Export formats: Chrome trace-event JSON via {!Chrome}, human-readable
     latency/summary tables via {!Report}. *)
@@ -60,9 +62,16 @@ val uninstall : unit -> unit
     exception. *)
 val with_sink : sink -> (unit -> 'a) -> 'a
 
-(** Whether a sink is installed.  Hot call sites check this before
-    computing tracepoint arguments. *)
+(** Whether a sink is installed on this domain.  Hot call sites check
+    this before computing tracepoint arguments.  It reads the process-wide
+    count of domains with a sink first, and this domain's sink only when
+    that count is above 0; the answer is exact on every domain. *)
 val on : unit -> bool
+
+(** The number of domains that have a sink installed now.  For tests: a
+    count left above 0 changes no result, but keeps every {!on} on its
+    slow path. *)
+val installed_domains : unit -> int
 
 (** {1 Tracepoints} — all are no-ops when no sink is installed. *)
 

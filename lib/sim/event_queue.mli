@@ -2,6 +2,13 @@
     (structure-of-arrays) with reusable slots: a steady-state push/pop
     cycle at constant depth allocates nothing.
 
+    The heap order is kept in int arrays only (time, insertion sequence,
+    payload slot id); the payloads stay in stable slots.  A sift therefore
+    moves no boxed value and never runs the write barrier: a push stores
+    its payloads once, and a pop copies one live entry's payloads once,
+    into the slot it frees, so that slot does not keep the dropped
+    payloads reachable.
+
     Events with equal timestamps pop in insertion order (FIFO), which keeps
     the simulation deterministic. *)
 

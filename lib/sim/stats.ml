@@ -172,17 +172,20 @@ module Counter = struct
 
   (* [Hashtbl.find] on a hit returns the cell without the [Some] box that
      [find_opt] allocates. *)
-  let add t key v =
+  let cell t key =
     match Hashtbl.find t key with
-    | c -> c.v <- c.v +. v
-    | exception Not_found -> Hashtbl.add t key { v }
+    | c -> c
+    | exception Not_found ->
+        let c = { v = 0.0 } in
+        Hashtbl.add t key c;
+        c
 
+  let bump c v = c.v <- c.v +. v
+  let add t key v = bump (cell t key) v
   let incr t key = add t key 1.0
   let get t key = match Hashtbl.find_opt t key with Some c -> c.v | None -> 0.0
 
   let to_list t =
     Hashtbl.fold (fun k c acc -> (k, c.v) :: acc) t []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-  let reset t = Hashtbl.reset t
 end

@@ -53,10 +53,23 @@ end
 module Counter : sig
   type t
 
+  (** One key's accumulator.  A caller that bumps a key on every event
+      resolves its cell once with {!cell} and bumps it with {!bump}, which
+      neither hashes nor allocates (a float the caller computes is still
+      boxed to be passed, unless the compiler inlines [bump]). *)
+  type cell
+
   val create : unit -> t
+
+  (** [cell t key] is [key]'s cell, created at 0 if [key] has none.  A
+      cell at 0 reads through {!get} the same as a missing key. *)
+  val cell : t -> string -> cell
+
+  (** [bump c v] adds [v] to [c]'s value. *)
+  val bump : cell -> float -> unit
+
   val add : t -> string -> float -> unit
   val incr : t -> string -> unit
   val get : t -> string -> float
   val to_list : t -> (string * float) list
-  val reset : t -> unit
 end

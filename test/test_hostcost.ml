@@ -109,7 +109,20 @@ let test_counter_bumps_do_not_allocate () =
     (Printf.sprintf "Stats.Counter.add: %.2f words/call < 1" words)
     true (words < 1.0);
   Alcotest.(check (float 0.0)) "counter sum" 10_001.0
-    (Stats.Counter.get c "bucket/user")
+    (Stats.Counter.get c "bucket/user");
+  (* A resolved cell hashes nothing per bump, and its bumps read through
+     [get] like the keyed ones. *)
+  let cell = Stats.Counter.cell c "bucket/user" in
+  let bump () = Stats.Counter.bump cell 1.0 in
+  let words = minor_words_per_call 10_000 bump in
+  check_bool
+    (Printf.sprintf "Stats.Counter.bump: %.2f words/call = 0" words)
+    true (words = 0.0);
+  Alcotest.(check (float 0.0)) "bumps read through get" 20_002.0
+    (Stats.Counter.get c "bucket/user");
+  Alcotest.(check (float 0.0)) "a fresh cell reads as a missing key" 0.0
+    (ignore (Stats.Counter.cell c "bucket/idle");
+     Stats.Counter.get c "bucket/idle")
 
 (* A SEND stalled for credits is retried by a parked loop
    ([Dtu.spin_send] on [Engine.spin]): each poll checks the endpoint and

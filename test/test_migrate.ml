@@ -26,6 +26,8 @@ module Platform = M3v_tile.Platform
 module System = M3v.System
 module Exp_chaos = M3v.Exp_chaos
 module Par = M3v_par.Par
+module Runtime = M3v_mux.Runtime
+module Stats = M3v_sim.Stats
 
 open M3v_sim.Proc.Syntax
 
@@ -47,6 +49,8 @@ type outcome = {
   o_inv_end : int;
   o_drained : bool;  (** event queue empty at the end (true quiescence) *)
   o_stats : Controller.stats;
+  o_sys : System.t;
+  o_server : int;
 }
 
 (* One run: a [rounds]-call echo stream, with a migration attempt
@@ -133,6 +137,8 @@ let scenario ?(rounds = 60) ?(gap_cycles = 300) ~mig_at () =
     o_inv_end = inventory ();
     o_drained = Engine.pending engine = 0;
     o_stats = Controller.stats ctrl;
+    o_sys = sys;
+    o_server = server;
   }
 
 (* --- clean migration: the client never notices the move --- *)
@@ -148,6 +154,22 @@ let test_migrate_moves_server () =
   check_int "no aborts without a fault plan" 0 o.o_stats.Controller.mig_aborts;
   check_bool "downtime accounted" true (o.o_stats.Controller.mig_downtime_ps > 0);
   check_int "credit inventory conserved" o.o_inv_start o.o_inv_end
+
+(* After a move, the server's time charges land in the target runtime's
+   accounting bucket: the migration install resolves the bucket's counter
+   cell in the runtime that now owns the activity.  The server is the
+   only "user" activity on either tile, so the two tiles' buckets add up
+   to its whole busy time, which the image carries across. *)
+let test_migrate_charges_target_runtime () =
+  let o = scenario ~mig_at:[ Time.us 150 ] () in
+  check_bool "both sides finished" true o.o_completed;
+  check_int "one hop completed" 1 o.o_stats.Controller.migrations;
+  let busy tile = Runtime.busy_of_bucket (System.runtime o.o_sys ~tile) "user" in
+  check_bool "the target's bucket grew" true (busy alt_tile > 0.0);
+  Alcotest.(check (float 0.0))
+    "source + target buckets = the server's busy time"
+    (float_of_int (Runtime.busy_of (System.runtime o.o_sys ~tile:alt_tile) o.o_server))
+    (busy src_tile +. busy alt_tile)
 
 (* Three hops make the server revisit a tile it already vacated once:
    the forwarding pointer installed when it left must be cleared when its
@@ -270,6 +292,40 @@ let test_checkpoint_roundtrip_jobs () =
         (rt = Exp_chaos.run ~seed ()))
     seeds sequential
 
+(* A checkpoint marshals each runtime with the counter cells it keeps
+   beside its table; the restored runtime's bumps must land in the
+   restored table, not in orphaned copies of the cells. *)
+let test_checkpoint_keeps_counter_cells () =
+  let sys = System.create ~variant:System.M3v () in
+  let spin _ = Proc.repeat 200 (fun _ -> A.compute 5_000) in
+  ignore (System.spawn sys ~tile:src_tile ~name:"a" spin);
+  ignore (System.spawn sys ~tile:src_tile ~name:"b" spin);
+  System.boot sys;
+  ignore (System.run ~until:(Time.us 100) sys);
+  let file = Filename.temp_file "m3v_ckpt" ".bin" in
+  let restored : System.t =
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+      (fun () ->
+        Checkpoint.save ~path:file sys;
+        match Checkpoint.load ~path:file with
+        | Ok s -> s
+        | Error msg -> Alcotest.failf "load failed: %s" msg)
+  in
+  let counters () = Runtime.counters (System.runtime restored ~tile:src_tile) in
+  let read () =
+    ( Stats.Counter.get (counters ()) "bucket/user",
+      Stats.Counter.get (counters ()) "bucket/mux",
+      Stats.Counter.get (counters ()) "ctx_switch" )
+  in
+  let user0, mux0, switches0 = read () in
+  check_bool "charged before the checkpoint" true (user0 > 0.0 && mux0 > 0.0);
+  ignore (System.run restored);
+  let user1, mux1, switches1 = read () in
+  check_bool "user charges after the restore" true (user1 > user0);
+  check_bool "mux charges after the restore" true (mux1 > mux0);
+  check_bool "switches after the restore" true (switches1 > switches0)
+
 let test_checkpoint_codec_rejects () =
   (match Checkpoint.load ~path:"/nonexistent/m3v.ckpt" with
   | Error _ -> ()
@@ -301,6 +357,10 @@ let suite =
   [
     Alcotest.test_case "migration: server moves, client unaffected" `Quick
       test_migrate_moves_server;
+    Alcotest.test_case "migration: charges land on the target runtime" `Quick
+      test_migrate_charges_target_runtime;
+    Alcotest.test_case "checkpoint: restored runtime bumps its own cells" `Quick
+      test_checkpoint_keeps_counter_cells;
     Alcotest.test_case "migration: same-tile destination refused" `Quick
       test_migrate_rejects_same_tile;
     Alcotest.test_case "migration: revisiting a tile clears stale forwards"

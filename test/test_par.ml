@@ -8,6 +8,9 @@ module Event_queue = M3v_sim.Event_queue
 module Engine = M3v_sim.Engine
 module Bench_io = M3v_bench_io.Bench_io
 module Exp_runner = M3v.Exp_runner
+module Trace = M3v_obs.Trace
+module Metrics = M3v_obs.Metrics
+module Fault = M3v_fault.Fault
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -221,6 +224,179 @@ let prop_fast_path_matches_pop =
       done;
       !ok && Event_queue.is_empty q2)
 
+(* The slot heap against a reference list under every operation that
+   changes it.  Times come from a small range, so ties are common, and
+   the queue starts at capacity 1, so every growth step runs.  After each
+   step the top entry read through the accessors, its sequence number
+   included, is the head of a stable [(time, seq)] sort of the model. *)
+type qop = Push of int * int | Drop | Take_seq | Clear
+
+let qop_print = function
+  | Push (t, v) -> Printf.sprintf "push %d %d" t v
+  | Drop -> "drop"
+  | Take_seq -> "take_seq"
+  | Clear -> "clear"
+
+let qop_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map2 (fun t v -> Push (t, v)) (int_bound 7) small_nat);
+        (4, return Drop);
+        (1, return Take_seq);
+        (1, return Clear);
+      ])
+
+let prop_slot_heap_script =
+  QCheck.Test.make ~name:"slot heap = stable (time, seq) sort of a reference"
+    ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list qop_print)
+       QCheck.Gen.(list_size (int_bound 120) qop_gen))
+    (fun script ->
+      let q = Event_queue.create2 ~capacity:1 () in
+      (* (time, seq, fst, snd), kept sorted by (time, seq) *)
+      let model = ref [] and next_seq = ref 0 in
+      let agrees () =
+        Event_queue.length q = List.length !model
+        &&
+        match !model with
+        | [] -> Event_queue.is_empty q
+        | (t, seq, x, y) :: _ ->
+            Event_queue.next_time q = t
+            && Event_queue.top_seq q = seq
+            && Event_queue.top_fst q = x
+            && Event_queue.top_snd q = y
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Push (t, v) ->
+              let x = Printf.sprintf "x%d" v and y = [ v ] in
+              Event_queue.push2 q ~time:t x y;
+              model :=
+                List.stable_sort
+                  (fun (t1, s1, _, _) (t2, s2, _, _) -> compare (t1, s1) (t2, s2))
+                  (!model @ [ (t, !next_seq, x, y) ]);
+              incr next_seq
+          | Drop -> (
+              match !model with
+              | [] -> ()
+              | _ :: rest ->
+                  Event_queue.drop_min q;
+                  model := rest)
+          | Take_seq ->
+              let seq = Event_queue.take_seq q in
+              if seq <> !next_seq then
+                QCheck.Test.fail_reportf "take_seq %d, expected %d" seq !next_seq;
+              incr next_seq
+          | Clear ->
+              Event_queue.clear q;
+              model := [];
+              next_seq := 0);
+          agrees ())
+        script)
+
+(* A dropped payload is not kept reachable by the slot it leaves while
+   the other entries stay queued. *)
+let push_tracked q w ~time =
+  let b = Bytes.make 64 'p' in
+  Weak.set w 0 (Some b);
+  Event_queue.push2 q ~time b 0
+[@@inline never]
+
+let test_slot_heap_releases_dropped () =
+  let q = Event_queue.create2 ~capacity:1 () in
+  let w = Weak.create 1 in
+  push_tracked q w ~time:1;
+  Event_queue.push2 q ~time:2 (Bytes.make 64 'b') 2;
+  Event_queue.push2 q ~time:3 (Bytes.make 64 'c') 3;
+  Event_queue.drop_min q;
+  Gc.full_major ();
+  check_bool "dropped payload collected" false (Weak.check w 0);
+  check_int "two still queued" 2 (Event_queue.length q);
+  Alcotest.(check (list (pair int char)))
+    "the others drain in order"
+    [ (2, 'b'); (3, 'c') ]
+    (List.init 2 (fun _ ->
+         let t = Event_queue.next_time q and b = Event_queue.top_fst q in
+         Event_queue.drop_min q;
+         (t, Bytes.get b 0)))
+
+(* --- ambient switches: exact on every domain --- *)
+
+let switches () = (Trace.on (), Metrics.on (), Fault.on ())
+let installed () =
+  (Trace.installed_domains (), Metrics.installed_domains (),
+   Fault.installed_domains ())
+
+let all_off = (false, false, false)
+let check_switches = Alcotest.(check (triple bool bool bool))
+let check_counts = Alcotest.(check (triple int int int))
+
+let with_all f =
+  Trace.with_sink (Trace.make ()) (fun () ->
+      Metrics.with_registry (Metrics.create ()) (fun () ->
+          Fault.with_plan (Fault.create Fault.none) f))
+
+(* Run [f] as a pool task that the submitter cannot help run: it awaits
+   only once the task has finished, so the pool's worker ran it. *)
+let on_worker pool f =
+  let finished = Atomic.make false in
+  let fut =
+    Par.submit pool (fun () ->
+        Fun.protect ~finally:(fun () -> Atomic.set finished true) f)
+  in
+  while not (Atomic.get finished) do
+    Domain.cpu_relax ()
+  done;
+  Par.await fut
+
+let test_switches_exact_across_domains () =
+  Par.Pool.with_pool ~jobs:2 (fun pool ->
+      let inside = Atomic.make false and checked = Atomic.make false in
+      let held =
+        Par.submit pool (fun () ->
+            with_all (fun () ->
+                let seen = switches () in
+                Atomic.set inside true;
+                while not (Atomic.get checked) do
+                  Domain.cpu_relax ()
+                done;
+                seen))
+      in
+      while not (Atomic.get inside) do
+        Domain.cpu_relax ()
+      done;
+      (* The worker holds all three, so the counts are up and this
+         domain's check takes the slow path, and must still read false.
+         Read before releasing the task, check after: a failed check
+         must not leave the worker spinning. *)
+      let counts = installed () and here = switches () in
+      Atomic.set checked true;
+      check_counts "one domain holds each" (1, 1, 1) counts;
+      check_switches "submitter while the worker holds all three" all_off here;
+      check_switches "inside the task" (true, true, true) (Par.await held);
+      check_switches "submitter after the task" all_off (switches ());
+      check_switches "worker after the task" all_off (on_worker pool switches);
+      (match on_worker pool (fun () -> with_all (fun () -> failwith "boom")) with
+      | () -> Alcotest.fail "the task's exception was lost"
+      | exception Failure _ -> ());
+      check_switches "worker after a raise" all_off (on_worker pool switches);
+      check_switches "submitter after a raise" all_off (switches ());
+      check_counts "nothing left installed" (0, 0, 0) (installed ());
+      (* With metrics on, a task runs under its own shard, which
+         [Metrics.shard_task] installs on the worker and then removes. *)
+      let seen =
+        Metrics.with_registry (Metrics.create ()) (fun () ->
+            on_worker pool (fun () ->
+                Metrics.counter_incr ~name:"task" ();
+                Metrics.on ()))
+      in
+      check_bool "metrics on in the worker's task" true seen;
+      check_int "no registry left installed" 0 (Metrics.installed_domains ());
+      check_switches "all off after the metrics run" all_off (switches ()))
+
 (* --- Engine: clock rule and apply fast path --- *)
 
 let test_engine_until_advances_when_drained () =
@@ -333,6 +509,10 @@ let suite =
       test_queue_clear_reuse;
     Alcotest.test_case "event queue: two payloads + empty accessors" `Quick
       test_queue_two_payloads;
+    Alcotest.test_case "event queue: a dropped payload is released" `Quick
+      test_slot_heap_releases_dropped;
+    Alcotest.test_case "switches: exact across domains" `Quick
+      test_switches_exact_across_domains;
     Alcotest.test_case "engine: until advances a drained clock" `Quick
       test_engine_until_advances_when_drained;
     Alcotest.test_case "engine: max_events keeps clock on pending work" `Quick
@@ -352,4 +532,5 @@ let suite =
         prop_heap_matches_stable_sort;
         prop_heap_interleaved;
         prop_fast_path_matches_pop;
+        prop_slot_heap_script;
       ]
