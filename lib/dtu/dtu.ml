@@ -1005,11 +1005,13 @@ let ext_read_ep t ~ep =
    and the slot a fresh Invalid record, so nothing done to the slot while
    the endpoint is out (a reconfiguration, a delivery, a refund) reaches
    the taken record.  Refunds that land on the empty slot are parked for
-   [ext_put]; a configured slot has none parked. *)
+   [ext_put]; a configured slot has none parked.  Forwarding pointers
+   exist only after a migration and parked refunds only while a send
+   endpoint is out, so both calls test a table's size before hashing. *)
 let ext_take t ~ep =
   check_ep_index t ep;
   invalidate_ep_cache t;
-  Hashtbl.remove t.moved ep;
+  if Hashtbl.length t.moved > 0 then Hashtbl.remove t.moved ep;
   let e = t.eps.(ep) in
   t.eps.(ep) <- Ep.make_invalid ();
   e
@@ -1023,20 +1025,21 @@ let ext_put t ~ep saved =
      endpoint's traffic.  Without this, the third hop of a migration that
      revisits a tile chases stale [moved] entries in a cycle until the hop
      budget runs out and delivers wherever the chase happens to stop. *)
-  Hashtbl.remove t.moved ep;
+  if Hashtbl.length t.moved > 0 then Hashtbl.remove t.moved ep;
   t.eps.(ep) <- saved;
   (* A refund that arrived while the endpoint was out was parked; apply it
      now so the send endpoint is not short of credits, capped at
      max_credits. *)
-  match saved.Ep.cfg with
-  | Ep.Send s -> (
-      match Hashtbl.find_opt t.pending_refunds ep with
-      | Some n ->
-          Hashtbl.remove t.pending_refunds ep;
-          s.Ep.credits <- min s.Ep.max_credits (s.Ep.credits + n);
-          Ep.check_credits ~ctx:"ext_put" s
-      | None -> ())
-  | Ep.Invalid | Ep.Recv _ | Ep.Mem _ -> Hashtbl.remove t.pending_refunds ep
+  if Hashtbl.length t.pending_refunds > 0 then
+    match saved.Ep.cfg with
+    | Ep.Send s -> (
+        match Hashtbl.find_opt t.pending_refunds ep with
+        | Some n ->
+            Hashtbl.remove t.pending_refunds ep;
+            s.Ep.credits <- min s.Ep.max_credits (s.Ep.credits + n);
+            Ep.check_credits ~ctx:"ext_put" s
+        | None -> ())
+    | Ep.Invalid | Ep.Recv _ | Ep.Mem _ -> Hashtbl.remove t.pending_refunds ep
 
 let ext_inject t ~ep msg =
   (* Externally injected messages (kernel upcalls, NIC receive path) have

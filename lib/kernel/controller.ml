@@ -18,6 +18,7 @@ type mode = M3v | M3x
 type mx_stub = {
   mx_save : k:(unit -> unit) -> unit;
   mx_restore : act_id -> k:(unit -> unit) -> unit;
+  mx_woken : act_id -> bool;
 }
 
 (* Opaque activity image carried from the source runtime to the target
@@ -50,15 +51,18 @@ type act = {
   mutable mx_blocked : bool;
   mutable mx_wake_pending : bool;
   mutable mx_registered : bool;
+  mutable mx_queued : bool;  (* the id is in its tile's ready queue *)
+  mutable mx_saved : (int * Ep.t) list;
+      (* endpoint records taken out at the last switch-out; [] while live *)
+  mx_pending : (int * Msg.t) Queue.t;
+      (* slow-path deliveries waiting for the next switch-in: (ep, msg) *)
 }
 
 type mx_tile_state = {
-  mutable cur : act_id option;
+  mutable cur : act_id;  (* [invalid_act] when no activity is switched in *)
   ready : act_id Queue.t;
-  pending : (act_id, (int * Msg.t) Queue.t) Hashtbl.t;
-      (* deliveries waiting for the activity to be switched in: (ep, msg) *)
-  snapshots : (act_id, (int * Ep.t) list) Hashtbl.t;
   mutable switching : bool;
+  mutable stub : mx_stub option;
 }
 
 type stats = {
@@ -82,15 +86,14 @@ type t = {
   noc : Noc.t;
   dtu : Dtu.t;
   core : Core_model.t;
-  acts : (act_id, act) Hashtbl.t;
+  mutable acts : act option array;  (* by id; ids are dense from 0 *)
   mutable next_act : act_id;
   ep_next : int array;  (* per-tile endpoint allocator *)
   mem_next : (int * int ref) list;  (* (memory tile, bump pointer) *)
   ep_owners : (int * int, act_id) Hashtbl.t;  (* (tile, recv ep) -> owner *)
-  mx_stubs : (int, mx_stub) Hashtbl.t;
   mig_stubs : (int, mig_stub) Hashtbl.t;
   mutable mig_busy : bool;  (* at most one migration in flight *)
-  mx_tiles : (int, mx_tile_state) Hashtbl.t;
+  mx_tiles : mx_tile_state array;  (* by tile *)
   tm_rgates : (int, int) Hashtbl.t;  (* tile -> TileMux receive endpoint *)
   restart_hooks : (int, act_id -> unit) Hashtbl.t;  (* tile -> respawn *)
   pending_maps : (int, Msg.t) Hashtbl.t;  (* map request id -> pager syscall *)
@@ -132,8 +135,11 @@ let fresh_stats () =
     mig_downtime_ps = 0;
   }
 
+let find_act_opt t aid =
+  if aid >= 0 && aid < Array.length t.acts then t.acts.(aid) else None
+
 let find_act t aid =
-  match Hashtbl.find_opt t.acts aid with
+  match find_act_opt t aid with
   | Some a -> a
   | None -> invalid_arg (Printf.sprintf "Controller: unknown activity %d" aid)
 
@@ -166,23 +172,32 @@ let ext_round_trip t ~dst ~bytes ~apply ~k =
 let host_new_act t ~tile ~name =
   let aid = t.next_act in
   t.next_act <- aid + 1;
-  Hashtbl.replace t.acts aid
-    {
-      aid;
-      name;
-      a_tile = tile;
-      caps = Hashtbl.create 16;
-      next_sel = 0;
-      alive = true;
-      exit_code = None;
-      restarts = 0;
-      max_restarts = 0;
-      ep_list = [];
-      syscall_eps = None;
-      mx_blocked = false;
-      mx_wake_pending = false;
-      mx_registered = false;
-    };
+  if aid = Array.length t.acts then begin
+    let acts = Array.make (2 * aid) None in
+    Array.blit t.acts 0 acts 0 aid;
+    t.acts <- acts
+  end;
+  t.acts.(aid) <-
+    Some
+      {
+        aid;
+        name;
+        a_tile = tile;
+        caps = Hashtbl.create 16;
+        next_sel = 0;
+        alive = true;
+        exit_code = None;
+        restarts = 0;
+        max_restarts = 0;
+        ep_list = [];
+        syscall_eps = None;
+        mx_blocked = false;
+        mx_wake_pending = false;
+        mx_registered = false;
+        mx_queued = false;
+        mx_saved = [];
+        mx_pending = Queue.create ();
+      };
   aid
 
 let act_name t aid = (find_act t aid).name
@@ -287,7 +302,7 @@ let host_new_mgate t ~act ~mem_tile ~base ~size ~perm =
   sel
 
 let find_cap t ~act ~sel =
-  match Hashtbl.find_opt t.acts act with
+  match find_act_opt t act with
   | None -> None
   | Some a -> Hashtbl.find_opt a.caps sel
 
@@ -364,57 +379,43 @@ let register_tm_rgate t ~tile ~ep = Hashtbl.replace t.tm_rgates tile ep
 
 (* --- M3x machinery --- *)
 
-let register_mx_stub t ~tile stub = Hashtbl.replace t.mx_stubs tile stub
-
-let mx_tile_state t tile =
-  match Hashtbl.find_opt t.mx_tiles tile with
-  | Some s -> s
-  | None ->
-      let s =
-        {
-          cur = None;
-          ready = Queue.create ();
-          pending = Hashtbl.create 4;
-          snapshots = Hashtbl.create 4;
-          switching = false;
-        }
-      in
-      Hashtbl.replace t.mx_tiles tile s;
-      s
+let register_mx_stub t ~tile stub = t.mx_tiles.(tile).stub <- Some stub
 
 let mx_stub t tile =
-  match Hashtbl.find_opt t.mx_stubs tile with
+  match t.mx_tiles.(tile).stub with
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Controller: no M3x stub on tile %d" tile)
 
 (* An M3x switch moves the outgoing activity's endpoint records out of the
    register file and the incoming one's back in; nothing is copied. *)
-let snapshot_eps t st a =
+let snapshot_eps t a =
   let dtu = Platform.dtu t.platform a.a_tile in
-  let snap = List.map (fun ep -> (ep, Dtu.ext_take dtu ~ep)) a.ep_list in
-  Hashtbl.replace st.snapshots a.aid snap
+  a.mx_saved <- List.map (fun ep -> (ep, Dtu.ext_take dtu ~ep)) a.ep_list
 
-let restore_eps t st a =
+let restore_eps t a =
   let dtu = Platform.dtu t.platform a.a_tile in
-  (match Hashtbl.find_opt st.snapshots a.aid with
-  | Some snap -> List.iter (fun (ep, saved) -> Dtu.ext_put dtu ~ep saved) snap
-  | None -> ());
-  Hashtbl.remove st.snapshots a.aid
+  List.iter (fun (ep, saved) -> Dtu.ext_put dtu ~ep saved) a.mx_saved;
+  a.mx_saved <- []
+
+let mx_enqueue st a =
+  a.mx_queued <- true;
+  Queue.add a.aid st.ready
+
+(* Take [a]'s records as a switch moves it off the core for [next].  If a
+   message reached [a] after it blocked, its wake may not have reached the
+   controller before the records left: [a] stays runnable, unless [next]
+   is [a] itself and the switch brings it straight back. *)
+let switch_out t a ~next =
+  snapshot_eps t a;
+  let st = t.mx_tiles.(a.a_tile) in
+  if a != next && (mx_stub t a.a_tile).mx_woken a.aid && not a.mx_queued then
+    mx_enqueue st a
 
 let mx_register_act t ~act =
   let a = find_act t act in
-  let st = mx_tile_state t a.a_tile in
   a.mx_registered <- true;
-  snapshot_eps t st a;
-  Queue.add act st.ready
-
-let pending_queue st aid =
-  match Hashtbl.find_opt st.pending aid with
-  | Some q -> q
-  | None ->
-      let q = Queue.create () in
-      Hashtbl.replace st.pending aid q;
-      q
+  snapshot_eps t a;
+  mx_enqueue t.mx_tiles.(a.a_tile) a
 
 (* Deliver queued slow-path messages into the (now live) endpoints of an
    activity, charging controller compute and the controller->tile
@@ -434,63 +435,60 @@ let rec deliver_all t ~tile ~dtu q k =
               deliver_all t ~tile ~dtu q k))
 
 let rec mx_try_switch t tile_id ~k =
-  let st = mx_tile_state t tile_id in
+  let st = t.mx_tiles.(tile_id) in
   if st.switching then k ()
   else
-    let cur_act = Option.map (find_act t) st.cur in
+    let cur_act = find_act_opt t st.cur in
     let cur_busy =
       match cur_act with Some a -> a.alive && not a.mx_blocked | None -> false
     in
-    if cur_busy then k ()
-    else
-      match Queue.take_opt st.ready with
-      | None -> k ()
-      | Some next_id ->
-          st.switching <- true;
-          t.stats.mx_switches <- t.stats.mx_switches + 1;
-          let stub = mx_stub t tile_id in
-          let save_phase k2 =
-            match cur_act with
-            | Some a when a.alive ->
-                charge t mx_save_phase_cycles (fun () ->
-                    stub.mx_save ~k:(fun () ->
-                        ext_round_trip t ~dst:tile_id
-                          ~bytes:(List.length a.ep_list * ep_save_bytes_per_ep)
-                          ~apply:(fun () -> snapshot_eps t st a)
-                          ~k:k2))
-            | Some _ | None -> charge t (mx_save_phase_cycles / 4) k2
-          in
-          save_phase (fun () ->
-              let b = find_act t next_id in
-              charge t mx_restore_phase_cycles (fun () ->
-                  ext_round_trip t ~dst:tile_id
-                    ~bytes:(List.length b.ep_list * ep_save_bytes_per_ep)
-                    ~apply:(fun () -> restore_eps t st b)
-                    ~k:(fun () ->
-                      st.cur <- Some next_id;
-                      b.mx_blocked <- false;
-                      let dtu = Platform.dtu t.platform tile_id in
-                      let q = pending_queue st next_id in
-                      deliver_all t ~tile:tile_id ~dtu q (fun () ->
-                          st.switching <- false;
-                          stub.mx_restore next_id ~k:(fun () ->
-                              (* More ready work may have queued up. *)
-                              mx_try_switch t tile_id ~k)))))
+    if cur_busy || Queue.is_empty st.ready then k ()
+    else begin
+      let b = find_act t (Queue.take st.ready) in
+      b.mx_queued <- false;
+      st.switching <- true;
+      t.stats.mx_switches <- t.stats.mx_switches + 1;
+      let stub = mx_stub t tile_id in
+      let save_phase k2 =
+        match cur_act with
+        | Some a when a.alive ->
+            charge t mx_save_phase_cycles (fun () ->
+                stub.mx_save ~k:(fun () ->
+                    ext_round_trip t ~dst:tile_id
+                      ~bytes:(List.length a.ep_list * ep_save_bytes_per_ep)
+                      ~apply:(fun () -> switch_out t a ~next:b)
+                      ~k:k2))
+        | Some _ | None -> charge t (mx_save_phase_cycles / 4) k2
+      in
+      save_phase (fun () ->
+          charge t mx_restore_phase_cycles (fun () ->
+              ext_round_trip t ~dst:tile_id
+                ~bytes:(List.length b.ep_list * ep_save_bytes_per_ep)
+                ~apply:(fun () -> restore_eps t b)
+                ~k:(fun () ->
+                  st.cur <- b.aid;
+                  b.mx_blocked <- false;
+                  let dtu = Platform.dtu t.platform tile_id in
+                  deliver_all t ~tile:tile_id ~dtu b.mx_pending (fun () ->
+                      st.switching <- false;
+                      stub.mx_restore b.aid ~k:(fun () ->
+                          (* More ready work may have queued up. *)
+                          mx_try_switch t tile_id ~k)))))
+    end
 
 let mx_kick t ~tile = mx_try_switch t tile ~k:(fun () -> ())
 
 let mx_make_ready t a =
-  let st = mx_tile_state t a.a_tile in
+  let st = t.mx_tiles.(a.a_tile) in
   a.mx_blocked <- false;
-  if st.cur <> Some a.aid && not (Queue.fold (fun f x -> f || x = a.aid) false st.ready)
-  then Queue.add a.aid st.ready
+  if a.alive && st.cur <> a.aid && not a.mx_queued then mx_enqueue st a
 
 (* A wake-up for [a]: restore it in place if it is the tile's current,
    blocked activity, otherwise note the wake and queue it for a switch.
    [k] runs once the controller is done with the tile. *)
 let mx_wake t a ~k =
-  let st = mx_tile_state t a.a_tile in
-  if st.cur = Some a.aid && not st.switching then begin
+  let st = t.mx_tiles.(a.a_tile) in
+  if st.cur = a.aid && not st.switching then begin
     if a.mx_blocked then begin
       a.mx_blocked <- false;
       (mx_stub t a.a_tile).mx_restore a.aid ~k:(fun () -> ())
@@ -571,7 +569,7 @@ let teardown_act t (a : act) ~k =
         let killed, eps = Cap.revoke c in
         List.iter
           (fun (c : Cap.t) ->
-            match Hashtbl.find_opt t.acts c.Cap.owner with
+            match find_act_opt t c.Cap.owner with
             | Some owner -> Hashtbl.remove owner.caps c.Cap.sel
             | None -> ())
           killed;
@@ -836,7 +834,7 @@ let mig_quiesce_phase t (a : act) ~dst_tile ~eps ~k =
         else mig_drain t a ~dst_tile ~eps ~image ~parked_at ~k)
 
 let migrate t ~act ~dst_tile ~k =
-  match Hashtbl.find_opt t.acts act with
+  match find_act_opt t act with
   | None -> k (Error "unknown activity")
   | Some a ->
       if t.mode <> M3v then k (Error "migration requires M3v mode")
@@ -968,7 +966,7 @@ let handle_sys t (msg : Msg.t) req ~k =
           (* Remove revoked capabilities from their owners' tables. *)
           List.iter
             (fun (c : Cap.t) ->
-              match Hashtbl.find_opt t.acts c.Cap.owner with
+              match find_act_opt t c.Cap.owner with
               | Some owner -> Hashtbl.remove owner.caps c.Cap.sel
               | None -> ())
             killed;
@@ -1039,8 +1037,8 @@ let handle_sys t (msg : Msg.t) req ~k =
       ignore (Dtu.ack t.dtu ~ep:syscall_ep msg);
       (match t.mode with
       | M3x when requester.mx_registered ->
-          let st = mx_tile_state t requester.a_tile in
-          if st.cur = Some requester.aid then st.cur <- None;
+          let st = t.mx_tiles.(requester.a_tile) in
+          if st.cur = requester.aid then st.cur <- invalid_act;
           mx_try_switch t requester.a_tile ~k
       | M3v when code <> 0 -> handle_crash t requester ~code ~k
       | M3x | M3v -> k ())
@@ -1062,24 +1060,21 @@ let handle_mx t (msg : Msg.t) ~k =
       charge t (mx_fwd_cycles / 2) (fun () -> mx_wake t sender ~k)
   | Protocol.Mx_block ->
       charge t (mx_fwd_cycles / 2) (fun () ->
+          sender.mx_blocked <- true;
+          (* A wake that overtook the block resumes the sender in place. *)
           if sender.mx_wake_pending then begin
             sender.mx_wake_pending <- false;
-            mx_wake t sender ~k:(fun () -> ());
-            mx_try_switch t sender.a_tile ~k
-          end
-          else begin
-            sender.mx_blocked <- true;
-            mx_try_switch t sender.a_tile ~k
-          end)
+            mx_wake t sender ~k:(fun () -> ())
+          end;
+          mx_try_switch t sender.a_tile ~k)
   | Protocol.Mx_yield ->
       charge t (mx_fwd_cycles / 2) (fun () ->
           (* The yielder goes to the back of its tile's queue; it counts as
              blocked so the switch machinery may take it off the core, but
              it is immediately runnable again. *)
-          let st = mx_tile_state t sender.a_tile in
           sender.mx_blocked <- true;
-          if not (Queue.fold (fun f x -> f || x = sender.aid) false st.ready)
-          then Queue.add sender.aid st.ready;
+          if not sender.mx_queued then
+            mx_enqueue t.mx_tiles.(sender.a_tile) sender;
           mx_try_switch t sender.a_tile ~k)
   | Protocol.Mx_fwd { fwd_dst_tile; fwd_dst_ep; fwd; fwd_block } ->
       t.stats.mx_forwards <- t.stats.mx_forwards + 1;
@@ -1097,8 +1092,8 @@ let handle_mx t (msg : Msg.t) ~k =
               then_switch_sender ()
           | Some recipient_id ->
               let recipient = find_act t recipient_id in
-              let st = mx_tile_state t fwd_dst_tile in
-              if st.cur = Some recipient_id && not st.switching then begin
+              let st = t.mx_tiles.(fwd_dst_tile) in
+              if st.cur = recipient_id && not st.switching then begin
                 (* Endpoints are live: inject directly and wake locally. *)
                 let dtu = Platform.dtu t.platform fwd_dst_tile in
                 let was_blocked = recipient.mx_blocked in
@@ -1112,7 +1107,7 @@ let handle_mx t (msg : Msg.t) ~k =
                     then_switch_sender ())
               end
               else begin
-                Queue.add (fwd_dst_ep, fwd) (pending_queue st recipient_id);
+                Queue.add (fwd_dst_ep, fwd) recipient.mx_pending;
                 mx_make_ready t recipient;
                 mx_try_switch t fwd_dst_tile ~k:(fun () ->
                     if fwd_block && sender.a_tile <> fwd_dst_tile then
@@ -1203,15 +1198,16 @@ let create ~mode ~platform ~tile () =
       noc = Platform.noc platform;
       dtu;
       core;
-      acts = Hashtbl.create 32;
+      acts = Array.make 32 None;
       next_act = 0;
       ep_next = Array.make (Platform.tile_count platform) 1;
       mem_next;
       ep_owners = Hashtbl.create 64;
-      mx_stubs = Hashtbl.create 8;
       mig_stubs = Hashtbl.create 8;
       mig_busy = false;
-      mx_tiles = Hashtbl.create 8;
+      mx_tiles =
+        Array.init (Platform.tile_count platform) (fun _ ->
+            { cur = invalid_act; ready = Queue.create (); switching = false; stub = None });
       tm_rgates = Hashtbl.create 8;
       restart_hooks = Hashtbl.create 8;
       pending_maps = Hashtbl.create 8;

@@ -26,6 +26,10 @@ type mx_stub = {
       (** save the current activity's core state *)
   mx_restore : M3v_dtu.Dtu_types.act_id -> k:(unit -> unit) -> unit;
       (** install the activity as current and resume it *)
+  mx_woken : M3v_dtu.Dtu_types.act_id -> bool;
+      (** a message reached the blocked activity and the controller may not
+          have seen its wake; read when a switch takes the activity's
+          endpoint records, which then leaves it runnable *)
 }
 
 val create :

@@ -52,7 +52,9 @@ type arec = {
           resolved when the bucket changes so that time charging neither
           concatenates nor hashes per charge *)
   mutable started : bool;
-  mutable wake_sent : bool;  (** M3x: an Mx_wake is outstanding *)
+  mutable wake_sent : bool;
+      (** M3x: a message reached the activity while it was blocked; cleared
+          when it resumes *)
   mutable stall_since : Time.t;
   mutable wait_token : int;
       (** invalidates stale recv-deadline timers (fault injection) *)
@@ -156,7 +158,7 @@ let charge_act t (a : arec) cycles k =
   else begin
     let d = Core_model.cycles t.core cycles in
     a.busy_ps <- a.busy_ps + d;
-    Stats.Counter.bump a.bucket_cell (float_of_int d);
+    Stats.Counter.bump a.bucket_cell d;
     Engine.after t.engine ~delay:d k
   end
 
@@ -166,7 +168,7 @@ let charge_mux t cycles k =
   else begin
     let d = Core_model.cycles t.core cycles in
     t.mux_busy_ps <- t.mux_busy_ps + d;
-    Stats.Counter.bump t.mux_cell (float_of_int d);
+    Stats.Counter.bump t.mux_cell d;
     Engine.after t.engine ~delay:d k
   end
 
@@ -205,7 +207,7 @@ let note_stall_end (a : arec) ~now =
   let d = Time.sub now a.stall_since in
   if d > 0 then begin
     a.busy_ps <- a.busy_ps + d;
-    Stats.Counter.bump a.bucket_cell (float_of_int d)
+    Stats.Counter.bump a.bucket_cell d
   end
 
 (* --- scheduling --- *)
@@ -241,7 +243,7 @@ and do_dispatch t =
         | Ready ->
             a.st <- Running;
             t.current <- Some aid;
-            Stats.Counter.bump t.ctx_switch_cell 1.0;
+            Stats.Counter.bump t.ctx_switch_cell 1;
             mux_instant t "ctx_switch";
             (* Schedule + register/address-space switch + the vDTU's atomic
                activity-switch command (2 MMIO accesses). *)
@@ -299,7 +301,7 @@ and handle_core_reqs t ~k =
     match Dtu.fetch_core_req t.dtu with
     | None -> k ()
     | Some target ->
-        Stats.Counter.bump t.core_req_cell 1.0;
+        Stats.Counter.bump t.core_req_cell 1;
         let entry = if first then t.core.Core_model.trap_cycles else 0 in
         charge_mux t (entry + t.core.Core_model.core_req_cycles) (fun () ->
             if target = tilemux_act then
@@ -466,6 +468,10 @@ and send_ctl t (a : arec) data ~k =
                sends again): retry every 2 us. *)
             Dtu.spin_send t.dtu ~ep ~msg_size:16 ~poll_ps:(Time.us 2)
               ~on_poll:ignore ~on_settle:ignore attempt
+        | Error No_such_ep when t.rmode = M3x_mode && t.current <> Some a.aid ->
+            (* M3x took the blocked activity's endpoints while its wake
+               waited for a credit; the take read the wake ([mx_woken]). *)
+            k ()
         | Error e ->
             failwith
               ("Runtime: control message failed: "
@@ -474,7 +480,7 @@ and send_ctl t (a : arec) data ~k =
       attempt ())
 
 and mx_slow_send t (a : arec) ~ep ~reply_ep ~size ~data ~k =
-  Stats.Counter.bump t.mx_slow_send_cell 1.0;
+  Stats.Counter.bump t.mx_slow_send_cell 1;
   match (Dtu.ext_read_ep t.dtu ~ep).Ep.cfg with
   | Ep.Send s ->
       let reply_to =
@@ -493,7 +499,7 @@ and mx_slow_send t (a : arec) ~ep ~reply_ep ~size ~data ~k =
       failwith "Runtime: slow-path send on a non-send endpoint"
 
 and mx_slow_reply t (a : arec) ~(to_msg : Msg.t) ~size ~data ~k =
-  Stats.Counter.bump t.mx_slow_send_cell 1.0;
+  Stats.Counter.bump t.mx_slow_send_cell 1;
   match to_msg.Msg.reply_to with
   | None -> failwith "Runtime: slow-path reply without reply endpoint"
   | Some (dst_tile, dst_ep) ->
@@ -750,7 +756,7 @@ and interp_yield t (a : arec) k =
             schedule_dispatch t)
       else charge_act t a t.core.Core_model.trap_cycles (fun () -> k Proc.Unit)
   | M3x_mode ->
-      Stats.Counter.bump t.mx_block_cell 1.0;
+      Stats.Counter.bump t.mx_block_cell 1;
       send_ctl t a Proto.Mx_yield ~k:(fun () ->
           a.st <- Blocked_recv;
           a.resume <- Some (fun () -> k Proc.Unit))
@@ -838,7 +844,7 @@ and recv_loop t (a : arec) ?deadline eps k =
                 (* Nothing else to run: poll the vDTU (paper, 3.7).  The
                    wait is not charged to the activity's accounting
                    bucket: it is idle occupancy, not attributable work. *)
-                Stats.Counter.bump t.poll_cell 1.0;
+                Stats.Counter.bump t.poll_cell 1;
                 a.st <- Polling;
                 a.resume <- Some (fun () -> recv_loop t a ?deadline eps k);
                 arm_recv_deadline t a ?deadline ()
@@ -849,12 +855,12 @@ and recv_loop t (a : arec) ?deadline eps k =
                    wakes it on message arrival, without the controller —
                    M3x retains the fast path while the recipient is
                    running (paper, section 2.2). *)
-                Stats.Counter.bump t.poll_cell 1.0;
+                Stats.Counter.bump t.poll_cell 1;
                 a.st <- Polling;
                 a.resume <- Some (fun () -> recv_loop t a eps k)
               end
               else begin
-                Stats.Counter.bump t.mx_block_cell 1.0;
+                Stats.Counter.bump t.mx_block_cell 1;
                 a.st <- Blocked_recv;
                 a.resume <- Some (fun () -> recv_loop t a eps k);
                 send_ctl t a Proto.Mx_block ~k:(fun () -> ())
@@ -879,7 +885,7 @@ and arm_recv_deadline t (a : arec) ?deadline () =
                   make_ready t a;
                   schedule_dispatch t
               | Polling when t.current = Some aid ->
-                  Stats.Counter.bump t.poll_wake_cell 1.0;
+                  Stats.Counter.bump t.poll_wake_cell 1;
                   a.st <- Running;
                   arm_watchdog t a;
                   charge_act t a (2 * t.core.Core_model.mmio_cycles) (fun () ->
@@ -1004,7 +1010,7 @@ let on_msg_arrived t owner =
   | None -> ()
   | Some a ->
       if t.current = Some owner && a.st = Polling then begin
-        Stats.Counter.bump t.poll_wake_cell 1.0;
+        Stats.Counter.bump t.poll_wake_cell 1;
         mux_instant t "wake";
         a.st <- Running;
         arm_watchdog t a;
@@ -1012,12 +1018,14 @@ let on_msg_arrived t owner =
         charge_act t a (2 * t.core.Core_model.mmio_cycles) (fun () ->
             resume_act t a)
       end
-      else if
-        t.rmode = M3x_mode && a.st = Blocked_recv && t.current = Some owner
-        && not a.wake_sent
+      else if t.rmode = M3x_mode && a.st = Blocked_recv && not a.wake_sent
       then begin
+        (* Off the core, the activity is being switched in or out: the
+           switch-in resumes it, and the switch-out's take reads the flag
+           ([mx_woken]). *)
         a.wake_sent <- true;
-        send_ctl t a Proto.Mx_wake ~k:(fun () -> ())
+        if t.current = Some owner then
+          send_ctl t a Proto.Mx_wake ~k:(fun () -> ())
       end
 
 let on_core_req_irq t =
@@ -1188,7 +1196,7 @@ let install_mx_stub t =
                 mx_resume_act t a;
                 k ())
           else begin
-            Stats.Counter.bump t.ctx_switch_cell 1.0;
+            Stats.Counter.bump t.ctx_switch_cell 1;
             mux_instant t "ctx_switch";
             charge_mux t (t.core.Core_model.ctx_switch_cycles / 2) (fun () ->
                 t.current <- Some aid;
@@ -1196,6 +1204,7 @@ let install_mx_stub t =
                 mx_resume_act t a;
                 k ())
           end);
+      Controller.mx_woken = (fun aid -> (Hashtbl.find t.acts aid).wake_sent);
     }
   in
   Controller.register_mx_stub t.ctrl ~tile:t.rtile stub

@@ -180,8 +180,15 @@ module Counter = struct
         Hashtbl.add t key c;
         c
 
-  let bump c v = c.v <- c.v +. v
-  let add t key v = bump (cell t key) v
+  (* The int is converted here: a float computed by a caller in another
+     module would be boxed to be passed, as [bump] is not inlined across
+     modules under [-opaque]. *)
+  let bump c n = c.v <- c.v +. float_of_int n
+
+  let add t key v =
+    let c = cell t key in
+    c.v <- c.v +. v
+
   let incr t key = add t key 1.0
   let get t key = match Hashtbl.find_opt t key with Some c -> c.v | None -> 0.0
 

@@ -55,8 +55,7 @@ module Counter : sig
 
   (** One key's accumulator.  A caller that bumps a key on every event
       resolves its cell once with {!cell} and bumps it with {!bump}, which
-      neither hashes nor allocates (a float the caller computes is still
-      boxed to be passed, unless the compiler inlines [bump]). *)
+      neither hashes nor allocates. *)
   type cell
 
   val create : unit -> t
@@ -65,8 +64,9 @@ module Counter : sig
       cell at 0 reads through {!get} the same as a missing key. *)
   val cell : t -> string -> cell
 
-  (** [bump c v] adds [v] to [c]'s value. *)
-  val bump : cell -> float -> unit
+  (** [bump c n] adds [n] to [c]'s value.  It takes an int (picoseconds,
+      or 1 for a count) so that no float is boxed to pass it. *)
+  val bump : cell -> int -> unit
 
   val add : t -> string -> float -> unit
   val incr : t -> string -> unit

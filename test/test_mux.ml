@@ -263,6 +263,83 @@ let test_m3x_stress () =
   let total = run_rpc ~variant:System.M3x ~local:true ~rounds:300 in
   check_bool "m3x stress completed" true (total > Time.zero)
 
+(* One gem5 tile under M3x, shared by two yielders and an RPC pair: every
+   yield is a remote switch, and every request and reply finds its
+   receiver switched out, so the controller forwards it and delivers it at
+   the receiver's next switch-in.  The counters, the final time and each
+   activity's busy time are pinned (the hash-table scheduler gave the same
+   values): a ready queue that reorders or duplicates an entry moves
+   them. *)
+let test_m3x_shared_tile_schedule () =
+  let spec = M3v_tile.Platform.gem5_spec ~user_tiles:1 () in
+  let sys = System.create ~spec ~variant:System.M3x () in
+  let tile = 1 in
+  let yielder rounds _env =
+    Proc.repeat rounds (fun i ->
+        let* () = A.compute (1_000 + (300 * i)) in
+        A.yield)
+  in
+  let y1, e1 = System.spawn sys ~tile ~name:"yield1" (yielder 5) in
+  let y2, e2 = System.spawn sys ~tile ~name:"yield2" (yielder 8) in
+  let rgate = ref (-1) in
+  let chan = ref (-1, -1) in
+  let total = ref Time.zero in
+  let server, e3 =
+    System.spawn sys ~tile ~name:"server" (server_program ~rgate ~rounds:12)
+  in
+  let client, e4 =
+    System.spawn sys ~tile ~name:"client" (client_program ~chan ~rounds:12 ~total)
+  in
+  let ch = System.channel sys ~src:client ~dst:server () in
+  rgate := ch.System.rgate;
+  chan := (ch.System.sgate, ch.System.reply_ep);
+  let dtu = M3v_tile.Platform.dtu (System.platform sys) tile in
+  let sys_eps (e : A.env) = [ e.A.sys_sgate; e.A.sys_rgate ] in
+  let eps =
+    [ ch.System.sgate; ch.System.rgate; ch.System.reply_ep ]
+    @ List.concat_map sys_eps [ e1; e2; e3; e4 ]
+  in
+  let before = List.map (fun ep -> (ep, M3v_dtu.Dtu.ext_read_ep dtu ~ep)) eps in
+  System.boot sys;
+  ignore (System.run sys);
+  let rt = System.runtime sys ~tile in
+  let acts = [ y1; y2; server; client ] in
+  List.iter
+    (fun aid ->
+      check_bool "activity finished" true (M3v_mux.Runtime.finished rt aid))
+    acts;
+  let s = M3v_kernel.Controller.stats (System.controller sys) in
+  Alcotest.(check (list (pair string int)))
+    "schedule"
+    [
+      ("mx_switches", 41);
+      ("mx_forwards", 24);
+      ("end_ps", 174_780_581);
+      ("yield1", 3_223_440);
+      ("yield2", 6_300_360);
+      ("server", 4_149_360);
+      ("client", 5_072_436);
+    ]
+    ([
+       ("mx_switches", s.M3v_kernel.Controller.mx_switches);
+       ("mx_forwards", s.M3v_kernel.Controller.mx_forwards);
+       ("end_ps", Engine.now (System.engine sys));
+     ]
+    @ List.map
+        (fun aid ->
+          ( M3v_kernel.Controller.act_name (System.controller sys) aid,
+            M3v_mux.Runtime.busy_of rt aid ))
+        acts);
+  (* Switches move the records out of the register file and back: after
+     the run every slot holds the record it was configured with. *)
+  List.iter
+    (fun (ep, e) ->
+      check_bool
+        (Printf.sprintf "endpoint %d holds its own record" ep)
+        true
+        (M3v_dtu.Dtu.ext_read_ep dtu ~ep == e))
+    before
+
 let suite =
   [
     ("m3v remote rpc", `Quick, test_m3v_remote_rpc);
@@ -277,4 +354,5 @@ let suite =
     ("dma through mem region", `Quick, test_dma_through_mem_region);
     ("rpc stress m3v", `Slow, test_many_rpc_stress);
     ("rpc stress m3x", `Slow, test_m3x_stress);
+    ("m3x shared tile schedule", `Quick, test_m3x_shared_tile_schedule);
   ]

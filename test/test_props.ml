@@ -241,6 +241,153 @@ let prop_unread_matches_pending =
         script;
       !ok)
 
+(* --- M3x delivery under random schedules ---
+
+   Two to four activities on one or two gem5 tiles under M3x.  Each sends
+   its messages to random peers, with computes and yields in between, then
+   receives exactly the messages addressed to it.  A send to a peer that is
+   switched out takes the controller's slow path and waits for the peer's
+   next switch-in.  Every activity must finish, every message must arrive
+   exactly once, and no receive endpoint may hold a message afterwards.
+   Each channel has a slot and a credit per message it can carry, so no
+   send waits for a receiver. *)
+
+type mx_step = Send of int | Work of int | Yield
+
+type Msg.data += Mx_msg of int * int  (* sender index, sequence number *)
+
+let gen_mx_system =
+  let open QCheck2.Gen in
+  let* tiles = int_range 1 2 in
+  let* n = int_range 2 4 in
+  let* placement = list_repeat n (int_range 1 tiles) in
+  let pause = oneof [ map (fun c -> Work c) (int_range 1 3_000); return Yield ] in
+  (* [Send p] goes to the p-th activity other than the sender. *)
+  let step =
+    frequency [ (3, map (fun p -> Send p) (int_bound (n - 2))); (2, pause) ]
+  in
+  let* sends = list_repeat n (list_size (int_bound 8) step) in
+  let* pauses = list_repeat n (list_size (int_bound 3) pause) in
+  return (placement, sends, pauses)
+
+let print_mx_system (placement, sends, pauses) =
+  let step = function
+    | Send p -> Printf.sprintf "send %d" p
+    | Work c -> Printf.sprintf "work %d" c
+    | Yield -> "yield"
+  in
+  let steps l = "[" ^ String.concat "; " (List.map step l) ^ "]" in
+  String.concat "\n"
+    (List.mapi
+       (fun i tile ->
+         Printf.sprintf "act %d on tile %d: sends %s, pauses %s" i tile
+           (steps (List.nth sends i)) (steps (List.nth pauses i)))
+       placement)
+
+let prop_m3x_delivery_exact =
+  QCheck2.Test.make ~name:"m3x schedules deliver every message once" ~count:500
+    ~print:print_mx_system gen_mx_system
+    (fun (placement, sends, pauses) ->
+      let n = List.length placement in
+      let spec = M3v_tile.Platform.gem5_spec ~user_tiles:2 () in
+      let sys = System.create ~spec ~variant:System.M3x () in
+      let sends = Array.of_list sends and pauses = Array.of_list pauses in
+      let peer i p = if p >= i then p + 1 else p in
+      (* sgate.(i).(j): i's send endpoint to j; rgates.(j): j's receive
+         endpoints, one per sender. *)
+      let sgate = Array.make_matrix n n (-1) in
+      let rgates = Array.make n [] in
+      (* expected.(j): (sender, sequence number) of every message to j *)
+      let expected = Array.make n [] in
+      Array.iteri
+        (fun i steps ->
+          let seq = Array.make n 0 in
+          List.iter
+            (function
+              | Send p ->
+                  let j = peer i p in
+                  expected.(j) <- (i, seq.(j)) :: expected.(j);
+                  seq.(j) <- seq.(j) + 1
+              | Work _ | Yield -> ())
+            steps)
+        sends;
+      let received = Array.make n [] in
+      let pause = function
+        | Work c -> A.compute c
+        | Yield -> A.yield
+        | Send _ -> Proc.return ()
+      in
+      let program i _env =
+        let seq = Array.make n 0 in
+        let* () =
+          Proc.iter_list
+            (function
+              | Send p ->
+                  let j = peer i p in
+                  let data = Mx_msg (i, seq.(j)) in
+                  seq.(j) <- seq.(j) + 1;
+                  A.send ~ep:sgate.(i).(j) ~size:16 data
+              | (Work _ | Yield) as s -> pause s)
+            sends.(i)
+        in
+        let waits = Array.of_list pauses.(i) in
+        Proc.repeat (List.length expected.(i)) (fun k ->
+            let* () =
+              if Array.length waits = 0 then Proc.return ()
+              else pause waits.(k mod Array.length waits)
+            in
+            let* ep, msg = A.recv ~eps:rgates.(i) in
+            (match msg.Msg.data with
+            | Mx_msg (src, s) -> received.(i) <- (src, s) :: received.(i)
+            | _ -> received.(i) <- (-1, -1) :: received.(i));
+            A.ack ~ep msg)
+      in
+      let acts =
+        List.mapi
+          (fun i tile ->
+            fst
+              (System.spawn sys ~tile ~name:(Printf.sprintf "act%d" i)
+                 (program i)))
+          placement
+        |> Array.of_list
+      in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          if i <> j then begin
+            let ch =
+              System.channel sys ~src:acts.(i) ~dst:acts.(j) ~slots:8
+                ~credits:8 ()
+            in
+            sgate.(i).(j) <- ch.System.sgate;
+            rgates.(j) <- ch.System.rgate :: rgates.(j)
+          end
+        done
+      done;
+      System.boot sys;
+      ignore (System.run ~until:(Time.s 1) sys);
+      let finished =
+        List.for_all2
+          (fun aid tile ->
+            M3v_mux.Runtime.finished (System.runtime sys ~tile) aid)
+          (Array.to_list acts) placement
+      in
+      (* An activity exits switched in, so its records are back in place. *)
+      let drained j =
+        let tile = List.nth placement j in
+        let dtu = M3v_tile.Platform.dtu (System.platform sys) tile in
+        List.for_all
+          (fun ep ->
+            match (Dtu.ext_read_ep dtu ~ep).Ep.cfg with
+            | Ep.Recv r -> Queue.is_empty r.Ep.pending
+            | Ep.Invalid | Ep.Send _ | Ep.Mem _ -> false)
+          rgates.(j)
+      in
+      finished
+      && Array.for_all2
+           (fun got want -> List.sort compare got = List.sort compare want)
+           received expected
+      && List.for_all drained (List.init n Fun.id))
+
 let suite =
   [
     ("net two sockets demux", `Quick, test_net_two_sockets_demux);
@@ -252,4 +399,5 @@ let suite =
         prop_credit_conservation;
         prop_addrspace_regions_disjoint;
         prop_unread_matches_pending;
+        prop_m3x_delivery_exact;
       ]
