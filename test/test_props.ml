@@ -241,27 +241,33 @@ let prop_unread_matches_pending =
         script;
       !ok)
 
-(* --- M3x delivery under random schedules ---
+(* --- delivery under random schedules ---
 
-   Two to four activities on one or two gem5 tiles under M3x.  Each sends
-   its messages to random peers, with computes and yields in between, then
-   receives exactly the messages addressed to it.  A send to a peer that is
-   switched out takes the controller's slow path and waits for the peer's
-   next switch-in.  Every activity must finish, every message must arrive
-   exactly once, and no receive endpoint may hold a message afterwards.
-   Each channel has a slot and a credit per message it can carry, so no
-   send waits for a receiver. *)
+   Two to four activities on one or two gem5 tiles.  Each sends its
+   messages to random peers, with computes and yields in between (and, on
+   M3v, sleeps), then receives exactly the messages addressed to it.  Under
+   M3x a send to a peer that is switched out takes the controller's slow
+   path and waits for the peer's next switch-in; under M3v a short
+   timeslice preempts the computes, and a sleeper's timer must take the
+   core from a peer that polls.  Every activity must finish, every message
+   must arrive exactly once, and no receive endpoint may hold a message
+   afterwards.  Each channel has a slot and a credit per message it can
+   carry, so no send waits for a receiver. *)
 
-type mx_step = Send of int | Work of int | Yield
+type mx_step = Send of int | Work of int | Yield | Sleep of int
 
 type Msg.data += Mx_msg of int * int  (* sender index, sequence number *)
 
-let gen_mx_system =
+let gen_mx_system ~sleep =
   let open QCheck2.Gen in
   let* tiles = int_range 1 2 in
   let* n = int_range 2 4 in
   let* placement = list_repeat n (int_range 1 tiles) in
-  let pause = oneof [ map (fun c -> Work c) (int_range 1 3_000); return Yield ] in
+  let pause =
+    oneof
+      ([ map (fun c -> Work c) (int_range 1 3_000); return Yield ]
+      @ if sleep then [ map (fun ns -> Sleep ns) (int_range 1 3_000) ] else [])
+  in
   (* [Send p] goes to the p-th activity other than the sender. *)
   let step =
     frequency [ (3, map (fun p -> Send p) (int_bound (n - 2))); (2, pause) ]
@@ -275,6 +281,7 @@ let print_mx_system (placement, sends, pauses) =
     | Send p -> Printf.sprintf "send %d" p
     | Work c -> Printf.sprintf "work %d" c
     | Yield -> "yield"
+    | Sleep ns -> Printf.sprintf "sleep %d ns" ns
   in
   let steps l = "[" ^ String.concat "; " (List.map step l) ^ "]" in
   String.concat "\n"
@@ -284,13 +291,13 @@ let print_mx_system (placement, sends, pauses) =
            (steps (List.nth sends i)) (steps (List.nth pauses i)))
        placement)
 
-let prop_m3x_delivery_exact =
-  QCheck2.Test.make ~name:"m3x schedules deliver every message once" ~count:500
-    ~print:print_mx_system gen_mx_system
+let prop_delivery_exact ~name ~variant ?timeslice () =
+  QCheck2.Test.make ~name ~count:500 ~print:print_mx_system
+    (gen_mx_system ~sleep:(variant = System.M3v))
     (fun (placement, sends, pauses) ->
       let n = List.length placement in
       let spec = M3v_tile.Platform.gem5_spec ~user_tiles:2 () in
-      let sys = System.create ~spec ~variant:System.M3x () in
+      let sys = System.create ~spec ?timeslice ~variant () in
       let sends = Array.of_list sends and pauses = Array.of_list pauses in
       let peer i p = if p >= i then p + 1 else p in
       (* sgate.(i).(j): i's send endpoint to j; rgates.(j): j's receive
@@ -308,13 +315,14 @@ let prop_m3x_delivery_exact =
                   let j = peer i p in
                   expected.(j) <- (i, seq.(j)) :: expected.(j);
                   seq.(j) <- seq.(j) + 1
-              | Work _ | Yield -> ())
+              | Work _ | Yield | Sleep _ -> ())
             steps)
         sends;
       let received = Array.make n [] in
       let pause = function
         | Work c -> A.compute c
         | Yield -> A.yield
+        | Sleep ns -> A.sleep (Time.ns ns)
         | Send _ -> Proc.return ()
       in
       let program i _env =
@@ -327,7 +335,7 @@ let prop_m3x_delivery_exact =
                   let data = Mx_msg (i, seq.(j)) in
                   seq.(j) <- seq.(j) + 1;
                   A.send ~ep:sgate.(i).(j) ~size:16 data
-              | (Work _ | Yield) as s -> pause s)
+              | (Work _ | Yield | Sleep _) as s -> pause s)
             sends.(i)
         in
         let waits = Array.of_list pauses.(i) in
@@ -388,6 +396,18 @@ let prop_m3x_delivery_exact =
            received expected
       && List.for_all drained (List.init n Fun.id))
 
+let prop_m3x_delivery_exact =
+  prop_delivery_exact ~name:"m3x schedules deliver every message once"
+    ~variant:System.M3x ()
+
+let prop_m3v_delivery_exact =
+  prop_delivery_exact ~name:"m3v schedules deliver every message once"
+    ~variant:System.M3v ()
+
+let prop_m3v_preempted_delivery_exact =
+  prop_delivery_exact ~name:"m3v 300 ns slices deliver every message once"
+    ~variant:System.M3v ~timeslice:(Time.ns 300) ()
+
 let suite =
   [
     ("net two sockets demux", `Quick, test_net_two_sockets_demux);
@@ -400,4 +420,6 @@ let suite =
         prop_addrspace_regions_disjoint;
         prop_unread_matches_pending;
         prop_m3x_delivery_exact;
+        prop_m3v_delivery_exact;
+        prop_m3v_preempted_delivery_exact;
       ]
