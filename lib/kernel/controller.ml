@@ -26,7 +26,9 @@ type mx_stub = {
    controller only moves it around. *)
 type mig_image = ..
 
-type mig_stub = {
+type tilemux = {
+  tm_rgate : int;  (** TileMux's receive gate, for mapping requests *)
+  respawn : act:act_id -> unit;  (** restart a crashed activity in place *)
   mig_quiesce : act:act_id -> k:(mig_image option -> unit) -> unit;
       (** park the activity at its next TMCall boundary and extract its
           image; [k None] if it died (or exited) first *)
@@ -34,6 +36,8 @@ type mig_stub = {
       (** materialize the parked image on this tile (state [Migrating]) *)
   mig_resume : act:act_id -> unit;  (** make the installed activity runnable *)
 }
+
+type runtime = Tilemux of tilemux | Mx_stub of mx_stub
 
 type act = {
   aid : act_id;
@@ -62,7 +66,6 @@ type mx_tile_state = {
   mutable cur : act_id;  (* [invalid_act] when no activity is switched in *)
   ready : act_id Queue.t;
   mutable switching : bool;
-  mutable stub : mx_stub option;
 }
 
 type stats = {
@@ -91,11 +94,9 @@ type t = {
   ep_next : int array;  (* per-tile endpoint allocator *)
   mem_next : (int * int ref) list;  (* (memory tile, bump pointer) *)
   ep_owners : (int * int, act_id) Hashtbl.t;  (* (tile, recv ep) -> owner *)
-  mig_stubs : (int, mig_stub) Hashtbl.t;
+  runtimes : runtime option array;  (* by tile *)
   mutable mig_busy : bool;  (* at most one migration in flight *)
   mx_tiles : mx_tile_state array;  (* by tile *)
-  tm_rgates : (int, int) Hashtbl.t;  (* tile -> TileMux receive endpoint *)
-  restart_hooks : (int, act_id -> unit) Hashtbl.t;  (* tile -> respawn *)
   pending_maps : (int, Msg.t) Hashtbl.t;  (* map request id -> pager syscall *)
   mutable next_map_req : int;
   mutable busy : bool;
@@ -208,7 +209,25 @@ let restarts t aid = (find_act t aid).restarts
 let set_restartable t ~act ~max_restarts =
   (find_act t act).max_restarts <- max_restarts
 
-let register_restart_hook t ~tile hook = Hashtbl.replace t.restart_hooks tile hook
+let register_runtime t ~tile rt = t.runtimes.(tile) <- Some rt
+
+let tilemux_opt t tile =
+  if tile < 0 || tile >= Array.length t.runtimes then None
+  else
+    match t.runtimes.(tile) with
+    | Some (Tilemux tm) -> Some tm
+    | Some (Mx_stub _) | None -> None
+
+let tilemux t tile =
+  match tilemux_opt t tile with
+  | Some tm -> tm
+  | None -> invalid_arg (Printf.sprintf "Controller: no TileMux on tile %d" tile)
+
+let mx_stub t tile =
+  match t.runtimes.(tile) with
+  | Some (Mx_stub s) -> s
+  | Some (Tilemux _) | None ->
+      invalid_arg (Printf.sprintf "Controller: no M3x stub on tile %d" tile)
 
 let host_alloc_ep_anon t ~tile =
   let ep = t.ep_next.(tile) in
@@ -375,16 +394,7 @@ let host_setup_syscall_channel t ~act =
 
 let ep_owner t ~tile ~ep = Hashtbl.find_opt t.ep_owners (tile, ep)
 
-let register_tm_rgate t ~tile ~ep = Hashtbl.replace t.tm_rgates tile ep
-
 (* --- M3x machinery --- *)
-
-let register_mx_stub t ~tile stub = t.mx_tiles.(tile).stub <- Some stub
-
-let mx_stub t tile =
-  match t.mx_tiles.(tile).stub with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Controller: no M3x stub on tile %d" tile)
 
 (* An M3x switch moves the outgoing activity's endpoint records out of the
    register file and the incoming one's back in; nothing is copied. *)
@@ -593,8 +603,8 @@ let handle_crash t (a : act) ~code ~k =
       ~ts:(Engine.now t.engine)
       ~args:[ ("act", Trace.S a.name); ("code", Trace.I code) ]
       ();
-  match Hashtbl.find_opt t.restart_hooks a.a_tile with
-  | Some hook when a.restarts < a.max_restarts ->
+  match tilemux_opt t a.a_tile with
+  | Some tm when a.restarts < a.max_restarts ->
       a.restarts <- a.restarts + 1;
       a.alive <- true;
       a.exit_code <- None;
@@ -630,7 +640,7 @@ let handle_crash t (a : act) ~code ~k =
                           ~args:[ ("count", Trace.I n) ]
                           ()
                   | None -> ());
-                  hook a.aid)
+                  tm.respawn ~act:a.aid)
                 ~k))
   | Some _ | None -> teardown_act t a ~k
 
@@ -653,14 +663,6 @@ let handle_crash t (a : act) ~code ~k =
    nothing happened.  After the flip the protocol can only roll forward.
    Either way every message is delivered exactly once and the
    system-wide credit total is unchanged (asserted below). *)
-
-let register_mig_stub t ~tile stub = Hashtbl.replace t.mig_stubs tile stub
-
-let mig_stub_of t tile =
-  match Hashtbl.find_opt t.mig_stubs tile with
-  | Some s -> s
-  | None ->
-      invalid_arg (Printf.sprintf "Controller: no migration stub on tile %d" tile)
 
 let all_tiles t = List.init (Platform.tile_count t.platform) (fun i -> i)
 
@@ -764,9 +766,9 @@ let mig_reinstall t (a : act) ~image ~parked_at ~phase ~k =
     | Some p -> p
     | None -> failwith "Controller: migrating activity has no syscall channel"
   in
-  (mig_stub_of t a.a_tile).mig_install ~image ~sys_sgate:sgate ~sys_rgate:rgate;
+  (tilemux t a.a_tile).mig_install ~image ~sys_sgate:sgate ~sys_rgate:rgate;
   charge t mig_resume_cycles (fun () ->
-      (mig_stub_of t a.a_tile).mig_resume ~act:a.aid;
+      (tilemux t a.a_tile).mig_resume ~act:a.aid;
       t.stats.mig_downtime_ps <-
         t.stats.mig_downtime_ps + Time.sub (Engine.now t.engine) parked_at;
       t.mig_busy <- false;
@@ -781,11 +783,11 @@ let mig_commit t (a : act) ~dst_tile ~eps ~image ~parked_at ~k =
         | None ->
             failwith "Controller: migrating activity has no syscall channel"
       in
-      (mig_stub_of t dst_tile).mig_install ~image ~sys_sgate:sgate
+      (tilemux t dst_tile).mig_install ~image ~sys_sgate:sgate
         ~sys_rgate:rgate;
       charge t mig_resume_cycles (fun () ->
           ext_round_trip t ~dst:dst_tile ~bytes:64
-            ~apply:(fun () -> (mig_stub_of t dst_tile).mig_resume ~act:a.aid)
+            ~apply:(fun () -> (tilemux t dst_tile).mig_resume ~act:a.aid)
             ~k:(fun () ->
               let downtime = Time.sub (Engine.now t.engine) parked_at in
               let s = t.stats in
@@ -815,7 +817,7 @@ let mig_drain t (a : act) ~dst_tile ~eps ~image ~parked_at ~k =
           else mig_commit t a ~dst_tile ~eps ~image ~parked_at ~k))
 
 let mig_quiesce_phase t (a : act) ~dst_tile ~eps ~k =
-  (mig_stub_of t a.a_tile).mig_quiesce ~act:a.aid ~k:(function
+  (tilemux t a.a_tile).mig_quiesce ~act:a.aid ~k:(function
     | None ->
         (* The activity exited (or was killed by fault injection) before it
            reached a parkable boundary: nothing moved, nothing to restore —
@@ -841,9 +843,9 @@ let migrate t ~act ~dst_tile ~k =
       else if t.mig_busy then k (Error "another migration is in flight")
       else if not a.alive then k (Error "activity is not alive")
       else if dst_tile = a.a_tile then k (Error "target is the source tile")
-      else if not (Hashtbl.mem t.mig_stubs a.a_tile) then
+      else if Option.is_none (tilemux_opt t a.a_tile) then
         k (Error "no migration-capable runtime on source tile")
-      else if not (Hashtbl.mem t.mig_stubs dst_tile) then
+      else if Option.is_none (tilemux_opt t dst_tile) then
         k (Error "no migration-capable runtime on target tile")
       else begin
         let eps = List.sort_uniq compare a.ep_list in
@@ -974,9 +976,9 @@ let handle_sys t (msg : Msg.t) req ~k =
       | Some _ | None -> finish (Protocol.Sys_err "unknown selector"))
   | Protocol.Map_for { target; vpage; ppage; perm } -> (
       let b = find_act t target in
-      match Hashtbl.find_opt t.tm_rgates b.a_tile with
+      match tilemux_opt t b.a_tile with
       | None -> finish (Protocol.Sys_err "no TileMux on target tile")
-      | Some tm_ep ->
+      | Some { tm_rgate = tm_ep; _ } ->
           (* Forward the mapping request to the responsible TileMux; the
              reply to the pager is deferred until TileMux confirms, but the
              controller itself moves on (paper, section 4.3). *)
@@ -1011,11 +1013,8 @@ let handle_sys t (msg : Msg.t) req ~k =
       if t.mode <> M3v then finish (Protocol.Sys_err "migration requires M3v")
       else if t.mig_busy then
         finish (Protocol.Sys_err "another migration is in flight")
-      else if
-        mig_tile < 0
-        || mig_tile >= Platform.tile_count t.platform
-        || not (Hashtbl.mem t.mig_stubs mig_tile)
-      then finish (Protocol.Sys_err "no migration-capable runtime on target")
+      else if Option.is_none (tilemux_opt t mig_tile) then
+        finish (Protocol.Sys_err "no migration-capable runtime on target")
       else if mig_tile = requester.a_tile then
         finish (Protocol.Sys_err "already on target tile")
       else begin
@@ -1203,13 +1202,11 @@ let create ~mode ~platform ~tile () =
       ep_next = Array.make (Platform.tile_count platform) 1;
       mem_next;
       ep_owners = Hashtbl.create 64;
-      mig_stubs = Hashtbl.create 8;
+      runtimes = Array.make (Platform.tile_count platform) None;
       mig_busy = false;
       mx_tiles =
         Array.init (Platform.tile_count platform) (fun _ ->
-            { cur = invalid_act; ready = Queue.create (); switching = false; stub = None });
-      tm_rgates = Hashtbl.create 8;
-      restart_hooks = Hashtbl.create 8;
+            { cur = invalid_act; ready = Queue.create (); switching = false });
       pending_maps = Hashtbl.create 8;
       next_map_req = 0;
       busy = false;

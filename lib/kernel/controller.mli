@@ -32,8 +32,38 @@ type mx_stub = {
           endpoint records, which then leaves it runnable *)
 }
 
+(** Opaque activity image carried from source to target runtime during a
+    live migration.  Extended (and consumed) by the runtime library; the
+    controller only moves it. *)
+type mig_image = ..
+
+(** What TileMux (M3v) registers for its tile. *)
+type tilemux = {
+  tm_rgate : int;
+      (** TileMux's receive endpoint, to which the controller forwards
+          mapping requests (paper, section 4.3) *)
+  respawn : act:M3v_dtu.Dtu_types.act_id -> unit;
+      (** restart a crashed activity in place (see {!set_restartable}) *)
+  mig_quiesce :
+    act:M3v_dtu.Dtu_types.act_id -> k:(mig_image option -> unit) -> unit;
+      (** park the activity at its next TMCall boundary and extract its
+          image; [k None] if it exited (or was killed) first *)
+  mig_install : image:mig_image -> sys_sgate:int -> sys_rgate:int -> unit;
+      (** materialize a parked image on this tile (not yet runnable) *)
+  mig_resume : act:M3v_dtu.Dtu_types.act_id -> unit;
+      (** make the installed activity runnable again *)
+}
+
+(** The runtime of a processing tile, as it registers with the
+    controller. *)
+type runtime = Tilemux of tilemux | Mx_stub of mx_stub
+
 val create :
   mode:mode -> platform:M3v_tile.Platform.t -> tile:int -> unit -> t
+
+(** Register the runtime of [tile] (one per tile; a later registration
+    replaces it). *)
+val register_runtime : t -> tile:int -> runtime -> unit
 
 val mode : t -> mode
 val tile : t -> int
@@ -113,8 +143,8 @@ val ep_owner : t -> tile:int -> ep:int -> M3v_dtu.Dtu_types.act_id option
 (** {1 Crash recovery (M3v)}
 
     A nonzero [Act_exit] code is treated as a crash.  A restartable
-    activity (with budget left) is restarted in place through the tile's
-    registered restart hook — endpoints, capabilities and queued requests
+    activity (with budget left) is restarted in place by its tile's
+    TileMux ([respawn]) — endpoints, capabilities and queued requests
     survive.  Anything else is torn down: all of its capabilities are
     revoked (cascading), orphaned send credits at peers are reclaimed, and
     its endpoints are invalidated so partners observe [Recv_gone] (EOF). *)
@@ -130,10 +160,6 @@ val restarts : t -> M3v_dtu.Dtu_types.act_id -> int
 val set_restartable :
   t -> act:M3v_dtu.Dtu_types.act_id -> max_restarts:int -> unit
 
-(** Register the per-tile restart hook (the M3v runtime's [respawn]). *)
-val register_restart_hook :
-  t -> tile:int -> (M3v_dtu.Dtu_types.act_id -> unit) -> unit
-
 (** {1 Live migration (M3v)}
 
     Controller-orchestrated protocol: quiesce the activity at a TMCall
@@ -146,24 +172,6 @@ val register_restart_hook :
     before the flip — the activity is reinstalled on the source; after the
     flip it only rolls forward. *)
 
-(** Opaque activity image carried from source to target runtime.  Extended
-    (and consumed) by the runtime library; the controller only moves it. *)
-type mig_image = ..
-
-(** Per-tile migration callbacks the M3v runtime registers. *)
-type mig_stub = {
-  mig_quiesce :
-    act:M3v_dtu.Dtu_types.act_id -> k:(mig_image option -> unit) -> unit;
-      (** park the activity at its next TMCall boundary and extract its
-          image; [k None] if it exited (or was killed) first *)
-  mig_install : image:mig_image -> sys_sgate:int -> sys_rgate:int -> unit;
-      (** materialize a parked image on this tile (not yet runnable) *)
-  mig_resume : act:M3v_dtu.Dtu_types.act_id -> unit;
-      (** make the installed activity runnable again *)
-}
-
-val register_mig_stub : t -> tile:int -> mig_stub -> unit
-
 (** [migrate t ~act ~dst_tile ~k] moves a live activity to [dst_tile].
     [k (Error _)] on validation failure or an injected abort (the activity
     keeps running on the source); [k (Ok ())] once it is runnable on the
@@ -175,13 +183,7 @@ val migrate :
   k:((unit, string) result -> unit) ->
   unit
 
-(** Register the TileMux receive endpoint of a tile so the controller can
-    forward mapping requests (paper, section 4.3). *)
-val register_tm_rgate : t -> tile:int -> ep:int -> unit
-
 (** {1 M3x integration} *)
-
-val register_mx_stub : t -> tile:int -> mx_stub -> unit
 
 (** Register an activity with the M3x scheduler: its endpoint records are
     taken out of the register file and parked; the activity becomes ready

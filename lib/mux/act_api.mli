@@ -31,17 +31,21 @@ val send :
 val recv : eps:int list -> (int * M3v_dtu.Msg.t) Proc.t
 
 (** Like {!recv} but resolves to [None] if nothing arrived within
-    [timeout] (relative; M3v mode only).  Service clients use this to
-    survive a crashed or wedged server instead of blocking forever. *)
+    [timeout] (relative).  The runtime arms the deadline only under M3v
+    and only while a fault plan is installed ({!M3v_fault.Fault.install});
+    otherwise the call waits like {!recv} and never resolves to [None].
+    Service clients use this to survive a crashed or wedged server instead
+    of blocking forever. *)
 val recv_timeout :
   eps:int list -> timeout:Time.t -> (int * M3v_dtu.Msg.t) option Proc.t
 
 val try_recv : eps:int list -> (int * M3v_dtu.Msg.t) option Proc.t
 
 (** Block for the given (relative) duration without occupying the core —
-    the tile multiplexes others meanwhile and a timer wakes the activity
-    at the deadline (M3v mode only).  The load harness' fleet drivers
-    pace their arrival schedules with this. *)
+    the tile multiplexes others meanwhile and a timer makes the activity
+    runnable at the deadline, taking the core from an activity that only
+    polls (M3v mode only).  The load harness' fleet drivers pace their
+    arrival schedules with this. *)
 val sleep : M3v_sim.Time.t -> unit Proc.t
 
 val reply :
@@ -97,7 +101,9 @@ val call :
   M3v_dtu.Msg.t Proc.t
 
 (** Like {!call} but with a reply deadline: [None] if the reply did not
-    arrive in time (the request may or may not have been processed). *)
+    arrive in time (the request may or may not have been processed).  The
+    deadline holds only where {!recv_timeout}'s does: under M3v with a
+    fault plan installed; otherwise the call waits like {!call}. *)
 val call_timeout :
   sgate:int ->
   reply_ep:int ->

@@ -81,8 +81,19 @@ val busy_of : t -> M3v_dtu.Dtu_types.act_id -> M3v_sim.Time.t
     [Act_api.acct]). *)
 val busy_of_bucket : t -> string -> float
 
-(** Event counters: "ctx_switch", "core_req", "preempt", "fault",
-    "tm_rpc", "poll_wake", "mx_slow_send", "mx_block". *)
+(** Event counters, by key:
+    - scheduling: "ctx_switch" (dispatches and M3x switch-ins), "preempt",
+      "core_req", "poll" (receives that poll instead of blocking),
+      "poll_wake" (pollers resumed in place);
+    - operations: "log", "fault" (page faults), "tm_rpc" (TileMux -> pager
+      requests);
+    - M3x: "mx_block" (blocks and yields through the controller),
+      "mx_slow_send" (sends and replies forwarded by it);
+    - faults: "recv_timeout", "send_eof" and "watchdog_kill" (fault
+      injection only), "respawn" (crash restarts);
+    - migration: "mig_park", "mig_install", "mig_resume";
+    - time: one "bucket/<name>" per accounting bucket, in picoseconds
+      ("bucket/mux" is TileMux's own time; see {!busy_of_bucket}). *)
 val counters : t -> M3v_sim.Stats.Counter.t
 
 (** Time charged to multiplexer bookkeeping on this tile. *)
