@@ -56,30 +56,30 @@ val send :
   k:completion ->
   unit
 
-(** [spin_send t ~ep ?src_vaddr ~msg_size ~poll_ps ~on_poll ~on_settle
-    retry] retries a SEND that failed with [No_credits] every [poll_ps]
-    until it would not stall, without an engine event per retry (see
-    {!M3v_sim.Engine.spin}).  Call it from the failed command's
-    completion, in place of scheduling [retry] [poll_ps] later.  Each
-    poll checks, without side effects, whether a SEND on [ep] with these
-    arguments would fail with [No_credits] again.  If so, it calls
-    [on_poll ()] and counts what [send] counts for such an attempt: one
-    send, the TLB hit of [src_vaddr] on a vDTU, one credit stall.  The
-    stalled command's completion follows the DTU's command time later: it
-    records the [send] span and latency that [send] records, then calls
-    [on_settle ()].  The first poll that finds the SEND would not stall
-    calls [retry ()], which issues it with [send], in the slot where a
-    scheduled retry would have run.  Everything simulated is as if
-    [retry] had been scheduled each time, the event count included. *)
+(** [spin_send t ~ep ... data ~poll_ps ~on_poll ~on_settle ~k] retries
+    a SEND that failed with [No_credits] every [poll_ps], without an
+    engine event per retry (see {!M3v_sim.Engine.spin}).  Call it from the
+    failed command's completion, with that command's arguments, in place
+    of scheduling the SEND [poll_ps] later.  Each poll calls [on_poll ()]
+    and then issues the SEND: its checks run and count as in {!send}.
+    While it fails with [No_credits] again, the stalled command's
+    completion follows the DTU's command time later: it records the
+    [send] span and latency that [send] records, then calls
+    [on_settle ()].  The first poll whose SEND does not stall ends the
+    loop; that SEND completes through [k].  Everything simulated is as if
+    each retry had been scheduled, the event count included. *)
 val spin_send :
   t ->
   ep:int ->
+  ?reply_ep:int ->
   ?src_vaddr:int ->
+  ?issue_ts:int ->
   msg_size:int ->
+  Msg.data ->
   poll_ps:M3v_sim.Time.t ->
   on_poll:(unit -> unit) ->
   on_settle:(unit -> unit) ->
-  (unit -> unit) ->
+  k:completion ->
   unit
 
 (** [reply t ~to_msg ...] sends a reply through the reply endpoint recorded
@@ -175,10 +175,10 @@ val set_msg_arrived : t -> (Dtu_types.act_id -> unit) -> unit
 (** {1 External interface (controller only)} *)
 
 (** Configuring a memory endpoint backs the DRAM pages of its window
-    ({!Dram.back}); putting one back with [ext_put] does not. *)
+    ({!Dram.back}); putting one back with [ext_put] does not.
+    [ext_config t ~ep ~owner:Dtu_types.invalid_act Ep.Invalid] invalidates
+    slot [ep]. *)
 val ext_config : t -> ep:int -> owner:Dtu_types.act_id -> Ep.config -> unit
-
-val ext_invalidate : t -> ep:int -> unit
 
 (** The live record of slot [ep], not a copy, for callers that read its
     configuration or owner. *)
@@ -231,7 +231,7 @@ val ext_release_fetched : t -> ep:int -> int
 (** Install a forwarding pointer on a vacated (Invalid) slot: in-flight
     packets and credit grants addressed to it chase the migrated activity
     to [dst_tile:dst_ep], one extra NoC leg per hop.  Cleared by
-    [ext_config], [ext_invalidate], [ext_take] and [ext_put]. *)
+    [ext_config], [ext_take] and [ext_put]. *)
 val ext_set_moved : t -> ep:int -> dst_tile:int -> dst_ep:int -> unit
 
 (** [ext_retarget t ~old_tile ~new_tile ~eps] rewrites every send endpoint
@@ -264,20 +264,14 @@ type stats = private {
   mutable replies : int;
   mutable fetches : int;
   mutable acks : int;
-  mutable dma_reads : int;
-  mutable dma_writes : int;
   mutable dma_bytes : int;
   mutable core_reqs : int;
-  mutable delivery_failures : int;
-  mutable translation_faults : int;
   mutable retries : int;
       (** retransmitted command attempts (fault injection) *)
   mutable timeouts : int;
       (** commands that exhausted their retransmit budget *)
   mutable dup_drops : int;
       (** deduplicated message copies dropped on receive *)
-  mutable mig_forwards : int;
-      (** packets/credit grants forwarded through a migration pointer *)
   mutable mpmc_deliveries : int;  (** messages delivered into shared rings *)
   mutable mpmc_doorbells_coalesced : int;
       (** shared-ring arrivals absorbed by an already-pending doorbell *)

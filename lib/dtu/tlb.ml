@@ -42,11 +42,6 @@ let lookup t ~act ~vpage ~write =
       t.misses <- t.misses + 1;
       None
 
-let would_hit t ~act ~vpage ~write =
-  match Hashtbl.find_opt t.entries (act, vpage) with
-  | Some e -> (not write) || Dtu_types.perm_allows_write e.perm
-  | None -> false
-
 let evict_one t =
   (* The FIFO may contain stale keys for entries already invalidated;
      skip those. *)

@@ -16,10 +16,6 @@ val capacity : t -> int
     miss. *)
 val lookup : t -> act:Dtu_types.act_id -> vpage:int -> write:bool -> int option
 
-(** [would_hit t ~act ~vpage ~write] is whether [lookup] would return
-    the page, without counting a hit, a miss or an upgrade. *)
-val would_hit : t -> act:Dtu_types.act_id -> vpage:int -> write:bool -> bool
-
 val insert :
   t -> act:Dtu_types.act_id -> vpage:int -> ppage:int -> perm:Dtu_types.perm -> unit
 

@@ -521,7 +521,8 @@ let rec invalidate_eps t eps ~k =
       charge t revoke_per_cap_cycles (fun () ->
           ext_round_trip t ~dst:tile ~bytes:32
             ~apply:(fun () ->
-              Dtu.ext_invalidate (Platform.dtu t.platform tile) ~ep;
+              Dtu.ext_config (Platform.dtu t.platform tile) ~ep
+                ~owner:invalid_act Ep.Invalid;
               Hashtbl.remove t.ep_owners (tile, ep))
             ~k:(fun () -> invalidate_eps t rest ~k))
 

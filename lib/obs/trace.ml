@@ -207,14 +207,3 @@ let latency name v =
   | Some s -> Stats.Histogram.add (histogram s name) v
 
 let latency_int name v = latency name (float_of_int v)
-
-(* Sample the engine's dispatch loop into "engine" counter tracks.  Wired
-   by the system constructor when a sink is installed, so the engine itself
-   stays free of an obs dependency. *)
-let attach_engine engine =
-  if on () then
-    M3v_sim.Engine.set_observer engine
-      (Some
-         (fun now pending ->
-           counter ~cat:"engine" ~name:"pending_events" ~ts:now
-             ~value:(float_of_int pending) ()))

@@ -153,10 +153,6 @@ val latency : string -> float -> unit
 
 val latency_int : string -> int -> unit
 
-(** Sample the engine's dispatch loop (queue depth every 1024 events) into
-    the trace.  No-op when tracing is off. *)
-val attach_engine : M3v_sim.Engine.t -> unit
-
 (** {1 Reading a sink} *)
 
 val events : sink -> event list

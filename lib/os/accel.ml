@@ -52,22 +52,20 @@ let rec pump t =
    the output has gone out, and only then acks its input and takes the
    next message, so blocks leave in the order they came in. *)
 and forward t msg data size =
-  let rec attempt () =
-    Dtu.send t.dtu ~ep:t.out_ep ~msg_size:size data ~k:complete
-  and complete = function
+  let rec complete = function
     | Ok () ->
         (match Dtu.ack t.dtu ~ep:t.rgate msg with Ok () | Error _ -> ());
         t.busy <- false;
         pump t
     | Error (M3v_dtu.Dtu_types.No_credits | M3v_dtu.Dtu_types.Recv_gone) ->
         (* Downstream backpressure: retry every 5 us. *)
-        Dtu.spin_send t.dtu ~ep:t.out_ep ~msg_size:size ~poll_ps:(Time.us 5)
-          ~on_poll:ignore ~on_settle:ignore attempt
+        Dtu.spin_send t.dtu ~ep:t.out_ep ~msg_size:size data ~poll_ps:(Time.us 5)
+          ~on_poll:ignore ~on_settle:ignore ~k:complete
     | Error e ->
         failwith
           ("Accel: forward failed: " ^ M3v_dtu.Dtu_types.error_to_string e)
   in
-  attempt ()
+  Dtu.send t.dtu ~ep:t.out_ep ~msg_size:size data ~k:complete
 
 let attach ~engine ~dtu ~rgate ~out_ep ~ns_per_byte ~transform () =
   let t =

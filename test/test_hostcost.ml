@@ -140,8 +140,9 @@ let test_parked_polls_do_not_allocate () =
   | Ep.Send s -> s.Ep.credits <- 0
   | Ep.Invalid | Ep.Recv _ | Ep.Mem _ -> Alcotest.fail "expected a send endpoint");
   ignore (Dtu.switch_act dtu ~next:7);
-  Dtu.spin_send dtu ~ep:1 ~msg_size:16 ~poll_ps:(Time.us 2) ~on_poll:ignore
-    ~on_settle:ignore (fun () -> Alcotest.fail "no credit ever comes back");
+  Dtu.spin_send dtu ~ep:1 ~msg_size:16 M3v_dtu.Msg.Empty ~poll_ps:(Time.us 2)
+    ~on_poll:ignore ~on_settle:ignore ~k:(fun _ ->
+      Alcotest.fail "no credit ever comes back");
   (* Warm up: the first poll and its completion. *)
   check_int "warm-up steps" 2 (Engine.run ~max_events:2 eng);
   let before = Gc.minor_words () in

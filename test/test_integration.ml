@@ -289,7 +289,9 @@ let test_accel_backpressure_keeps_order () =
    the next retry fails loudly instead of retrying for ever. *)
 let test_accel_retry_fails_on_permanent_error () =
   let eng, acc, _sink = accel_line () in
-  Engine.at eng ~time:(Time.us 3) (fun () -> M3v_dtu.Dtu.ext_invalidate acc ~ep:2);
+  Engine.at eng ~time:(Time.us 3) (fun () ->
+      M3v_dtu.Dtu.ext_config acc ~ep:2 ~owner:M3v_dtu.Dtu_types.invalid_act
+        M3v_dtu.Ep.Invalid);
   match Engine.run ~until:(Time.ms 1) eng with
   | _ -> Alcotest.fail "the stage kept retrying a send with no endpoint"
   | exception Failure msg ->
