@@ -158,6 +158,11 @@ let make_link ~credits =
   ignore (Dtu.switch_act d1 ~next:7);
   (eng, d0, d1)
 
+(* A reply gate on [d0] (endpoint 2, act 5) for the replies of
+   [make_link]'s receiver. *)
+let add_reply_gate d0 =
+  Dtu.ext_config d0 ~ep:2 ~owner:5 (Ep.recv_config ~slots:64 ~slot_size:128 ())
+
 let send_credits d =
   match (Dtu.ext_read_ep d ~ep:1).Ep.cfg with
   | Ep.Send s -> s.Ep.credits
@@ -189,6 +194,40 @@ let test_drop_timeout_refunds_credit () =
       check_bool "retransmits attempted" true (s.Dtu.retries > 0);
       check_int "credit refunded" 3 (send_credits d0);
       check_int "no slot occupied" 0 (recv_occupied d1))
+
+(* A reply facing certain loss exhausts its retransmit budget and reports
+   [Timeout].  It freed the request's slot, so the credit it would have
+   carried is granted to the requester over the sideband, once: with two
+   requests outstanding, the send endpoint goes from 1 credit to 2. *)
+let test_reply_timeout_grants_credit_once () =
+  let eng, d0, d1 = make_link ~credits:3 in
+  add_reply_gate d0;
+  for i = 0 to 1 do
+    Dtu.send d0 ~ep:1 ~reply_ep:2 ~msg_size:16 (P i) ~k:(fun _ -> ())
+  done;
+  ignore (Engine.run eng);
+  let msg =
+    match Dtu.fetch d1 ~ep:1 with
+    | Ok (Some msg) -> msg
+    | _ -> Alcotest.fail "request not delivered"
+  in
+  check_int "two credits spent" 1 (send_credits d0);
+  let plan = Fault.create ~seed:1 { Fault.none with drop = 1.0 } in
+  let result = ref None in
+  Fault.with_plan plan (fun () ->
+      Dtu.reply d1 ~recv_ep:1 ~to_msg:msg ~msg_size:16 (P 9) ~k:(fun r ->
+          result := Some r);
+      ignore (Engine.run eng));
+  (match !result with
+  | Some (Error Dtu_types.Timeout) -> ()
+  | Some (Ok ()) -> Alcotest.fail "reply succeeded under drop=1.0"
+  | Some (Error e) ->
+      Alcotest.failf "wrong error: %s" (Dtu_types.error_to_string e)
+  | None -> Alcotest.fail "reply never completed");
+  check_int "one final timeout" 1 (Dtu.stats d1).Dtu.timeouts;
+  check_int "the reply's credit granted once" 2 (send_credits d0);
+  check_int "the other request still holds its slot" 1 (recv_occupied d1);
+  check_bool "no reply arrived" true (Dtu.fetch d0 ~ep:2 = Ok None)
 
 (* Under partial loss and duplication every payload the sender saw
    acknowledged arrives exactly once: retransmission recovers drops and
@@ -227,14 +266,16 @@ let test_retransmit_exactly_once () =
 
 (* Credit conservation (test_props invariant) must survive arbitrary
    fault plans: drops refund on final timeout, duplicates never mint a
-   second slot, delays only move deliveries. *)
+   second slot, delays only move deliveries.  A fetched request is acked
+   or replied to; a reply's credit is granted once, piggybacked or, after
+   a timeout, over the sideband. *)
 let prop_faulty_credit_conservation =
   QCheck.Test.make ~name:"credits conserved under random fault plans"
     ~count:30
     QCheck.(
       pair
         (pair small_int (pair (int_bound 30) (int_bound 30)))
-        (list_of_size (Gen.int_range 1 50) (int_bound 2)))
+        (list_of_size (Gen.int_range 1 50) (int_bound 3)))
     (fun ((seed, (drop100, dup100)), script) ->
       let spec =
         {
@@ -249,21 +290,38 @@ let prop_faulty_credit_conservation =
       Fault.with_plan plan (fun () ->
           let credits = 3 in
           let eng, d0, d1 = make_link ~credits in
+          add_reply_gate d0;
           let fetched = Queue.create () in
           let ok = ref true in
+          let rec drain_replies () =
+            match Dtu.fetch d0 ~ep:2 with
+            | Ok (Some msg) ->
+                ignore (Dtu.ack d0 ~ep:2 msg);
+                drain_replies ()
+            | Ok None | Error _ -> ()
+          in
           List.iter
             (fun op ->
               (match op with
-              | 0 -> Dtu.send d0 ~ep:1 ~msg_size:16 (P 0) ~k:(fun _ -> ())
+              | 0 ->
+                  Dtu.send d0 ~ep:1 ~reply_ep:2 ~msg_size:16 (P 0)
+                    ~k:(fun _ -> ())
               | 1 -> (
                   match Dtu.fetch d1 ~ep:1 with
                   | Ok (Some msg) -> Queue.add msg fetched
                   | Ok None | Error _ -> ())
-              | _ -> (
+              | 2 -> (
                   match Queue.take_opt fetched with
                   | Some msg -> ignore (Dtu.ack d1 ~ep:1 msg)
+                  | None -> ())
+              | _ -> (
+                  match Queue.take_opt fetched with
+                  | Some msg ->
+                      Dtu.reply d1 ~recv_ep:1 ~to_msg:msg ~msg_size:16 (P 1)
+                        ~k:(fun _ -> ())
                   | None -> ()));
               ignore (Engine.run eng);
+              drain_replies ();
               if send_credits d0 + recv_occupied d1 <> credits then ok := false)
             script;
           !ok))
@@ -371,6 +429,8 @@ let suite =
     ("crash/hang budgets and protect", `Quick, test_protect_and_budget);
     ("drop exhausts retries, refunds credit", `Quick,
      test_drop_timeout_refunds_credit);
+    ("reply timeout grants its credit once", `Quick,
+     test_reply_timeout_grants_credit_once);
     ("retransmit + dedup deliver exactly once", `Quick,
      test_retransmit_exactly_once);
     ("exit code propagation", `Quick, test_exit_code_propagation);
