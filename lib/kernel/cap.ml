@@ -91,15 +91,3 @@ let revoke t =
 let rec live_count t =
   (if t.live then 1 else 0)
   + List.fold_left (fun acc c -> acc + live_count c) 0 t.children
-
-let pp fmt t =
-  let kind =
-    match t.obj with
-    | Rgate { rg_ack_batch = Some _; _ } -> "mpmc-rgate"
-    | Rgate _ -> "rgate"
-    | Sgate _ -> "sgate"
-    | Mgate m -> Printf.sprintf "mgate[t%d+%#x,%#x]" m.mg_tile m.mg_base m.mg_size
-  in
-  Format.fprintf fmt "cap[sel=%d owner=%a %s%s]" t.sel Dtu_types.pp_act t.owner
-    kind
-    (if t.live then "" else " revoked")

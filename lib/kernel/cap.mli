@@ -69,5 +69,3 @@ val revoke : t -> t list * (int * int) list
 (** Number of live capabilities in the subtree rooted here (including the
     root if live). *)
 val live_count : t -> int
-
-val pp : Format.formatter -> t -> unit

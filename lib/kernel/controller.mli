@@ -65,8 +65,6 @@ val create :
     replaces it). *)
 val register_runtime : t -> tile:int -> runtime -> unit
 
-val mode : t -> mode
-val tile : t -> int
 val platform : t -> M3v_tile.Platform.t
 
 (** {1 Host-level (uncharged) setup API}

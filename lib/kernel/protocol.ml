@@ -2,12 +2,6 @@ type sys_req =
   | Noop
   | Alloc_mem of { size : int; perm : M3v_dtu.Dtu_types.perm }
   | Create_rgate of { slots : int; slot_size : int }
-  | Create_sgate_for of {
-      target : M3v_dtu.Dtu_types.act_id;
-      rgate_sel : int;
-      label : int;
-      credits : int;
-    }
   | Derive_mem_for of {
       target : M3v_dtu.Dtu_types.act_id;
       src_sel : int;
@@ -24,7 +18,6 @@ type sys_req =
       perm : M3v_dtu.Dtu_types.perm;
     }
   | Act_exit of { code : int }
-  | Migrate of { mig_tile : int }
 
 type sys_reply = Ok_unit | Ok_sel of int | Ok_ep of int | Sys_err of string
 
@@ -35,7 +28,6 @@ type M3v_dtu.Msg.data +=
       fwd_dst_tile : int;
       fwd_dst_ep : int;
       fwd : M3v_dtu.Msg.t;
-      fwd_block : bool;
     }
   | Mx_block
   | Mx_yield
@@ -66,13 +58,11 @@ let sys_req_size = function
   | Noop -> 8
   | Alloc_mem _ -> 24
   | Create_rgate _ -> 24
-  | Create_sgate_for _ -> 40
   | Derive_mem_for _ -> 48
   | Activate _ -> 24
   | Revoke _ -> 16
   | Map_for _ -> 40
   | Act_exit _ -> 16
-  | Migrate _ -> 16
 
 let sys_reply_size = function
   | Ok_unit -> 8
@@ -84,8 +74,6 @@ let pp_sys_req fmt = function
   | Alloc_mem { size; _ } -> Format.fprintf fmt "alloc_mem(%d)" size
   | Create_rgate { slots; slot_size } ->
       Format.fprintf fmt "create_rgate(%dx%d)" slots slot_size
-  | Create_sgate_for { target; rgate_sel; _ } ->
-      Format.fprintf fmt "create_sgate_for(act%d, sel%d)" target rgate_sel
   | Derive_mem_for { target; src_sel; off; len; _ } ->
       Format.fprintf fmt "derive_mem_for(act%d, sel%d, +%#x, %#x)" target src_sel
         off len
@@ -96,10 +84,3 @@ let pp_sys_req fmt = function
   | Map_for { target; vpage; ppage; _ } ->
       Format.fprintf fmt "map_for(act%d, v%#x -> p%#x)" target vpage ppage
   | Act_exit { code } -> Format.fprintf fmt "exit(%d)" code
-  | Migrate { mig_tile } -> Format.fprintf fmt "migrate(tile%d)" mig_tile
-
-let pp_sys_reply fmt = function
-  | Ok_unit -> Format.pp_print_string fmt "ok"
-  | Ok_sel s -> Format.fprintf fmt "ok(sel%d)" s
-  | Ok_ep e -> Format.fprintf fmt "ok(ep%d)" e
-  | Sys_err e -> Format.fprintf fmt "err(%s)" e

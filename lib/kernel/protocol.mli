@@ -11,15 +11,6 @@ type sys_req =
   | Alloc_mem of { size : int; perm : M3v_dtu.Dtu_types.perm }
       (** allocate physical memory; yields a memory capability *)
   | Create_rgate of { slots : int; slot_size : int }
-  | Create_sgate_for of {
-      target : M3v_dtu.Dtu_types.act_id;
-      rgate_sel : int;  (** selector in the {e requester}'s table *)
-      label : int;
-      credits : int;
-    }
-      (** create a send gate to the requester's receive gate inside
-          [target]'s capability table — kernel-mediated channel
-          establishment *)
   | Derive_mem_for of {
       target : M3v_dtu.Dtu_types.act_id;
       src_sel : int;
@@ -41,11 +32,6 @@ type sys_req =
       (** pager requests a mapping; the controller forwards it to the
           TileMux instance responsible for [target] (paper, section 4.3) *)
   | Act_exit of { code : int }
-  | Migrate of { mig_tile : int }
-      (** move the requester to another tile.  Replied to immediately with
-          [Ok_unit] (or [Sys_err] if the request is invalid); the migration
-          protocol then intercepts the activity at its next TMCall
-          boundary. *)
 
 type sys_reply =
   | Ok_unit
@@ -60,7 +46,6 @@ type M3v_dtu.Msg.data +=
       fwd_dst_tile : int;
       fwd_dst_ep : int;
       fwd : M3v_dtu.Msg.t;  (** the original message to deliver *)
-      fwd_block : bool;  (** block the sender after forwarding (RPC wait) *)
     }  (** M3x slow path: forward a message via the controller *)
   | Mx_block  (** M3x: sender has nothing to do until a message arrives *)
   | Mx_yield  (** M3x: voluntary yield, stay ready *)
@@ -82,4 +67,3 @@ val sys_req_size : sys_req -> int
 val sys_reply_size : sys_reply -> int
 
 val pp_sys_req : Format.formatter -> sys_req -> unit
-val pp_sys_reply : Format.formatter -> sys_reply -> unit

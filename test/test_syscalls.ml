@@ -71,9 +71,9 @@ let test_syscall_built_channel () =
             Proc.return ()))
   in
   System.boot sys;
-  (* Run until the server has activated its gate, then perform the grant
-     the server would issue via Create_sgate_for + the client's Activate
-     (host-level, same controller code path). *)
+  (* Run until the server has activated its gate, then give the client a
+     send gate to it and activate that gate, host-level ([host_activate]
+     configures the endpoint as the Activate syscall does). *)
   System.run_while sys (fun () -> !rgate_sel_box = None);
   let ctrl = System.controller sys in
   let rgate_sel = Option.get !rgate_sel_box in
