@@ -243,7 +243,7 @@ let prop_unread_matches_pending =
 
 (* --- delivery under random schedules ---
 
-   Two to four activities on one or two gem5 tiles.  Each sends its
+   Two to four activities on up to [tiles] gem5 tiles.  Each sends its
    messages to random peers, with computes and yields in between (and, on
    M3v, sleeps), then receives exactly the messages addressed to it.  Under
    M3x a send to a peer that is switched out takes the controller's slow
@@ -251,17 +251,24 @@ let prop_unread_matches_pending =
    timeslice preempts the computes, and a sleeper's timer must take the
    core from a peer that polls.  Every activity must finish, every message
    must arrive exactly once, and no receive endpoint may hold a message
-   afterwards.  Each channel has a slot and a credit per message it can
-   carry, so no send waits for a receiver.  On every tile, TileMux must
-   have handled each core request its vDTU raised exactly once. *)
+   afterwards.  On every tile, TileMux must have handled each core request
+   its vDTU raised exactly once.
+
+   Each channel has [slots] slots and as many credits.  With 8, no send
+   waits for a receiver.  With 2, a sender may forward more messages than
+   the gate holds (a forward spends no credit): the rest must wait for
+   room.  That instance runs on one M3x tile, where every send is a
+   forward.  On two tiles the programs, which send everything before they
+   receive, would deadlock by construction once two activities each owe
+   the other more messages than they hold credits. *)
 
 type mx_step = Send of int | Work of int | Yield | Sleep of int
 
 type Msg.data += Mx_msg of int * int  (* sender index, sequence number *)
 
-let gen_mx_system ~sleep =
+let gen_mx_system ~sleep ~tiles =
   let open QCheck2.Gen in
-  let* tiles = int_range 1 2 in
+  let* tiles = int_range 1 tiles in
   let* n = int_range 2 4 in
   let* placement = list_repeat n (int_range 1 tiles) in
   let pause =
@@ -292,7 +299,7 @@ let print_mx_system (placement, sends, pauses) =
            (steps (List.nth sends i)) (steps (List.nth pauses i)))
        placement)
 
-let delivery_exact ~variant ?timeslice (placement, sends, pauses) =
+let delivery_exact ~variant ?timeslice ~slots (placement, sends, pauses) =
   let n = List.length placement in
   let spec = M3v_tile.Platform.gem5_spec ~user_tiles:2 () in
   let sys = System.create ~spec ?timeslice ~variant () in
@@ -361,8 +368,8 @@ let delivery_exact ~variant ?timeslice (placement, sends, pauses) =
     for j = 0 to n - 1 do
       if i <> j then begin
         let ch =
-          System.channel sys ~src:acts.(i) ~dst:acts.(j) ~slots:8
-            ~credits:8 ()
+          System.channel sys ~src:acts.(i) ~dst:acts.(j) ~slots
+            ~credits:slots ()
         in
         sgate.(i).(j) <- ch.System.sgate;
         rgates.(j) <- ch.System.rgate :: rgates.(j)
@@ -404,10 +411,11 @@ let delivery_exact ~variant ?timeslice (placement, sends, pauses) =
   && List.for_all drained (List.init n Fun.id)
   && List.for_all core_reqs_once (List.sort_uniq compare placement)
 
-let prop_delivery_exact ~name ~variant ?timeslice () =
+let prop_delivery_exact ~name ~variant ?timeslice ?(tiles = 2) ?(slots = 8)
+    () =
   QCheck2.Test.make ~name ~count:500 ~print:print_mx_system
-    (gen_mx_system ~sleep:(variant = System.M3v))
-    (delivery_exact ~variant ?timeslice)
+    (gen_mx_system ~sleep:(variant = System.M3v) ~tiles)
+    (delivery_exact ~variant ?timeslice ~slots)
 
 let prop_m3x_delivery_exact =
   prop_delivery_exact ~name:"m3x schedules deliver every message once"
@@ -421,6 +429,11 @@ let prop_m3v_preempted_delivery_exact =
   prop_delivery_exact ~name:"m3v 300 ns slices deliver every message once"
     ~variant:System.M3v ~timeslice:(Time.ns 300) ()
 
+let prop_m3x_small_gates_delivery_exact =
+  prop_delivery_exact
+    ~name:"m3x 2-slot gates on one tile deliver every message once"
+    ~variant:System.M3x ~tiles:1 ~slots:2 ()
+
 (* A schedule QCheck shrank a failure to.  On an idle core, the vDTU
    re-raised the core-request interrupt 5 ns after TileMux acked a
    request, while TileMux's loop still charged for the next one; the
@@ -428,7 +441,7 @@ let prop_m3v_preempted_delivery_exact =
 let test_core_reqs_handled_once () =
   check_bool "every message delivered once, every core request handled once"
     true
-    (delivery_exact ~variant:System.M3v
+    (delivery_exact ~variant:System.M3v ~slots:8
        ( [ 1; 2; 1; 2 ],
          [
            [ Send 0; Send 1; Yield ];
@@ -437,6 +450,14 @@ let test_core_reqs_handled_once () =
            [ Work 157; Send 0; Send 0; Send 1 ];
          ],
          [ []; [ Work 19 ]; []; [] ] ))
+
+(* The shrunk schedule of the 2-slot property: four forwards to a peer on
+   the same tile, whose gate holds two.  The two that did not fit at the
+   switch-in were lost, and the peer waited for ever. *)
+let test_m3x_forwards_wait_for_room () =
+  check_bool "all four messages delivered once" true
+    (delivery_exact ~variant:System.M3x ~slots:2
+       ([ 1; 1 ], [ [ Send 0; Send 0; Send 0; Send 0 ]; [] ], [ []; [] ]))
 
 let suite =
   [
@@ -452,5 +473,9 @@ let suite =
         prop_m3x_delivery_exact;
         prop_m3v_delivery_exact;
         prop_m3v_preempted_delivery_exact;
+        prop_m3x_small_gates_delivery_exact;
       ]
-  @ [ ("m3v core requests handled once", `Quick, test_core_reqs_handled_once) ]
+  @ [
+      ("m3v core requests handled once", `Quick, test_core_reqs_handled_once);
+      ("m3x forwards wait for room", `Quick, test_m3x_forwards_wait_for_room);
+    ]
