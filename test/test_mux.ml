@@ -340,6 +340,55 @@ let test_m3x_shared_tile_schedule () =
         (M3v_dtu.Dtu.ext_read_ep dtu ~ep == e))
     before
 
+(* A forward spends no credit: the SEND that failed refunded it.  So the
+   ack of a forwarded message must return none.  The client on tile 1
+   sends twice to a server on tile 2 (2 slots, 2 credits).  The first send
+   finds the server switched out for a busy peer and is forwarded; the
+   second finds it switched in and spends a credit.  The server acks the
+   forward and looks at the client's credits while the second message is
+   still unacked: one. *)
+let test_m3x_forward_ack_returns_no_credit () =
+  let spec = M3v_tile.Platform.gem5_spec ~user_tiles:2 () in
+  let sys = System.create ~spec ~variant:System.M3x () in
+  let sgate = ref (-1) and rgate = ref (-1) in
+  let seen = ref (-1) in
+  let credits () =
+    let dtu = M3v_tile.Platform.dtu (System.platform sys) 1 in
+    match (M3v_dtu.Dtu.ext_read_ep dtu ~ep:!sgate).M3v_dtu.Ep.cfg with
+    | M3v_dtu.Ep.Send s -> s.M3v_dtu.Ep.credits
+    | _ -> -1
+  in
+  let server, _ =
+    System.spawn sys ~tile:2 ~name:"server" (fun _ ->
+        let* ep, first = A.recv ~eps:[ !rgate ] in
+        let* _, second = A.recv ~eps:[ !rgate ] in
+        let* () = A.ack ~ep first in
+        let* () = A.compute 10_000 in
+        seen := credits ();
+        A.ack ~ep second)
+  in
+  let _busy, _ =
+    System.spawn sys ~tile:2 ~name:"busy" (fun _ -> A.compute 200_000)
+  in
+  let client, _ =
+    System.spawn sys ~tile:1 ~name:"client" (fun _ ->
+        let* () = A.compute 20_000 in
+        let* () = A.send ~ep:!sgate ~size:16 (Req 1) in
+        let* () = A.compute 400_000 in
+        A.send ~ep:!sgate ~size:16 (Req 2))
+  in
+  let ch = System.channel sys ~src:client ~dst:server ~slots:2 ~credits:2 () in
+  sgate := ch.System.sgate;
+  rgate := ch.System.rgate;
+  System.boot sys;
+  ignore (System.run sys);
+  let s = M3v_kernel.Controller.stats (System.controller sys) in
+  check_int "the first send was forwarded" 1 s.M3v_kernel.Controller.mx_forwards;
+  check_bool "server finished" true
+    (M3v_mux.Runtime.finished (System.runtime sys ~tile:2) server);
+  check_int "credits while the second message is unacked" 1 !seen;
+  check_int "credits at the end" 2 (credits ())
+
 let suite =
   [
     ("m3v remote rpc", `Quick, test_m3v_remote_rpc);
@@ -355,4 +404,6 @@ let suite =
     ("rpc stress m3v", `Slow, test_many_rpc_stress);
     ("rpc stress m3x", `Slow, test_m3x_stress);
     ("m3x shared tile schedule", `Quick, test_m3x_shared_tile_schedule);
+    ("m3x forward ack returns no credit", `Quick,
+     test_m3x_forward_ack_returns_no_credit);
   ]
