@@ -8,6 +8,7 @@ module Linux_sim = M3v_linux.Linux_sim
 module A = M3v_mux.Act_api
 module Nic = M3v_os.Nic
 module Fs_proto = M3v_os.Fs_proto
+module Fs_core = M3v_os.Fs_core
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -88,6 +89,62 @@ let test_udp_echo () =
   in
   Alcotest.(check string) "echo payload" "hello" (Bytes.to_string !got)
 
+(* A write from 20 bytes before the end of a file's 64-block extent to
+   20 bytes past it: the tail lands in a fresh extent, and the bytes read
+   back intact. *)
+let test_tmpfs_write_crosses_extent () =
+  let engine = Engine.create () in
+  let lx = Linux_sim.create engine () in
+  let ext = 64 * Fs_core.block_size in
+  let head = Bytes.init ext (fun i -> Char.chr (i land 0xff)) in
+  Linux_sim.preload_file lx ~path:"/f" head;
+  let tail = Bytes.init 40 (fun i -> Char.chr (97 + (i mod 26))) in
+  let written = ref 0 and back = ref "" in
+  ignore
+    (Linux_sim.spawn lx ~name:"writer"
+       (let rw = { Fs_proto.fl_write = true; fl_create = false; fl_trunc = false } in
+        let* fd = Lx.open_ "/f" rw in
+        let fd = match fd with Ok fd -> fd | Error e -> failwith e in
+        let* buf = A.alloc_buf 40 in
+        Bytes.blit tail 0 buf.M3v_mux.Act_ops.data 0 40;
+        let* () = Lx.seek ~fd ~pos:(ext - 20) in
+        let* n = Lx.write ~fd ~buf ~len:40 in
+        written := n;
+        let* buf2 = A.alloc_buf 40 in
+        let* () = Lx.seek ~fd ~pos:(ext - 20) in
+        let* n = Lx.read ~fd ~buf:buf2 ~len:40 in
+        back := Bytes.sub_string buf2.M3v_mux.Act_ops.data 0 n;
+        Lx.close ~fd));
+  Linux_sim.boot lx;
+  ignore (Engine.run engine);
+  check_int "written" 40 !written;
+  Alcotest.(check string) "read back" (Bytes.to_string tail) !back;
+  (match Linux_sim.peek_file lx ~path:"/f" with
+  | Some stored ->
+      Alcotest.(check string) "stored"
+        (Bytes.sub_string head 0 (ext - 20) ^ Bytes.to_string tail)
+        (Bytes.to_string stored)
+  | None -> Alcotest.fail "file missing");
+  match Fs_core.check_invariants (Linux_sim.tmpfs lx) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
+(* The echo lands while the process computes: it waits in the socket's
+   queue, and recvfrom takes it from there. *)
+let test_udp_queued_before_recvfrom () =
+  let got = ref Bytes.empty in
+  let _ =
+    run_lx ~nic_host:(Nic.Echo { turnaround = Time.us 20 }) (fun _ ->
+        let* sock = Lx.socket in
+        let* () = Lx.bind ~sock ~port:5001 in
+        let* () = Lx.sendto ~sock ~dst:(1, 7000) (Bytes.of_string "early") in
+        let* () = A.compute 2_000_000 in
+        let* _src, data = Lx.recvfrom ~sock in
+        got := data;
+        Lx.sock_close ~sock)
+  in
+  Alcotest.(check string) "queued payload" "early" (Bytes.to_string !got)
+
 let test_rusage_split () =
   let lx, pid =
     run_lx (fun _ ->
@@ -160,6 +217,8 @@ let suite =
     ("tmpfs roundtrip", `Quick, test_tmpfs_roundtrip);
     ("tmpfs metadata", `Quick, test_tmpfs_metadata);
     ("udp echo", `Quick, test_udp_echo);
+    ("tmpfs write crosses extent", `Quick, test_tmpfs_write_crosses_extent);
+    ("udp queued before recvfrom", `Quick, test_udp_queued_before_recvfrom);
     ("rusage split", `Quick, test_rusage_split);
     ("two processes share core", `Quick, test_two_processes_share_core);
     ("icache penalty gating", `Quick, test_icache_penalty_only_after_user_work);
