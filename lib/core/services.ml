@@ -17,11 +17,10 @@ let make_fs sys ~tile ~blocks ?max_extent_blocks () =
   let ctrl = System.controller sys in
   let handle = M3fs.make_handle ?max_extent_blocks ~blocks () in
   let rgate = ref (-1) and mem_ep = ref (-1) and region_sel = ref (-1) in
-  let fs_aid, fs_env =
+  let fs_aid, _ =
     System.spawn sys ~tile ~name:"m3fs"
       (M3fs.program handle ~rgate ~mem_ep ~region_sel ())
   in
-  ignore fs_env;
   let region_size = blocks * Fs_core.block_size in
   let mem_tile, base = Controller.host_alloc_mem ctrl ~size:region_size in
   let sel =
@@ -53,24 +52,18 @@ let make_fs sys ~tile ~blocks ?max_extent_blocks () =
 let preload_file sys inst ~path data =
   let core = M3fs.core inst.fs_handle in
   let dram = Platform.dram_exn (System.platform sys) inst.fs_mem_tile in
-  (match Fs_core.create_file core path with
+  match Fs_core.create_file core path with
   | Ok ino ->
       let len = Bytes.length data in
-      if len > 0 then begin
-        Fs_core.preallocate core ino
-          ~blocks:((len + Fs_core.block_size - 1) / Fs_core.block_size);
-        Fs_core.set_size core ino len
-      end
-      else Fs_core.set_size core ino 0;
-      let segs = Fs_core.segments core ino ~off:0 ~len:(Bytes.length data) in
-      let pos = ref 0 in
+      Fs_core.preallocate core ino
+        ~blocks:((len + Fs_core.block_size - 1) / Fs_core.block_size);
+      Fs_core.set_size core ino len;
       List.iter
-        (fun (region_off, l) ->
+        (fun (region_off, pos, l) ->
           Dram.write dram ~off:(inst.fs_mem_base + region_off) ~src:data
-            ~src_off:!pos ~len:l;
-          pos := !pos + l)
-        segs
-  | Error e -> invalid_arg ("Services.preload_file: " ^ e))
+            ~src_off:pos ~len:l)
+        (Fs_core.segments core ino ~off:0 ~len)
+  | Error e -> invalid_arg ("Services.preload_file: " ^ e)
 
 type net_instance = {
   net_aid : M3v_dtu.Dtu_types.act_id;
@@ -128,17 +121,13 @@ let make_net sys ?tile ?drop_probability ~host () =
 let peek_file sys inst ~path =
   let core = M3fs.core inst.fs_handle in
   let dram = Platform.dram_exn (System.platform sys) inst.fs_mem_tile in
-  match Fs_core.lookup core path with
-  | None -> None
-  | Some ino ->
-      let size = Fs_core.size core ino in
-      let out = Bytes.create size in
-      let segs = Fs_core.segments core ino ~off:0 ~len:size in
-      let pos = ref 0 in
+  Option.map
+    (fun ino ->
+      let out = Bytes.create (Fs_core.size core ino) in
       List.iter
-        (fun (region_off, l) ->
+        (fun (region_off, pos, l) ->
           Dram.read_into dram ~off:(inst.fs_mem_base + region_off) ~dst:out
-            ~dst_off:!pos ~len:l;
-          pos := !pos + l)
-        segs;
-      Some out
+            ~dst_off:pos ~len:l)
+        (Fs_core.segments core ino ~off:0 ~len:(Bytes.length out));
+      out)
+    (Fs_core.lookup core path)

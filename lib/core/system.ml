@@ -81,14 +81,12 @@ let mem_region t ~act ~size ~perm =
 let with_pager t ~tile =
   if t.variant <> M3v then
     invalid_arg "System.with_pager: pager-managed paging is M3v-only here";
-  let handle = M3v_os.Pager.make_handle () in
   (* Spawn first so the activity exists, then build its receive gate and
      connect every TileMux with a send gate owned by the TileMux id. *)
   let rgate_ref = ref (-1) in
   let pager_aid, _env =
     spawn t ~tile ~name:"pager" ~premap:true
-      (fun env ->
-        M3v_os.Pager.program handle ~rgate:!rgate_ref () env)
+      (fun env -> M3v_os.Pager.program ~rgate:!rgate_ref () env)
   in
   let rgate_sel =
     Controller.host_new_rgate t.ctrl ~act:pager_aid ~slots:32 ~slot_size:128

@@ -33,7 +33,6 @@ type pstate = Ready | Running | Blocked_net | Dead
 
 type proc_rec = {
   pid : pid;
-  pname : string;
   program : unit Proc.t;
   mutable st : pstate;
   mutable resume : (unit -> unit) option;
@@ -43,12 +42,7 @@ type proc_rec = {
   mutable started : bool;
 }
 
-type fd_state = {
-  f_ino : Fs_core.ino;
-  mutable f_pos : int;
-  mutable f_max : int;
-  f_writable : bool;
-}
+type fd_state = { f_ino : Fs_core.ino; mutable f_pos : int; f_writable : bool }
 
 type sock_state = {
   mutable sk_port : int;
@@ -105,14 +99,22 @@ let find t pid =
   | None -> invalid_arg (Printf.sprintf "Linux_sim: unknown pid %d" pid)
 
 let finished t pid = (find t pid).st = Dead
-let proc_name t pid = (find t pid).pname
 let all_finished t = Hashtbl.fold (fun _ p acc -> acc && p.st = Dead) t.procs true
 let rusage t pid =
   let p = find t pid in
   (p.user_ps, p.sys_ps)
 
-let total_user t = Hashtbl.fold (fun _ p acc -> acc + p.user_ps) t.procs 0
-let total_sys t = Hashtbl.fold (fun _ p acc -> acc + p.sys_ps) t.procs 0
+(* Copy between file [ino]'s bytes [off, off + len) and [data] from its
+   start: into the file if [into_file], out of it otherwise.  Returns the
+   bytes copied, clipped to the file size. *)
+let tmpfs_copy t ino ~off ~len ~into_file data =
+  List.fold_left
+    (fun n (region_off, pos, l) ->
+      if into_file then Bytes.blit data pos t.store region_off l
+      else Bytes.blit t.store region_off data pos l;
+      n + l)
+    0
+    (Fs_core.segments t.fs ino ~off ~len)
 
 type bucket = User | Sys
 
@@ -189,28 +191,6 @@ and exec t p = function
       end
   | Proc.Request (op, k) -> interp t p op (fun resp -> exec t p (k resp))
 
-(* --- tmpfs helpers --- *)
-
-and tmpfs_copy_out t ino ~off ~len ~(buf : buf) ~buf_off =
-  let segs = Fs_core.segments t.fs ino ~off ~len in
-  let pos = ref buf_off in
-  List.iter
-    (fun (region_off, l) ->
-      Bytes.blit t.store region_off buf.data !pos l;
-      pos := !pos + l)
-    segs;
-  !pos - buf_off
-
-and tmpfs_copy_in t ino ~off ~len ~(buf : buf) ~buf_off =
-  let segs = Fs_core.segments t.fs ino ~off ~len in
-  let pos = ref buf_off in
-  List.iter
-    (fun (region_off, l) ->
-      Bytes.blit buf.data !pos t.store region_off l;
-      pos := !pos + l)
-    segs;
-  !pos - buf_off
-
 (* --- the interpreter --- *)
 
 and interp t (p : proc_rec) op (k : Proc.resp -> unit) =
@@ -238,24 +218,14 @@ and interp t (p : proc_rec) op (k : Proc.resp -> unit) =
           end
           else k Proc.Unit)
   | Lx_noop_syscall -> charge t p Sys syscall_cycles (fun () -> k Proc.Unit)
-  | Lx_open { o_path; o_flags } ->
+  | Lx_open { o_path; o_flags = { Fs_proto.fl_write; fl_create; fl_trunc } } ->
       charge t p Sys (syscall_cycles + path_lookup_cycles) (fun () ->
-          let resolve () =
-            if o_flags.Fs_proto.fl_create then Fs_core.create_file t.fs o_path
-            else
-              match Fs_core.lookup t.fs o_path with
-              | Some ino -> Ok ino
-              | None -> Error "ENOENT"
-          in
-          match resolve () with
+          match Fs_core.open_file t.fs o_path ~create:fl_create ~trunc:fl_trunc with
           | Error e -> k (L_result (Error e))
-          | Ok ino ->
-              if o_flags.Fs_proto.fl_trunc then Fs_core.truncate t.fs ino;
+          | Ok f_ino ->
               let fd = t.next_fd in
               t.next_fd <- fd + 1;
-              Hashtbl.replace t.fds fd
-                { f_ino = ino; f_pos = 0; f_max = 0;
-                  f_writable = o_flags.Fs_proto.fl_write };
+              Hashtbl.replace t.fds fd { f_ino; f_pos = 0; f_writable = fl_write };
               k (L_result (Ok fd)))
   | Lx_read { r_fd; r_buf; r_len } -> (
       match Hashtbl.find_opt t.fds r_fd with
@@ -269,44 +239,33 @@ and interp t (p : proc_rec) op (k : Proc.resp -> unit) =
             + Core_model.memcpy_cycles t.core len
           in
           charge t p Sys cost (fun () ->
-              let n = tmpfs_copy_out t fd.f_ino ~off:fd.f_pos ~len ~buf:r_buf ~buf_off:0 in
+              let n =
+                tmpfs_copy t fd.f_ino ~off:fd.f_pos ~len ~into_file:false r_buf.data
+              in
               fd.f_pos <- fd.f_pos + n;
               k (L_int n)))
   | Lx_write { w_fd; w_buf; w_len } -> (
       match Hashtbl.find_opt t.fds w_fd with
-      | None -> k (L_int 0)
-      | Some fd ->
-          if not fd.f_writable then k (L_int 0)
-          else begin
-            let before = Fs_core.free_blocks t.fs in
-            let _, fresh =
-              Fs_core.ensure_write_extent t.fs fd.f_ino ~off:fd.f_pos
-            in
-            let _ =
-              if w_len > 0 then
-                Fs_core.ensure_write_extent t.fs fd.f_ino
-                  ~off:(fd.f_pos + w_len - 1)
-              else ((0, 0, 0), [])
-            in
-            ignore fresh;
-            let allocated = before - Fs_core.free_blocks t.fs in
-            Fs_core.set_size t.fs fd.f_ino (fd.f_pos + w_len);
-            let pages = (w_len + 4095) / 4096 in
-            (* Allocation + clearing of fresh pages + the user copy. *)
-            let cost =
-              syscall_cycles + fd_lookup_cycles + (pages * tmpfs_page_cycles)
-              + (allocated * (tmpfs_alloc_page_cycles + Core_model.memcpy_cycles t.core 4096))
-              + Core_model.memcpy_cycles t.core w_len
-            in
-            charge t p Sys cost (fun () ->
-                let n =
-                  tmpfs_copy_in t fd.f_ino ~off:fd.f_pos ~len:w_len ~buf:w_buf
-                    ~buf_off:0
-                in
-                fd.f_pos <- fd.f_pos + n;
-                fd.f_max <- max fd.f_max fd.f_pos;
-                k (L_int n))
-          end)
+      | Some fd when fd.f_writable ->
+          let fresh = Fs_core.ensure_range t.fs fd.f_ino ~off:fd.f_pos ~len:w_len in
+          let allocated =
+            List.fold_left (fun acc e -> acc + e.Fs_core.e_blocks) 0 fresh
+          in
+          Fs_core.set_size t.fs fd.f_ino (fd.f_pos + w_len);
+          let pages = (w_len + 4095) / 4096 in
+          (* Allocation + clearing of fresh pages + the user copy. *)
+          let cost =
+            syscall_cycles + fd_lookup_cycles + (pages * tmpfs_page_cycles)
+            + (allocated * (tmpfs_alloc_page_cycles + Core_model.memcpy_cycles t.core 4096))
+            + Core_model.memcpy_cycles t.core w_len
+          in
+          charge t p Sys cost (fun () ->
+              let n =
+                tmpfs_copy t fd.f_ino ~off:fd.f_pos ~len:w_len ~into_file:true w_buf.data
+              in
+              fd.f_pos <- fd.f_pos + n;
+              k (L_int n))
+      | Some _ | None -> k (L_int 0))
   | Lx_seek { s_fd; s_pos } ->
       charge t p Sys (syscall_cycles / 2) (fun () ->
           (match Hashtbl.find_opt t.fds s_fd with
@@ -319,18 +278,7 @@ and interp t (p : proc_rec) op (k : Proc.resp -> unit) =
           k Proc.Unit)
   | Lx_stat path ->
       charge t p Sys (syscall_cycles + path_lookup_cycles) (fun () ->
-          match Fs_core.stat t.fs path with
-          | Ok st ->
-              k
-                (L_stat
-                   (Ok
-                      (Fs_proto.R_stat
-                         {
-                           size = st.Fs_core.st_size;
-                           is_dir = st.Fs_core.st_is_dir;
-                           blocks = st.Fs_core.st_blocks;
-                         })))
-          | Error e -> k (L_stat (Error e)))
+          k (L_stat (Result.map Fs_proto.stat_rep (Fs_core.stat t.fs path))))
   | Lx_readdir path ->
       charge t p Sys (syscall_cycles + path_lookup_cycles + 300) (fun () ->
           k (L_names (Fs_core.readdir t.fs path)))
@@ -458,13 +406,12 @@ let attach_nic t nic =
   t.lnic <- Some nic;
   M3v_os.Nic.set_rx_handler nic (fun pkt -> on_nic_rx t pkt)
 
-let spawn t ~name program =
+let spawn t ~name:_ program =
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
   Hashtbl.replace t.procs pid
     {
       pid;
-      pname = name;
       program;
       st = Ready;
       resume = None;
@@ -488,30 +435,14 @@ let preload_file t ~path data =
   | Error e -> invalid_arg ("Linux_sim.preload_file: " ^ e)
   | Ok ino ->
       let len = Bytes.length data in
-      if len > 0 then begin
-        ignore (Fs_core.ensure_write_extent t.fs ino ~off:0);
-        ignore (Fs_core.ensure_write_extent t.fs ino ~off:(len - 1))
-      end;
+      if len > 0 then ignore (Fs_core.ensure_range t.fs ino ~off:0 ~len);
       Fs_core.set_size t.fs ino len;
-      let segs = Fs_core.segments t.fs ino ~off:0 ~len in
-      let pos = ref 0 in
-      List.iter
-        (fun (region_off, l) ->
-          Bytes.blit data !pos t.store region_off l;
-          pos := !pos + l)
-        segs
+      ignore (tmpfs_copy t ino ~off:0 ~len ~into_file:true data)
 
 let peek_file t ~path =
-  match Fs_core.lookup t.fs path with
-  | None -> None
-  | Some ino ->
-      let size = Fs_core.size t.fs ino in
-      let out = Bytes.create size in
-      let segs = Fs_core.segments t.fs ino ~off:0 ~len:size in
-      let pos = ref 0 in
-      List.iter
-        (fun (region_off, l) ->
-          Bytes.blit t.store region_off out !pos l;
-          pos := !pos + l)
-        segs;
-      Some out
+  Option.map
+    (fun ino ->
+      let out = Bytes.create (Fs_core.size t.fs ino) in
+      ignore (tmpfs_copy t ino ~off:0 ~len:(Bytes.length out) ~into_file:false out);
+      out)
+    (Fs_core.lookup t.fs path)

@@ -33,22 +33,18 @@ val nic : t -> M3v_os.Nic.t option
 
 type pid = int
 
+(** Create a process running the program.  [name] only labels the call
+    site: the model keeps no process names. *)
 val spawn : t -> name:string -> unit M3v_sim.Proc.t -> pid
 
 (** Start scheduling spawned processes. *)
 val boot : t -> unit
 
 val finished : t -> pid -> bool
-val proc_name : t -> pid -> string
 val all_finished : t -> bool
 
 (** getrusage: (user, system) time consumed by the process. *)
 val rusage : t -> pid -> M3v_sim.Time.t * M3v_sim.Time.t
-
-(** Whole-machine totals. *)
-val total_user : t -> M3v_sim.Time.t
-
-val total_sys : t -> M3v_sim.Time.t
 
 (** Direct access to the tmpfs core (host-level test setup). *)
 val tmpfs : t -> M3v_os.Fs_core.t

@@ -19,12 +19,10 @@ type t = {
   mutable busy : bool;
   mutable processed : int;
   mutable bytes_in : int;
-  mutable bytes_out : int;
 }
 
 let processed t = t.processed
 let bytes_in t = t.bytes_in
-let bytes_out t = t.bytes_out
 
 (* Accelerators process one message at a time; further arrivals queue in
    the receive buffer and drain when the pipeline stage frees up. *)
@@ -42,7 +40,6 @@ let rec pump t =
         in
         t.processed <- t.processed + 1;
         t.bytes_in <- t.bytes_in + payload;
-        t.bytes_out <- t.bytes_out + out_size;
         let work = Time.ns (t.ns_per_byte * max 1 payload) in
         Engine.after t.engine ~delay:work (fun () ->
             forward t msg out_data out_size)
@@ -79,7 +76,6 @@ let attach ~engine ~dtu ~rgate ~out_ep ~ns_per_byte ~transform () =
       busy = false;
       processed = 0;
       bytes_in = 0;
-      bytes_out = 0;
     }
   in
   Dtu.set_msg_arrived dtu (fun _ -> pump t);

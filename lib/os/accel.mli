@@ -29,4 +29,3 @@ type M3v_dtu.Msg.data += Data of bytes | End_of_stream
 
 val processed : t -> int
 val bytes_in : t -> int
-val bytes_out : t -> int

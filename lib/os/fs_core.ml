@@ -224,8 +224,6 @@ let set_size t ino sz = (node t ino).n_size <- max (node t ino).n_size sz
 (* Extents are stored reversed (most recent first); walk in file order. *)
 let extents_in_order f = List.rev f.extents
 
-let extent_count t ino = List.length (file_extents (node t ino)).extents
-
 (* Find the extent containing file byte [off]: returns
    (region byte offset of window start, window byte length, file offset of
    window start). *)
@@ -274,6 +272,22 @@ let ensure_write_extent t ino ~off =
       in
       extend ()
 
+let ensure_range t ino ~off ~len =
+  let _, head = ensure_write_extent t ino ~off in
+  if len <= 0 then head
+  else head @ snd (ensure_write_extent t ino ~off:(off + len - 1))
+
+let open_file t path ~create ~trunc =
+  let r =
+    if create then create_file t path
+    else
+      match lookup t path with
+      | Some ino -> Ok ino
+      | None -> Error "no such file"
+  in
+  (match r with Ok ino when trunc -> truncate t ino | Ok _ | Error _ -> ());
+  r
+
 let preallocate t ino ~blocks =
   let n = node t ino in
   let f = file_extents n in
@@ -290,19 +304,18 @@ let preallocate t ino ~blocks =
   grow ()
 
 let segments t ino ~off ~len =
-  let n = node t ino in
-  let len = max 0 (min len (n.n_size - off)) in
-  let rec collect off len acc =
-    if len <= 0 then List.rev acc
+  let len = max 0 (min len (size t ino - off)) in
+  let rec collect pos acc =
+    if pos >= len then List.rev acc
     else
-      match find_extent t ino ~off with
+      match find_extent t ino ~off:(off + pos) with
       | None -> List.rev acc
       | Some (region_off, win_len, file_off) ->
-          let in_win = off - file_off in
-          let take = min len (win_len - in_win) in
-          collect (off + take) (len - take) ((region_off + in_win, take) :: acc)
+          let in_win = off + pos - file_off in
+          let take = min (len - pos) (win_len - in_win) in
+          collect (pos + take) ((region_off + in_win, pos, take) :: acc)
   in
-  collect off len []
+  collect 0 []
 
 let check_invariants t =
   let seen = Hashtbl.create 256 in

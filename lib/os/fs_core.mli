@@ -59,15 +59,26 @@ val read_extent : t -> ino -> off:int -> (int * int * int) option
 val ensure_write_extent :
   t -> ino -> off:int -> (int * int * int) * extent list
 
+(** [ensure_range t ino ~off ~len] ensures the extent covering byte
+    [off], then (when [len > 0]) the one covering byte [off + len - 1],
+    and returns the freshly allocated extents in allocation order. *)
+val ensure_range : t -> ino -> off:int -> len:int -> extent list
+
+(** [open_file t path ~create ~trunc] resolves [path] for an open:
+    [create] makes a missing file (an existing one opens as is), and
+    [trunc] empties the file. *)
+val open_file :
+  t -> string -> create:bool -> trunc:bool -> (ino, string) result
+
 (** [preallocate t ino ~blocks] grows the file to at least [blocks] blocks
     without over-allocating (host-side setup of small files). *)
 val preallocate : t -> ino -> blocks:int -> unit
 
-(** Byte segments (data-region offset, length) covering [off, off+len)
-    of the file, clipped to the file size.  For inline reads/writes. *)
-val segments : t -> ino -> off:int -> len:int -> (int * int) list
+(** Byte segments (data-region offset, offset within the request, length)
+    covering [off, off+len) of the file in order, clipped to the file
+    size.  For inline reads/writes. *)
+val segments : t -> ino -> off:int -> len:int -> (int * int * int) list
 
-val extent_count : t -> ino -> int
 val is_dir : t -> ino -> bool
 
 (** Invariants checked by property tests: no block is referenced twice, all

@@ -9,9 +9,7 @@ type fs_req =
   | Write_ext of { fd : int; off : int }
   | Read_inline of { fd : int; off : int; len : int }
   | Write_inline of { fd : int; off : int; data : bytes }
-  | Set_size of { fd : int; size : int }
   | Close of { fd : int; size : int }
-  | Fstat of { fd : int }
   | Stat of { path : string }
   | Readdir of { path : string }
   | Mkdir of { path : string }
@@ -39,12 +37,19 @@ let inline_limit = 256
 
 let req_size = function
   | Open { path; _ } -> 16 + String.length path
-  | Read_ext _ | Write_ext _ -> 24
+  | Read_ext _ | Write_ext _ | Close _ -> 24
   | Read_inline _ -> 32
   | Write_inline { data; _ } -> 32 + Bytes.length data
-  | Set_size _ | Close _ | Fstat _ -> 24
   | Stat { path } | Readdir { path } | Mkdir { path } | Unlink { path } ->
       16 + String.length path
+
+let stat_rep (st : Fs_core.stat) =
+  R_stat
+    {
+      size = st.Fs_core.st_size;
+      is_dir = st.Fs_core.st_is_dir;
+      blocks = st.Fs_core.st_blocks;
+    }
 
 let rep_size = function
   | R_fd _ -> 16

@@ -14,9 +14,7 @@ type fs_req =
   | Read_inline of { fd : int; off : int; len : int }
       (** small read served inline in the reply (metadata-style traffic) *)
   | Write_inline of { fd : int; off : int; data : bytes }
-  | Set_size of { fd : int; size : int }
   | Close of { fd : int; size : int }
-  | Fstat of { fd : int }
   | Stat of { path : string }
   | Readdir of { path : string }
   | Mkdir of { path : string }
@@ -42,6 +40,9 @@ type fs_rep =
     receive the reply to the abandoned attempt; the tag lets it discard
     such stale replies instead of pairing them with the wrong request. *)
 type M3v_dtu.Msg.data += Fs of int * fs_req | Fs_rep of int * fs_rep
+
+(** The [R_stat] reply for a file's status. *)
+val stat_rep : Fs_core.stat -> fs_rep
 
 (** Wire sizes for the timing model. *)
 val req_size : fs_req -> int

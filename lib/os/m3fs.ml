@@ -6,41 +6,27 @@ module Msg = M3v_dtu.Msg
 open Fs_proto
 
 type stats = {
-  ops : int;
-  extents_granted : int;
-  blocks_cleared : int;
-  inline_bytes : int;
+  mutable ops : int;
+  mutable extents_granted : int;
+  mutable blocks_cleared : int;
 }
 
 type handle = {
   fs : Fs_core.t;
   fds : (int, Fs_core.ino) Hashtbl.t;
   mutable next_fd : int;
-  mutable h_ops : int;
-  mutable h_extents : int;
-  mutable h_cleared : int;
-  mutable h_inline : int;
+  stats : stats;
 }
 
 let core h = h.fs
-
-let stats h =
-  {
-    ops = h.h_ops;
-    extents_granted = h.h_extents;
-    blocks_cleared = h.h_cleared;
-    inline_bytes = h.h_inline;
-  }
+let stats h = { h.stats with ops = h.stats.ops }
 
 let make_handle ?max_extent_blocks ~blocks () =
   {
     fs = Fs_core.create ?max_extent_blocks ~blocks ();
     fds = Hashtbl.create 16;
     next_fd = 3;
-    h_ops = 0;
-    h_extents = 0;
-    h_cleared = 0;
-    h_inline = 0;
+    stats = { ops = 0; extents_granted = 0; blocks_cleared = 0 };
   }
 
 let op_cycles = 320
@@ -49,13 +35,12 @@ let op_cycles = 320
 let zero_page = Bytes.make Fs_core.block_size '\000'
 
 let program h ~rgate ~mem_ep ~region_sel () (env : A.env) =
-  let fd_ino fd = Hashtbl.find_opt h.fds fd in
   (* Clear freshly allocated extents through the service's own memory
      endpoint, one page per DTU command. *)
   let clear_extents extents =
     Proc.iter_list
       (fun (e : Fs_core.extent) ->
-        h.h_cleared <- h.h_cleared + e.Fs_core.e_blocks;
+        h.stats.blocks_cleared <- h.stats.blocks_cleared + e.Fs_core.e_blocks;
         Proc.repeat e.Fs_core.e_blocks (fun i ->
             A.mem_write ~ep:!mem_ep
               ~off:((e.Fs_core.e_start + i) * Fs_core.block_size)
@@ -77,155 +62,99 @@ let program h ~rgate ~mem_ep ~region_sel () (env : A.env) =
     in
     match rep with
     | Proto.Ok_sel sel ->
-        h.h_extents <- h.h_extents + 1;
+        h.stats.extents_granted <- h.stats.extents_granted + 1;
         Proc.return sel
     | _ -> failwith "m3fs: extent derivation failed"
   in
   let handle_req (msg : Msg.t) tag req =
-    h.h_ops <- h.h_ops + 1;
+    h.stats.ops <- h.stats.ops + 1;
     let reply rep =
       A.reply ~recv_ep:!rgate ~msg ~size:(rep_size rep) (Fs_rep (tag, rep))
     in
     let* () = A.compute op_cycles in
     match req with
+    | ( Read_ext { fd; _ }
+      | Write_ext { fd; _ }
+      | Read_inline { fd; _ }
+      | Write_inline { fd; _ } )
+      when not (Hashtbl.mem h.fds fd) ->
+        reply (R_err "bad fd")
     | Open { path; flags } -> (
-        let resolve () =
-          if flags.fl_create then Fs_core.create_file h.fs path
-          else
-            match Fs_core.lookup h.fs path with
-            | Some ino -> Ok ino
-            | None -> Error "no such file"
-        in
-        match resolve () with
+        match
+          Fs_core.open_file h.fs path ~create:flags.fl_create ~trunc:flags.fl_trunc
+        with
         | Error e -> reply (R_err e)
         | Ok ino ->
-            if flags.fl_trunc then Fs_core.truncate h.fs ino;
             let fd = h.next_fd in
             h.next_fd <- fd + 1;
             Hashtbl.replace h.fds fd ino;
             reply (R_fd fd))
     | Read_ext { fd; off } -> (
-        match fd_ino fd with
-        | None -> reply (R_err "bad fd")
-        | Some ino -> (
-            match Fs_core.read_extent h.fs ino ~off with
-            | None -> reply R_eof
-            | Some (region_off, win_len, win_file_off) ->
-                let* sel =
-                  grant_extent ~client:msg.Msg.src_act ~region_off ~len:win_len
-                in
-                reply
-                  (R_ext { sel; win_off = off - win_file_off; win_len; win_file_off })))
-    | Write_ext { fd; off } -> (
-        match fd_ino fd with
-        | None -> reply (R_err "bad fd")
-        | Some ino ->
-            let (region_off, win_len, win_file_off), fresh =
-              Fs_core.ensure_write_extent h.fs ino ~off
-            in
-            let* () = clear_extents fresh in
+        match Fs_core.read_extent h.fs (Hashtbl.find h.fds fd) ~off with
+        | None -> reply R_eof
+        | Some (region_off, win_len, win_file_off) ->
             let* sel =
               grant_extent ~client:msg.Msg.src_act ~region_off ~len:win_len
             in
             reply
               (R_ext { sel; win_off = off - win_file_off; win_len; win_file_off }))
-    | Read_inline { fd; off; len } -> (
-        match fd_ino fd with
-        | None -> reply (R_err "bad fd")
-        | Some ino ->
-            let len = min len inline_limit in
-            let segs = Fs_core.segments h.fs ino ~off ~len in
-            let total = List.fold_left (fun acc (_, l) -> acc + l) 0 segs in
-            let data = Bytes.create total in
-            h.h_inline <- h.h_inline + total;
-            let pos = ref 0 in
-            let* () =
-              Proc.iter_list
-                (fun (region_off, l) ->
-                  let dst_off = !pos in
-                  pos := !pos + l;
-                  A.mem_read ~ep:!mem_ep ~off:region_off ~len:l ~dst:data
-                    ~dst_off ())
-                segs
-            in
-            reply (R_data data))
-    | Write_inline { fd; off; data } -> (
-        match fd_ino fd with
-        | None -> reply (R_err "bad fd")
-        | Some ino ->
-            let len = Bytes.length data in
-            let _, fresh = Fs_core.ensure_write_extent h.fs ino ~off in
-            let* () = clear_extents fresh in
-            (* Cover the tail too if the write spans extents. *)
-            let* () =
-              if len > 0 then
-                let _, fresh2 =
-                  Fs_core.ensure_write_extent h.fs ino ~off:(off + len - 1)
-                in
-                clear_extents fresh2
-              else Proc.return ()
-            in
-            Fs_core.set_size h.fs ino (off + len);
-            h.h_inline <- h.h_inline + len;
-            let segs = Fs_core.segments h.fs ino ~off ~len in
-            let pos = ref 0 in
-            let* () =
-              Proc.iter_list
-                (fun (region_off, l) ->
-                  let src_off = !pos in
-                  pos := !pos + l;
-                  A.mem_write ~ep:!mem_ep ~off:region_off ~len:l ~src:data
-                    ~src_off ())
-                segs
-            in
-            reply R_ok)
-    | Set_size { fd; size } -> (
-        match fd_ino fd with
-        | None -> reply (R_err "bad fd")
-        | Some ino ->
-            Fs_core.set_size h.fs ino size;
-            reply R_ok)
+    | Write_ext { fd; off } ->
+        let (region_off, win_len, win_file_off), fresh =
+          Fs_core.ensure_write_extent h.fs (Hashtbl.find h.fds fd) ~off
+        in
+        let* () = clear_extents fresh in
+        let* sel =
+          grant_extent ~client:msg.Msg.src_act ~region_off ~len:win_len
+        in
+        reply
+          (R_ext { sel; win_off = off - win_file_off; win_len; win_file_off })
+    | Read_inline { fd; off; len } ->
+        let segs =
+          Fs_core.segments h.fs (Hashtbl.find h.fds fd) ~off
+            ~len:(min len inline_limit)
+        in
+        let data = Bytes.create (List.fold_left (fun acc (_, _, l) -> acc + l) 0 segs) in
+        let* () =
+          Proc.iter_list
+            (fun (region_off, pos, l) ->
+              A.mem_read ~ep:!mem_ep ~off:region_off ~len:l ~dst:data ~dst_off:pos ())
+            segs
+        in
+        reply (R_data data)
+    | Write_inline { fd; off; data } ->
+        let ino = Hashtbl.find h.fds fd in
+        let len = Bytes.length data in
+        let* () = clear_extents (Fs_core.ensure_range h.fs ino ~off ~len) in
+        Fs_core.set_size h.fs ino (off + len);
+        let* () =
+          Proc.iter_list
+            (fun (region_off, pos, l) ->
+              A.mem_write ~ep:!mem_ep ~off:region_off ~len:l ~src:data ~src_off:pos ())
+            (Fs_core.segments h.fs ino ~off ~len)
+        in
+        reply R_ok
     | Close { fd; size } ->
-        (match fd_ino fd with
+        (match Hashtbl.find_opt h.fds fd with
         | Some ino -> Fs_core.set_size h.fs ino size
         | None -> ());
         Hashtbl.remove h.fds fd;
         reply R_ok
-    | Fstat { fd } -> (
-        match fd_ino fd with
-        | None -> reply (R_err "bad fd")
-        | Some ino ->
-            let st = Fs_core.fstat h.fs ino in
-            reply
-              (R_stat
-                 {
-                   size = st.Fs_core.st_size;
-                   is_dir = st.Fs_core.st_is_dir;
-                   blocks = st.Fs_core.st_blocks;
-                 }))
-    | Stat { path } -> (
-        match Fs_core.stat h.fs path with
-        | Error e -> reply (R_err e)
-        | Ok st ->
-            reply
-              (R_stat
-                 {
-                   size = st.Fs_core.st_size;
-                   is_dir = st.Fs_core.st_is_dir;
-                   blocks = st.Fs_core.st_blocks;
-                 }))
-    | Readdir { path } -> (
-        match Fs_core.readdir h.fs path with
-        | Error e -> reply (R_err e)
-        | Ok names -> reply (R_names names))
-    | Mkdir { path } -> (
-        match Fs_core.mkdir h.fs path with
-        | Error e -> reply (R_err e)
-        | Ok _ -> reply R_ok)
-    | Unlink { path } -> (
-        match Fs_core.unlink h.fs path with
-        | Error e -> reply (R_err e)
-        | Ok () -> reply R_ok)
+    | Stat { path } ->
+        reply
+          (match Fs_core.stat h.fs path with
+          | Ok st -> stat_rep st
+          | Error e -> R_err e)
+    | Readdir { path } ->
+        reply
+          (match Fs_core.readdir h.fs path with
+          | Ok names -> R_names names
+          | Error e -> R_err e)
+    | Mkdir { path } ->
+        reply
+          (match Fs_core.mkdir h.fs path with Ok _ -> R_ok | Error e -> R_err e)
+    | Unlink { path } ->
+        reply
+          (match Fs_core.unlink h.fs path with Ok () -> R_ok | Error e -> R_err e)
   in
   let rec serve () =
     let* _ep, msg = A.recv ~eps:[ !rgate ] in

@@ -20,11 +20,12 @@ type handle
     trees, invariant checks in tests). *)
 val core : handle -> Fs_core.t
 
-type stats = {
-  ops : int;
-  extents_granted : int;
-  blocks_cleared : int;
-  inline_bytes : int;
+(** Service counters.  [stats] returns a snapshot: later requests do not
+    change a value already taken. *)
+type stats = private {
+  mutable ops : int;
+  mutable extents_granted : int;
+  mutable blocks_cleared : int;
 }
 
 val stats : handle -> stats

@@ -13,17 +13,13 @@ type sock_state = {
 type handle = {
   socks : (int, sock_state) Hashtbl.t;
   mutable next_sock : int;
-  mutable h_sent : int;
   mutable h_received : int;
-  mutable h_parked_max : int;
 }
 
-type stats = { sent : int; received : int; parked_max : int }
+type stats = { received : int }
 
-let make_handle () =
-  { socks = Hashtbl.create 8; next_sock = 1; h_sent = 0; h_received = 0; h_parked_max = 0 }
-
-let stats h = { sent = h.h_sent; received = h.h_received; parked_max = h.h_parked_max }
+let make_handle () = { socks = Hashtbl.create 8; next_sock = 1; h_received = 0 }
+let stats h = { received = h.h_received }
 
 (* Calibration: an 80 MHz BOOM core spends on the order of 100 us per
    packet in a small embedded IP stack; these counts land there. *)
@@ -63,7 +59,6 @@ let program h ~rgate ~nic_rgate ~nic () (_env : A.env) =
         match sock_of sock with
         | None -> reply (N_err "bad socket")
         | Some s ->
-            h.h_sent <- h.h_sent + 1;
             (* Header construction, checksums, enqueue for DMA, doorbell. *)
             let* () = A.compute stack_tx_cycles in
             let* () = A.memcpy (Bytes.length data) in
@@ -85,12 +80,6 @@ let program h ~rgate ~nic_rgate ~nic () (_env : A.env) =
             | None ->
                 (* Park until the NIC delivers something for this port. *)
                 s.parked <- Some (tag, msg);
-                let parked =
-                  Hashtbl.fold
-                    (fun _ s acc -> acc + if s.parked = None then 0 else 1)
-                    h.socks 0
-                in
-                h.h_parked_max <- max h.h_parked_max parked;
                 Proc.return ()))
     | Close_sock { sock } ->
         Hashtbl.remove h.socks sock;

@@ -8,7 +8,8 @@
 
 type handle
 
-type stats = { sent : int; received : int; parked_max : int }
+(** [received] counts the frames the NIC handed to the stack. *)
+type stats = { received : int }
 
 val make_handle : unit -> handle
 val stats : handle -> stats

@@ -4,34 +4,26 @@ module A = M3v_mux.Act_api
 module Runtime = M3v_mux.Runtime
 module Proto = M3v_kernel.Protocol
 
-type stats = { faults_served : int; pages_allocated : int }
-
-type handle = { mutable h_faults : int; mutable h_pages : int }
-
-let make_handle () = { h_faults = 0; h_pages = 0 }
-let stats h = { faults_served = h.h_faults; pages_allocated = h.h_pages }
 let fault_policy_cycles = 260
 
-let program handle ~rgate ?(pool_pages = 4096) () (env : A.env) =
+let program ~rgate ?(pool_pages = 4096) () (env : A.env) =
   (* Obtain the physical pool: one Alloc_mem syscall at startup.  The
      returned capability is the root the pager could derive per-activity
      frames from; frames are handed out bump-style. *)
-  let* rep =
+  let* _pool =
     A.syscall_exn env
       (Proto.Alloc_mem
          { size = pool_pages * M3v_dtu.Dtu_types.page_size; perm = M3v_dtu.Dtu_types.RW })
   in
-  let _pool_sel = match rep with Proto.Ok_sel s -> s | _ -> -1 in
   let next_page = ref 0 in
   let rec serve () =
     let* _ep, msg = A.recv ~eps:[ rgate ] in
     match msg.M3v_dtu.Msg.data with
-    | Runtime.Pf_fault { pf_act; pf_vpage; pf_write = _ } ->
+    | Runtime.Pf_fault { pf_act; pf_vpage; _ } ->
         if !next_page >= pool_pages then
           failwith "Pager: physical pool exhausted";
         let ppage = !next_page in
         incr next_page;
-        handle.h_pages <- handle.h_pages + 1;
         (* Fault policy: demand-zero allocation. *)
         let* () = A.compute fault_policy_cycles in
         let* _ =
@@ -44,7 +36,6 @@ let program handle ~rgate ?(pool_pages = 4096) () (env : A.env) =
                  perm = M3v_dtu.Dtu_types.RW;
                })
         in
-        handle.h_faults <- handle.h_faults + 1;
         let* () =
           A.reply ~recv_ep:rgate ~msg ~size:8 M3v_dtu.Msg.Empty
         in

@@ -8,19 +8,10 @@
     provides demand-zero paging from a physical pool the pager allocates at
     startup. *)
 
-type stats = { faults_served : int; pages_allocated : int }
-
-(** Shared handle for inspecting the pager from the harness. *)
-type handle
-
-val make_handle : unit -> handle
-val stats : handle -> stats
-
 (** The pager's program.  [rgate] is the receive endpoint (on the pager's
     tile) where TileMux fault messages arrive; [pool_pages] bounds the
     physical pool (default 4096 pages = 16 MiB). *)
 val program :
-  handle ->
   rgate:int ->
   ?pool_pages:int ->
   unit ->
