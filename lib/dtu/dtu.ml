@@ -413,7 +413,8 @@ let grant_once dtu = function
    Data-plane packets are best-effort under fault injection, so every
    command that crosses the NoC runs inside a retransmit ladder: if no
    completion acknowledgement arrives within an exponentially growing
-   window the command is reissued (same message uid, so the receiver
+   window, which starts long enough to cover the command's own transfer,
+   the command is reissued (same message uid, so the receiver
    deduplicates), and once the budget is exhausted it completes with
    [Timeout].  The ladder is armed only while a fault plan is installed;
    with faults off the first attempt is the only one and no timer is
@@ -427,6 +428,11 @@ let grant_once dtu = function
    credits. *)
 
 let retry_base_ps = 2_000_000 (* 2 us: many worst-case NoC round trips *)
+
+(* Per byte the command moves: above the 1.625 ns a byte takes through a
+   NoC link (625 ps) and the DRAM (1 ns). *)
+let retry_ps_per_byte = 2_000
+
 let max_retries = 6
 let closed = -1
 
@@ -450,12 +456,14 @@ let finish t st ~credit ~k result =
     k result
   end
 
-(* Run [attempt] as try [n] of the command named [name], arming the timer
-   that reissues it or, after [max_retries], completes it with
-   [Timeout]. *)
-let rec ladder t ~name st ~credit ~k attempt n =
+(* Run [attempt] as try [n] of the command named [name], which moves
+   [bytes], arming the timer that reissues it or, after [max_retries],
+   completes it with [Timeout]. *)
+let rec ladder t ~name st ~credit ~bytes ~k attempt n =
   if Fault.on () then
-    Engine.after t.engine ~delay:(retry_base_ps lsl n) (fun () ->
+    Engine.after t.engine
+      ~delay:((retry_base_ps + (bytes * retry_ps_per_byte)) lsl n)
+      (fun () ->
         if !st <> closed then
           if n >= max_retries then begin
             t.stats.timeouts <- t.stats.timeouts + 1;
@@ -472,7 +480,7 @@ let rec ladder t ~name st ~credit ~k attempt n =
                 ~ts:(Engine.now t.engine)
                 ~args:[ ("cmd", Trace.S name); ("try", Trace.I (n + 1)) ]
                 ();
-            ladder t ~name st ~credit ~k attempt (n + 1)
+            ladder t ~name st ~credit ~bytes ~k attempt (n + 1)
           end);
   (* A transient command glitch loses this attempt on the floor; the
      ladder reissues it. *)
@@ -524,7 +532,7 @@ and ack_to_sender t st ~credit ~k ~from result =
 let transmit t ~name ~dst_tile ~dst_ep ~credit (msg : Msg.t) ~k =
   let bytes = msg.Msg.size + Msg.header_bytes in
   let st = ref 0 in
-  ladder t ~name st ~credit ~k
+  ladder t ~name st ~credit ~bytes ~k
     (fun () ->
       Noc.send ~kind:Noc.Data t.noc ~src:t.tile ~dst:dst_tile ~bytes
         ~on_delivered:(fun () ->
@@ -806,7 +814,7 @@ let dma t ~ep ~off ~len ~vaddr ~write ~k ~action =
                        again. *)
                     let request_bytes = if write then len + 16 else 16 in
                     let st = ref 0 in
-                    ladder t ~name st ~credit:No_credit ~k
+                    ladder t ~name st ~credit:No_credit ~bytes:len ~k
                       (fun () ->
                         Noc.send ~kind:Noc.Data t.noc ~src:t.tile
                           ~dst:m.Ep.mem_tile ~bytes:request_bytes

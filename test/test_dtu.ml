@@ -240,11 +240,11 @@ let test_dma_bounds_and_perms () =
   | Some (Error Dtu_types.No_perm) -> ()
   | _ -> Alcotest.fail "write through read-only endpoint must fail"
 
-(* Under a fault plan that injects nothing, a 4 KiB write outlasts the
-   retransmit ladder's 2 us window, so further request copies reach the
-   memory tile while the first copy's DRAM access is pending.  They wait
-   for that access instead of reserving the DRAM again: when the write
-   completes, the DRAM is idle. *)
+(* Under a plan that duplicates every data packet, a 4 KiB write's
+   second request copy reaches the memory tile while the first copy's
+   DRAM access is pending.  It waits for that access instead of
+   reserving the DRAM again: when the write completes, the DRAM is
+   idle. *)
 let test_dma_retransmit_reuses_access () =
   let module Fault = M3v_fault.Fault in
   let f = make_fabric () in
@@ -253,19 +253,54 @@ let test_dma_retransmit_reuses_access () =
   ignore (Dtu.switch_act f.d0 ~next:0);
   let src = Bytes.make 4096 'w' in
   let done_at = ref (-1) in
-  Fault.with_plan (Fault.create Fault.none) (fun () ->
+  let plan = Fault.create { Fault.none with Fault.dup = 1.0 } in
+  Fault.with_plan plan (fun () ->
       Dtu.mem_write f.d0 ~ep:4 ~off:0 ~len:4096 ~src_vaddr:None ~src ~src_off:0
         ~k:(function
           | Ok () -> done_at := Engine.now f.eng
           | Error e -> Alcotest.failf "write: %s" (Dtu_types.error_to_string e));
       ignore (Engine.run f.eng));
-  check_bool "the ladder sent further copies" true
-    ((Dtu.stats f.d0).Dtu.retries > 0);
+  check_bool "the request was duplicated" true
+    ((Fault.stats plan).Fault.duplicated > 0);
   check_bool "written" true (Dram.read f.dram ~off:4095 ~len:1 = Bytes.of_string "w");
   (* A zero-byte probe issued at completion starts at once: it ends one
      access latency (90 ns) later. *)
   check_int "DRAM idle at completion" (!done_at + 90_000)
     (Dram.access_time f.dram ~now:!done_at ~bytes:0)
+
+(* 100 back-to-back 4 KiB writes, each issued when the last completes.
+   The retransmit window covers a command's own transfer, so under a
+   plan that injects nothing no write is sent twice, and the last one
+   ends when it does without a plan. *)
+let test_ladder_window_covers_transfer () =
+  let module Fault = M3v_fault.Fault in
+  let writes plan =
+    let f = make_fabric () in
+    Dtu.ext_config f.d0 ~ep:4 ~owner:0
+      (Ep.mem_config ~mem_tile:2 ~base:0 ~size:0x1000 ~perm:Dtu_types.RW);
+    ignore (Dtu.switch_act f.d0 ~next:0);
+    let src = Bytes.make 4096 'w' in
+    let last = ref (-1) in
+    let rec write i =
+      if i < 100 then
+        Dtu.mem_write f.d0 ~ep:4 ~off:0 ~len:4096 ~src_vaddr:None ~src ~src_off:0
+          ~k:(function
+            | Ok () ->
+                last := Engine.now f.eng;
+                write (i + 1)
+            | Error e -> Alcotest.failf "write: %s" (Dtu_types.error_to_string e))
+    in
+    let run () =
+      write 0;
+      ignore (Engine.run f.eng)
+    in
+    (match plan with Some p -> Fault.with_plan p run | None -> run ());
+    (!last, (Dtu.stats f.d0).Dtu.retries)
+  in
+  let plain_end, _ = writes None in
+  let faulty_end, retries = writes (Some (Fault.create Fault.none)) in
+  check_int "no write sent twice" 0 retries;
+  check_int "last write ends as without a plan" plain_end faulty_end
 
 let test_tlb_miss_fails_command () =
   let f = make_fabric () in
@@ -1069,6 +1104,7 @@ let suite =
     ("dma read/write", `Quick, test_dma_read_write);
     ("dma bounds and perms", `Quick, test_dma_bounds_and_perms);
     ("dma retransmit reuses its DRAM access", `Quick, test_dma_retransmit_reuses_access);
+    ("retransmit window covers the transfer", `Quick, test_ladder_window_covers_transfer);
     ("tlb miss fails command", `Quick, test_tlb_miss_fails_command);
     ("spin_send = sends retried by the engine", `Quick, test_spin_send_matches_retried_sends);
     ("page boundary rejected", `Quick, test_page_boundary_rejected);
