@@ -40,7 +40,6 @@ let scan_seek_cycles = 250_000 (* per-table iterator seek *)
 let scan_item_cycles = 55_000
 
 let sstable_count t = List.length t.tables
-let memtable_entries t = Smap.cardinal t.memtable
 let compactions t = t.n_compactions
 
 (* The size of the I/O buffer and of every full write. *)

@@ -42,5 +42,4 @@ val scan : t -> start:string -> count:int -> (string * bytes) list M3v_sim.Proc.
 val flush : t -> unit M3v_sim.Proc.t
 
 val sstable_count : t -> int
-val memtable_entries : t -> int
 val compactions : t -> int

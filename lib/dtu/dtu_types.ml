@@ -40,8 +40,6 @@ let error_to_string = function
   | Page_boundary -> "transfer crosses page boundary"
   | Timeout -> "command timed out"
 
-let pp_error fmt e = Format.pp_print_string fmt (error_to_string e)
-
 let page_size = 4096
 let page_of_addr addr = addr / page_size
 let page_offset addr = addr mod page_size

@@ -43,7 +43,6 @@ type error =
           acknowledgement (only possible under fault injection); for SEND
           the credit has been refunded *)
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 (** Page size used by address spaces, the vDTU TLB and PMP windows. *)

@@ -25,7 +25,5 @@ let alloc_region t ~size =
 let translate t ~vpage = Hashtbl.find_opt t.pages vpage
 let is_mapped t ~vpage = Hashtbl.mem t.pages vpage
 let map t ~vpage ~ppage ~perm = Hashtbl.replace t.pages vpage (ppage, perm)
-let unmap t ~vpage = Hashtbl.remove t.pages vpage
-let mapped_pages t = Hashtbl.length t.pages
 let note_fault t = t.faults <- t.faults + 1
 let stats t = { faults = t.faults }

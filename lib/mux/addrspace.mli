@@ -18,8 +18,6 @@ val alloc_region : t -> size:int -> int
 val translate : t -> vpage:int -> (int * M3v_dtu.Dtu_types.perm) option
 val is_mapped : t -> vpage:int -> bool
 val map : t -> vpage:int -> ppage:int -> perm:M3v_dtu.Dtu_types.perm -> unit
-val unmap : t -> vpage:int -> unit
-val mapped_pages : t -> int
 
 type stats = { faults : int }
 

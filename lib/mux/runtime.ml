@@ -121,7 +121,6 @@ type t = {
   poll_wake_cell : Stats.Counter.cell;
   mx_block_cell : Stats.Counter.cell;
   mx_slow_send_cell : Stats.Counter.cell;
-  mutable mux_busy_ps : int;
   mutable run_since : Time.t;  (** when the current activity got the core *)
   mutable wd_epoch : int;
       (** dispatch epoch; invalidates stale watchdog timers (fault
@@ -131,7 +130,6 @@ type t = {
 let mode t = t.rmode
 let tile t = t.rtile
 let counters t = t.counters
-let mux_busy t = t.mux_busy_ps
 
 let find t aid =
   match Hashtbl.find_opt t.acts aid with
@@ -170,7 +168,6 @@ let charge_mux t cycles k =
   if cycles <= 0 then k ()
   else begin
     let d = Core_model.cycles t.core cycles in
-    t.mux_busy_ps <- t.mux_busy_ps + d;
     Stats.Counter.bump t.mux_cell d;
     Engine.after t.engine ~delay:d k
   end
@@ -1166,7 +1163,6 @@ let create ~mode ~controller ~tile ?(timeslice = Time.ms 1) () =
       poll_wake_cell = cell "poll_wake";
       mx_block_cell = cell "mx_block";
       mx_slow_send_cell = cell "mx_slow_send";
-      mux_busy_ps = 0;
       run_since = Time.zero;
       wd_epoch = 0;
     }

@@ -95,6 +95,3 @@ val busy_of_bucket : t -> string -> float
     - time: one "bucket/<name>" per accounting bucket, in picoseconds
       ("bucket/mux" is TileMux's own time; see {!busy_of_bucket}). *)
 val counters : t -> M3v_sim.Stats.Counter.t
-
-(** Time charged to multiplexer bookkeeping on this tile. *)
-val mux_busy : t -> M3v_sim.Time.t

@@ -380,9 +380,3 @@ let folded sink =
          Buffer.add_string b (string_of_int v);
          Buffer.add_char b '\n');
   b
-
-let write_folded path sink =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc (folded sink))

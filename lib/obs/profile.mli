@@ -45,5 +45,3 @@ val print : Format.formatter -> report -> unit
 (** Folded-stack (flamegraph collapsed) export of all Complete spans,
     grouped per tile and activity, weighted by simulated self-time ps. *)
 val folded : Trace.sink -> Buffer.t
-
-val write_folded : string -> Trace.sink -> unit

@@ -26,9 +26,6 @@ let decode_error what resp =
 
 let perform op decode k = Request (op, fun resp -> k (decode resp))
 
-let perform_unit op =
-  perform op (function Unit -> () | r -> decode_error "unit op" r)
-
 let run m = m (fun () -> Finished)
 
 let rec iter_list f = function

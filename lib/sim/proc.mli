@@ -35,9 +35,6 @@ end
     the wrong shape — that is a runtime bug, not a recoverable error. *)
 val perform : op -> (resp -> 'a) -> 'a t
 
-(** [perform_unit op] requests [op] and expects [Unit] back. *)
-val perform_unit : op -> unit t
-
 (** Raise a [Failure] describing an unexpected response shape. *)
 val decode_error : string -> resp -> 'a
 

@@ -49,10 +49,6 @@ let summarize xs =
         median = percentile 50.0 xs;
       }
 
-let pp_summary fmt s =
-  Format.fprintf fmt "n=%d mean=%.3f sd=%.3f min=%.3f med=%.3f max=%.3f" s.n
-    s.mean s.stddev s.min s.median s.max
-
 module Histogram = struct
   (* Log-linear bucketing (HDR style): values are grouped by the position
      of their most significant bit, with [sub_bits] linear sub-buckets per
@@ -110,7 +106,6 @@ module Histogram = struct
     if v < t.min_v then t.min_v <- v;
     if v > t.max_v then t.max_v <- v
 
-  let add_int t v = add t (float_of_int v)
   let count t = t.count
   let total t = t.sum
   let mean t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count

@@ -18,8 +18,6 @@ val stddev : float list -> float
 (** [percentile p xs] with [p] in [0, 100], linear interpolation. *)
 val percentile : float -> float list -> float
 
-val pp_summary : Format.formatter -> summary -> unit
-
 (** A constant-memory log-linear histogram (HDR style) for latency
     distributions.  Values are bucketed by power of two with 64 linear
     sub-buckets, so quantiles carry a bounded relative error (< ~1.6%)
@@ -30,7 +28,6 @@ module Histogram : sig
 
   val create : unit -> t
   val add : t -> float -> unit
-  val add_int : t -> int -> unit
   val count : t -> int
   val total : t -> float
   val mean : t -> float
