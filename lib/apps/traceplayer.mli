@@ -11,6 +11,10 @@ type results = {
 
 val make_results : unit -> results
 
+(** Recorded runs per second of their summed run time; 0 before any
+    recorded run. *)
+val rate : results -> float
+
 (** [program results ~client ~trace ~runs ~warmup] replays [trace]
     [warmup + runs] times; only the last [runs] are recorded. *)
 val program :

@@ -64,8 +64,8 @@ type Msg.data += Ab_ping
 
 let () = M3v_sim.Checkpoint.register_exts [ [%extension_constructor Ab_ping] ]
 
-let tlb_run ~tlb_capacity ~pages =
-  let sys = System.create ~tlb_capacity ~variant:System.M3v () in
+let tlb_run ~pages =
+  let sys = System.create ~variant:System.M3v () in
   let rgate = ref (-1) in
   let chan = ref (-1, -1) in
   let elapsed = ref Time.zero in
@@ -106,17 +106,13 @@ let tlb_run ~tlb_capacity ~pages =
    working set exceeds the capacity, so we sweep the working set against
    the paper-sized 32-entry TLB: within capacity, one cold miss per page;
    beyond it, every send pays the TMCall translate path. *)
-let tlb_capacity ?(capacities = [ 32 ]) () =
-  let working_sets = [ 8; 24; 48; 96 ] in
-  let cap = match capacities with c :: _ -> c | [] -> 32 in
+let tlb_capacity () =
   {
-    study =
-      Printf.sprintf
-        "sender working set vs vDTU TLB (%d entries): per-send us / misses" cap;
+    study = "sender working set vs vDTU TLB (32 entries): per-send us / misses";
     rows =
       List.concat_map
         (fun pages ->
-          let us, misses = tlb_run ~tlb_capacity:cap ~pages in
+          let us, misses = tlb_run ~pages in
           [
             { knob = Printf.sprintf "%d pages" pages; value = us; metric = "us/send" };
             {
@@ -125,7 +121,7 @@ let tlb_capacity ?(capacities = [ 32 ]) () =
               metric = "TLB misses";
             };
           ])
-        working_sets;
+        [ 8; 24; 48; 96 ];
   }
 
 (* --- NoC topology: remote RPC latency across placements --- *)
@@ -133,35 +129,9 @@ let tlb_capacity ?(capacities = [ 32 ]) () =
 let topo_rpc ~make_topo =
   let spec = M3v_tile.Platform.fpga_spec () in
   let topology = make_topo ~tiles:(List.length spec) in
-  let sys = System.create ~spec ~topology ~variant:System.M3v () in
-  let rounds = 150 in
-  let rgate = ref (-1) in
-  let chan = ref (-1, -1) in
-  let elapsed = ref Time.zero in
-  let server, _ =
-    System.spawn sys ~tile:7 ~name:"server" (fun _ ->
-        Proc.repeat rounds (fun _ ->
-            let* _ep, msg = A.recv ~eps:[ !rgate ] in
-            A.reply ~recv_ep:!rgate ~msg ~size:8 Ab_ping))
-  in
-  let client, _ =
-    System.spawn sys ~tile:2 ~name:"client" (fun _ ->
-        let* t0 = A.now in
-        let* () =
-          Proc.repeat rounds (fun _ ->
-              let* _ = A.call ~sgate:(fst !chan) ~reply_ep:(snd !chan) ~size:8 Ab_ping in
-              Proc.return ())
-        in
-        let* t1 = A.now in
-        elapsed := Time.sub t1 t0;
-        Proc.return ())
-  in
-  let ch = System.channel sys ~src:client ~dst:server () in
-  rgate := ch.System.rgate;
-  chan := (ch.System.sgate, ch.System.reply_ep);
-  System.boot sys;
-  ignore (System.run sys);
-  Time.to_us !elapsed /. float_of_int rounds
+  Time.to_us
+    (Exp_fig6.rpc_duration ~topology ~variant:System.M3v ~spec ~client_tile:2
+       ~server_tile:7 ~rounds:150 ~warmup:0 ())
 
 let topology () =
   {
@@ -214,11 +184,9 @@ let mx_throughput ~extra_eps =
   done;
   System.boot sys;
   ignore (System.run sys);
-  let times = res.M3v_apps.Traceplayer.run_times in
-  let total = List.fold_left Time.add Time.zero times in
-  float_of_int (List.length times) /. Time.to_s total
+  M3v_apps.Traceplayer.rate res
 
-let mx_ep_state ?(extra_eps = [ 0; 16; 32; 48 ]) () =
+let mx_ep_state () =
   {
     study = "M3x: per-activity endpoints vs slow-path throughput (runs/s)";
     rows =
@@ -229,7 +197,7 @@ let mx_ep_state ?(extra_eps = [ 0; 16; 32; 48 ]) () =
             value = mx_throughput ~extra_eps:extra;
             metric = "runs/s";
           })
-        extra_eps;
+        [ 0; 16; 32; 48 ];
   }
 
 let run_all ?(pool = M3v_par.Par.Pool.sequential) () =

@@ -19,9 +19,6 @@ type row = { knob : string; value : float; metric : string }
 type result = { study : string; rows : row list }
 
 val extent_size : ?caps:int list -> unit -> result
-val tlb_capacity : ?capacities:int list -> unit -> result
-val topology : unit -> result
-val mx_ep_state : ?extra_eps:int list -> unit -> result
 
 val run_all : ?pool:M3v_par.Par.Pool.t -> unit -> result list
 val print : result -> unit

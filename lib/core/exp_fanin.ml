@@ -16,11 +16,7 @@ module Par = M3v_par.Par
 
 type mode = Per_sender | Mpmc
 
-type point = {
-  senders : int;
-  per_sender : float;  (** aggregate msgs/s through private receive gates *)
-  mpmc : float;  (** aggregate msgs/s through the shared MPMC gate *)
-}
+type point = { senders : int; msgs_per_s : (mode * float) list }
 
 type result = { msgs_per_sender : int; points : point list }
 
@@ -71,43 +67,39 @@ let throughput ~mode ~senders ~msgs () =
         in
         aid)
   in
-  (match mode with
-  | Mpmc ->
-      (* One shared receive gate; every sender gets a send gate delegated
-         against the same capability.  The ring is provisioned for the
-         worst case (all credits in flight) so delivery never finds it
-         full — the Virtual-Link credit-provisioning invariant. *)
-      let rsel =
-        Controller.host_new_mpmc_rgate ctrl ~act:server
-          ~slots:(sender_credits * senders)
-          ~slot_size ~ack_batch ()
+  let new_rgate () =
+    let rsel =
+      match mode with
+      | Mpmc ->
+          (* The ring is provisioned for the worst case (all credits in
+             flight) so delivery never finds it full — the Virtual-Link
+             credit-provisioning invariant. *)
+          Controller.host_new_mpmc_rgate ctrl ~act:server
+            ~slots:(sender_credits * senders)
+            ~slot_size ~ack_batch ()
+      | Per_sender ->
+          Controller.host_new_rgate ctrl ~act:server ~slots:sender_credits
+            ~slot_size
+    in
+    let rep = Controller.host_activate ctrl ~act:server ~sel:rsel () in
+    recv_eps := !recv_eps @ [ rep ];
+    rsel
+  in
+  (* Mpmc: one shared receive gate, made at the first sender; every
+     sender gets a send gate delegated against that capability.
+     Per_sender: the classic layout, a private receive gate per sender. *)
+  let shared = lazy (new_rgate ()) in
+  Array.iteri
+    (fun i aid ->
+      let rgate_sel =
+        match mode with Mpmc -> Lazy.force shared | Per_sender -> new_rgate ()
       in
-      let rep = Controller.host_activate ctrl ~act:server ~sel:rsel () in
-      recv_eps := [ rep ];
-      Array.iteri
-        (fun i aid ->
-          let ssel =
-            Controller.host_new_sgate ctrl ~owner:aid ~rgate_of:server
-              ~rgate_sel:rsel ~label:i ~credits:sender_credits ()
-          in
-          sgates.(i) <- Controller.host_activate ctrl ~act:aid ~sel:ssel ())
-        sender_aids
-  | Per_sender ->
-      (* The classic layout: a private receive gate per sender. *)
-      Array.iteri
-        (fun i aid ->
-          let rsel =
-            Controller.host_new_rgate ctrl ~act:server ~slots:sender_credits
-              ~slot_size
-          in
-          let rep = Controller.host_activate ctrl ~act:server ~sel:rsel () in
-          recv_eps := !recv_eps @ [ rep ];
-          let ssel =
-            Controller.host_new_sgate ctrl ~owner:aid ~rgate_of:server
-              ~rgate_sel:rsel ~label:i ~credits:sender_credits ()
-          in
-          sgates.(i) <- Controller.host_activate ctrl ~act:aid ~sel:ssel ())
-        sender_aids);
+      let ssel =
+        Controller.host_new_sgate ctrl ~owner:aid ~rgate_of:server ~rgate_sel
+          ~label:i ~credits:sender_credits ()
+      in
+      sgates.(i) <- Controller.host_activate ctrl ~act:aid ~sel:ssel ())
+    sender_aids;
   System.boot sys;
   ignore (System.run sys);
   if Time.to_s !elapsed <= 0.0 then 0.0
@@ -115,27 +107,16 @@ let throughput ~mode ~senders ~msgs () =
 
 let run ?(pool = Par.Pool.sequential) ?(msgs = 50)
     ?(sender_counts = [ 4; 16; 64 ]) () =
-  (* One task per (mode, N) point; every [throughput] call builds its own
-     System, so the points are independent and merging in submission order
-     keeps the result byte-identical across --jobs settings. *)
-  let combos =
-    List.concat_map
-      (fun senders -> [ (Per_sender, senders); (Mpmc, senders) ])
-      sender_counts
-  in
-  let values =
-    Par.map pool
-      (fun (mode, senders) -> throughput ~mode ~senders ~msgs ())
-      combos
-  in
-  let rec group counts values =
-    match (counts, values) with
-    | [], [] -> []
-    | senders :: rest, ps :: mp :: more ->
-        { senders; per_sender = ps; mpmc = mp } :: group rest more
-    | _ -> assert false
-  in
-  { msgs_per_sender = msgs; points = group sender_counts values }
+  (* One task per (N, mode) point; every [throughput] call builds its own
+     System, so the points are independent. *)
+  {
+    msgs_per_sender = msgs;
+    points =
+      Exp_common.grid pool
+        (fun senders mode -> (mode, throughput ~mode ~senders ~msgs ()))
+        sender_counts [ Per_sender; Mpmc ]
+      |> List.map (fun (senders, msgs_per_s) -> { senders; msgs_per_s });
+  }
 
 let print r =
   Format.printf
@@ -145,7 +126,9 @@ let print r =
     "MPMC (msg/s)" "speedup";
   List.iter
     (fun p ->
-      let speedup = if p.per_sender > 0.0 then p.mpmc /. p.per_sender else 0.0 in
-      Format.printf "  %8d %18.0f %18.0f %9.2fx@." p.senders p.per_sender
-        p.mpmc speedup)
+      let per_sender = List.assoc Per_sender p.msgs_per_s in
+      let mpmc = List.assoc Mpmc p.msgs_per_s in
+      let speedup = if per_sender > 0.0 then mpmc /. per_sender else 0.0 in
+      Format.printf "  %8d %18.0f %18.0f %9.2fx@." p.senders per_sender mpmc
+        speedup)
     r.points

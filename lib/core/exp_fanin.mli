@@ -13,8 +13,9 @@ type mode = Per_sender | Mpmc
 
 type point = {
   senders : int;
-  per_sender : float;  (** aggregate msgs/s through private receive gates *)
-  mpmc : float;  (** aggregate msgs/s through the shared MPMC gate *)
+  msgs_per_s : (mode * float) list;
+      (** aggregate msgs/s of each mode: through private receive gates
+          ([Per_sender]) and through the shared MPMC gate ([Mpmc]) *)
 }
 
 type result = { msgs_per_sender : int; points : point list }

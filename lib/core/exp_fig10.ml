@@ -115,36 +115,22 @@ let run ?(pool = Par.Pool.sequential) ?(runs = 8) ?(warmup = 2) ?(records = 200)
      deterministic per workload (seeded by its name), so recomputing it
      inside each task costs a little redundant work but keeps the tasks
      fully independent. *)
-  let combos =
-    List.concat_map
-      (fun workload ->
-        List.map (fun config -> (workload, config)) [ `Iso; `Shared; `Linux ])
-      Ycsb.all_workloads
+  let configs =
+    [
+      ("M3v (isolated)", m3v_samples ~shared:false);
+      ("M3v (shared)", m3v_samples ~shared:true);
+      ("Linux", linux_samples);
+    ]
   in
-  let samples =
-    Par.map pool
-      (fun (workload, config) ->
-        let requests = workload_bytes ~records ~operations workload in
-        match config with
-        | `Iso -> m3v_samples ~shared:false ~reps ~requests
-        | `Shared -> m3v_samples ~shared:true ~reps ~requests
-        | `Linux -> linux_samples ~reps ~requests)
-      combos
-  in
-  let rec group workloads samples =
-    match (workloads, samples) with
-    | [], [] -> []
-    | w :: rest, iso :: shared :: linux :: more ->
-        ( Ycsb.workload_name w,
-          [
-            make_row "M3v (isolated)" iso ~warmup;
-            make_row "M3v (shared)" shared ~warmup;
-            make_row "Linux" linux ~warmup;
-          ] )
-        :: group rest more
-    | _ -> assert false
-  in
-  { workloads = group Ycsb.all_workloads samples }
+  {
+    workloads =
+      Exp_common.grid pool
+        (fun workload (label, samples) ->
+          let requests = workload_bytes ~records ~operations workload in
+          make_row label (samples ~reps ~requests) ~warmup)
+        Ycsb.all_workloads configs
+      |> List.map (fun (w, rows) -> (Ycsb.workload_name w, rows));
+  }
 
 let print r =
   Format.printf "@.== Figure 10: cloud service (YCSB, 200 records / 200 ops) ==@.";

@@ -19,5 +19,19 @@ type result = {
   m3v_local_kcycles_3ghz : float;
 }
 
+(** Average time of one no-op RPC from an activity on [client_tile] to
+    an echo server on [server_tile]: [rounds] calls, of which the first
+    [warmup] are not timed. *)
+val rpc_duration :
+  ?topology:M3v_noc.Topology.t ->
+  variant:System.variant ->
+  spec:M3v_tile.Platform.tile_spec list ->
+  client_tile:int ->
+  server_tile:int ->
+  rounds:int ->
+  warmup:int ->
+  unit ->
+  M3v_sim.Time.t
+
 val run : ?pool:M3v_par.Par.Pool.t -> ?rounds:int -> unit -> result
 val print : result -> unit

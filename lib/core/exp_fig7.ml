@@ -12,8 +12,9 @@ type result = { bars : Exp_common.bar list }
 
 let buffer_size = 4096
 
-(* One benchmark pass over the file; returns per-run times via [record]. *)
-let bench_program ~(vfs : Vfs.t) ~path ~file_size ~write ~runs ~warmup ~record =
+(* The benchmark's passes over the file; conses each timed pass's
+   duration onto [times]. *)
+let bench_program ~(vfs : Vfs.t) ~path ~file_size ~write ~runs ~warmup ~times =
   let* buf = A.alloc_buf buffer_size in
   Bytes.fill buf.M3v_mux.Act_ops.data 0 buffer_size 'd';
   let one_run () =
@@ -39,13 +40,7 @@ let bench_program ~(vfs : Vfs.t) ~path ~file_size ~write ~runs ~warmup ~record =
       vfs.Vfs.close fd
     end
   in
-  let* () = Proc.repeat warmup (fun _ -> one_run ()) in
-  Proc.repeat runs (fun _ ->
-      let* t0 = A.now in
-      let* () = one_run () in
-      let* t1 = A.now in
-      record (Time.sub t1 t0);
-      Proc.return ())
+  Exp_common.timed_runs ~warmup ~runs times one_run
 
 let m3v_times ~shared ~write ~runs ~warmup ~file_size =
   let sys = System.create ~variant:System.M3v () in
@@ -62,7 +57,7 @@ let m3v_times ~shared ~write ~runs ~warmup ~file_size =
     System.spawn sys ~tile:app_tile ~name:"fsbench" ~premap:false (fun _ ->
         let vfs = M3v_os.Fs_client.to_vfs (Option.get !client_box) in
         bench_program ~vfs ~path:"/bench.bin" ~file_size ~write ~runs ~warmup
-          ~record:(fun t -> times := t :: !times))
+          ~times)
   in
   client_box := Some (fs.Services.connect aid env);
   System.boot sys;
@@ -78,7 +73,7 @@ let linux_times ~write ~runs ~warmup ~file_size =
   let _ =
     Linux_sim.spawn lx ~name:"fsbench"
       (bench_program ~vfs:Lx.vfs ~path:"/bench.bin" ~file_size ~write ~runs
-         ~warmup ~record:(fun t -> times := t :: !times))
+         ~warmup ~times)
   in
   Linux_sim.boot lx;
   ignore (M3v_sim.Engine.run engine);
@@ -86,12 +81,9 @@ let linux_times ~write ~runs ~warmup ~file_size =
 
 let run ?(pool = Par.Pool.sequential) ?(runs = 10) ?(warmup = 4)
     ?(file_size = 2 * 1024 * 1024) () =
-  let throughput times =
-    List.map (fun t -> float_of_int file_size /. 1024.0 /. 1024.0 /. Time.to_s t) times
-  in
   let bar (label, times) =
-    let s = M3v_sim.Stats.summarize (throughput times) in
-    { Exp_common.label; mean = s.M3v_sim.Stats.mean; stddev = s.M3v_sim.Stats.stddev }
+    Exp_common.bar_of_times label times ~to_unit:(fun t ->
+        float_of_int file_size /. 1024.0 /. 1024.0 /. Time.to_s t)
   in
   (* Each bar is its own simulated system: fan the six out as tasks. *)
   let bars =

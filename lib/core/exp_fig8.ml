@@ -1,7 +1,6 @@
 open M3v_sim.Proc.Syntax
 module Proc = M3v_sim.Proc
 module Time = M3v_sim.Time
-module A = M3v_mux.Act_api
 module Net_client = M3v_os.Net_client
 module Nic = M3v_os.Nic
 module Lx = M3v_linux.Lx_api
@@ -15,7 +14,7 @@ let peer_turnaround = Time.us 40
 let peer = (1, 7000)
 let payload = Bytes.make 1 '!'
 
-let echo_loop ~(udp : Net_client.udp) ~runs ~warmup ~record =
+let echo_loop ~(udp : Net_client.udp) ~runs ~warmup ~times =
   let* sock = udp.Net_client.u_socket () in
   let* () = udp.Net_client.u_bind sock 5000 in
   let round () =
@@ -23,15 +22,7 @@ let echo_loop ~(udp : Net_client.udp) ~runs ~warmup ~record =
     let* _src, _data = udp.Net_client.u_recvfrom sock in
     Proc.return ()
   in
-  let* () = Proc.repeat warmup (fun _ -> round ()) in
-  let* () =
-    Proc.repeat runs (fun _ ->
-        let* t0 = A.now in
-        let* () = round () in
-        let* t1 = A.now in
-        record (Time.sub t1 t0);
-        Proc.return ())
-  in
+  let* () = Exp_common.timed_runs ~warmup ~runs times round in
   udp.Net_client.u_close sock
 
 let m3v_times ~shared ~runs ~warmup =
@@ -49,7 +40,7 @@ let m3v_times ~shared ~runs ~warmup =
   let aid, env =
     System.spawn sys ~tile:app_tile ~name:"udpbench" (fun _ ->
         let udp = Net_client.to_udp (Option.get !client_box) in
-        echo_loop ~udp ~runs ~warmup ~record:(fun t -> times := t :: !times))
+        echo_loop ~udp ~runs ~warmup ~times)
   in
   client_box := Some (net.Services.net_connect aid env);
   System.boot sys;
@@ -67,7 +58,7 @@ let linux_times ~runs ~warmup =
   let times = ref [] in
   let _ =
     Linux_sim.spawn lx ~name:"udpbench"
-      (echo_loop ~udp:Lx.udp ~runs ~warmup ~record:(fun t -> times := t :: !times))
+      (echo_loop ~udp:Lx.udp ~runs ~warmup ~times)
   in
   Linux_sim.boot lx;
   ignore (M3v_sim.Engine.run engine);

@@ -1,16 +1,9 @@
-module Time = M3v_sim.Time
 module Trace = M3v_apps.Trace
 module Traceplayer = M3v_apps.Traceplayer
 module M3fs = M3v_os.M3fs
 module Par = M3v_par.Par
 
-type point = {
-  tiles : int;
-  m3v_find : float option;
-  m3x_find : float option;
-  m3v_sqlite : float option;
-  m3x_sqlite : float option;
-}
+type point = { tiles : int; runs_per_s : (string * float) list }
 
 type result = { points : point list }
 
@@ -36,70 +29,44 @@ let throughput ~variant ~trace ~tiles ~runs ~warmup () =
   in
   System.boot sys;
   ignore (System.run sys);
-  (* Steady-state throughput: each player's rate is runs / sum of its own
-     run times; the system rate is the sum over players. *)
-  List.fold_left
-    (fun acc res ->
-      let times = res.Traceplayer.run_times in
-      if res.Traceplayer.runs_completed = 0 || times = [] then acc
-      else begin
-        let total = List.fold_left Time.add Time.zero times in
-        acc +. (float_of_int (List.length times) /. Time.to_s total)
-      end)
-    0.0 results
+  (* Steady-state throughput: the sum of the players' rates. *)
+  List.fold_left (fun acc res -> acc +. Traceplayer.rate res) 0.0 results
 
 let run ?(pool = Par.Pool.sequential) ?(runs = 3) ?(warmup = 1)
     ?(tile_counts = [ 1; 2; 4; 8; 12 ]) () =
   let find = Trace.find_trace () in
   let sqlite = Trace.sqlite_trace () in
-  (* One task per (tile count, series) point — every [throughput] call
-     builds its own System, so all points are independent.  The traces
-     are shared read-only.  Merging in submission order makes the result
-     independent of how many workers ran it. *)
-  let combos =
-    List.concat_map
-      (fun tiles ->
-        List.map
-          (fun (variant, trace) -> (tiles, variant, trace))
-          [
-            (System.M3v, find);
-            (System.M3x, find);
-            (System.M3v, sqlite);
-            (System.M3x, sqlite);
-          ])
-      tile_counts
+  (* One task per (tile count, series) point: every [throughput] call
+     builds its own System, and the traces are shared read-only.  Under
+     --faults all tasks draw from one fault RNG in this order, so the
+     series keep it; [print] picks the table's column order by label. *)
+  let series =
+    [
+      ("M3v find", System.M3v, find);
+      ("M3x find", System.M3x, find);
+      ("M3v SQLite", System.M3v, sqlite);
+      ("M3x SQLite", System.M3x, sqlite);
+    ]
   in
-  let values =
-    Par.map pool
-      (fun (tiles, variant, trace) ->
-        throughput ~variant ~trace ~tiles ~runs ~warmup ())
-      combos
-  in
-  let rec group tile_counts values =
-    match (tile_counts, values) with
-    | [], [] -> []
-    | tiles :: rest, vf :: xf :: vs :: xs :: more ->
-        {
-          tiles;
-          m3v_find = Some vf;
-          m3x_find = Some xf;
-          m3v_sqlite = Some vs;
-          m3x_sqlite = Some xs;
-        }
-        :: group rest more
-    | _ -> assert false
-  in
-  { points = group tile_counts values }
+  {
+    points =
+      Exp_common.grid pool
+        (fun tiles (label, variant, trace) ->
+          (label, throughput ~variant ~trace ~tiles ~runs ~warmup ()))
+        tile_counts series
+      |> List.map (fun (tiles, runs_per_s) -> { tiles; runs_per_s });
+  }
 
 let print r =
+  let series_labels = [ "M3x find"; "M3v find"; "M3x SQLite"; "M3v SQLite" ] in
   Exp_common.print_series
     ~title:"Figure 9: scalability with tile multiplexing (runs/s, 3 GHz x86-OOO)"
     ~x_label:"tiles"
-    ~series_labels:[ "M3x find"; "M3v find"; "M3x SQLite"; "M3v SQLite" ]
+    ~series_labels
     (List.map
        (fun p ->
          ( float_of_int p.tiles,
-           [ p.m3x_find; p.m3v_find; p.m3x_sqlite; p.m3v_sqlite ] ))
+           List.map (fun l -> List.assoc l p.runs_per_s) series_labels ))
        r.points);
   Format.printf
     "  (paper: M3x find 45/49/94 runs/s at 1/2/4 tiles, unreliable beyond;@.";

@@ -14,10 +14,9 @@
 
 type point = {
   tiles : int;
-  m3v_find : float option;
-  m3x_find : float option;
-  m3v_sqlite : float option;
-  m3x_sqlite : float option;
+  runs_per_s : (string * float) list;
+      (** by series label: ["M3v find"], ["M3x find"], ["M3v SQLite"],
+          ["M3x SQLite"] *)
 }
 
 type result = { points : point list }

@@ -340,6 +340,14 @@ let validate cfg =
     | Some f -> fail "load steps must be positive (got %g)" f
     | None -> Ok ()
 
+(* The step a report attributes, with its index: the knee, or without a
+   knee the heaviest step. *)
+let attributed_step verdict steps =
+  let i =
+    match verdict.Knee.knee with Some i -> i | None -> List.length steps - 1
+  in
+  (i, List.nth steps i)
+
 let run ?(pool = Par.Pool.sequential) ?(cfg = default) () =
   Result.iter_error (fun msg -> invalid_arg ("exp_load: " ^ msg)) (validate cfg);
   let steps = Par.map pool (fun frac -> run_step cfg ~frac) cfg.fracs in
@@ -354,12 +362,7 @@ let run ?(pool = Par.Pool.sequential) ?(cfg = default) () =
            })
          steps)
   in
-  let at =
-    (* Attribute at the knee step; without a knee, at the heaviest step. *)
-    match verdict.Knee.knee with
-    | Some i -> List.nth steps i
-    | None -> List.nth steps (List.length steps - 1)
-  in
+  let _, at = attributed_step verdict steps in
   {
     r_cfg = cfg;
     r_steps = steps;
@@ -394,13 +397,9 @@ let pp fmt r =
       Format.fprintf fmt "  knee: step %d (offered %.0f req/s): %s@." i
         (List.nth r.r_steps i).st_offered r.r_verdict.Knee.reason
   | None -> Format.fprintf fmt "  knee: %s@." r.r_verdict.Knee.reason);
-  let at =
-    match r.r_verdict.Knee.knee with
-    | Some i -> (i, List.nth r.r_steps i)
-    | None -> (List.length r.r_steps - 1, List.nth r.r_steps (List.length r.r_steps - 1))
-  in
-  Format.fprintf fmt "@.  SLO table at step %d:@." (fst at);
-  Slo.pp_table fmt (snd at).st_rows;
+  let i, at = attributed_step r.r_verdict r.r_steps in
+  Format.fprintf fmt "@.  SLO table at step %d:@." i;
+  Slo.pp_table fmt at.st_rows;
   Format.fprintf fmt "  bottleneck: %s@." r.r_attribution
 
 let print r = pp Format.std_formatter r

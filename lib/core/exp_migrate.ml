@@ -167,20 +167,23 @@ let faulty_spec = { Fault.none with Fault.mig_abort = 4 }
 let default_rates = [ 2_000; 10_000; 40_000 ]
 
 let run ?(pool = Par.Pool.sequential) ?(rounds = 300) ?(rates = default_rates)
-    ?(faulty = false) ?(seed = 11) () =
+    ?(seed = 11) () =
   (* Each point owns its system (and, when faulty, its domain-local fault
      plan), so points fan out as independent tasks and merge in
      submission order — byte-identical output across --jobs settings. *)
-  let points =
-    Par.map pool
-      (fun (i, rate) ->
-        if faulty then
-          let plan = Fault.create ~seed:(seed + i) faulty_spec in
-          Fault.with_plan plan (fun () -> one_point ~rate ~rounds ())
-        else one_point ~rate ~rounds ())
-      (List.mapi (fun i r -> (i, r)) rates)
-  in
-  { rounds; faulty; points }
+  List.map
+    (fun faulty ->
+      let points =
+        Par.map pool
+          (fun (i, rate) ->
+            if faulty then
+              let plan = Fault.create ~seed:(seed + i) faulty_spec in
+              Fault.with_plan plan (fun () -> one_point ~rate ~rounds ())
+            else one_point ~rate ~rounds ())
+          (List.mapi (fun i r -> (i, r)) rates)
+      in
+      { rounds; faulty; points })
+    [ false; true ]
 
 let print r =
   Format.printf

@@ -22,16 +22,14 @@ type point = {
 
 type result = { rounds : int; faulty : bool; points : point list }
 
+(** The sweep clean, then under a [mig_abort] fault plan seeded with
+    [seed] plus the point's index. *)
 val run :
   ?pool:M3v_par.Par.Pool.t ->
   ?rounds:int ->
   ?rates:int list ->
-  ?faulty:bool ->
   ?seed:int ->
   unit ->
-  result
+  result list
 
 val print : result -> unit
-
-(** One configuration (exposed for tests). *)
-val one_point : rate:int -> rounds:int -> unit -> point

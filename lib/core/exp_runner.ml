@@ -101,17 +101,6 @@ type experiment = {
   run : Par.Pool.t -> int option -> unit -> unit;
 }
 
-(* Both halves of the migration ablation in one report: the clean sweep,
-   then the same sweep under a [mig_abort] fault plan (installed per task
-   inside [Exp_migrate.run], so the points still fan out over the
-   pool). *)
-let migrate_sweep ~pool ?rounds ?rates ?seed () =
-  let clean = Exp_migrate.run ~pool ?rounds ?rates ~faulty:false ?seed () in
-  let faulty = Exp_migrate.run ~pool ?rounds ?rates ~faulty:true ?seed () in
-  fun () ->
-    Exp_migrate.print clean;
-    Exp_migrate.print faulty
-
 (* The evaluation, in the paper's order: each entry computes its result
    on the pool and hands back the printer. *)
 let experiments =
@@ -149,15 +138,11 @@ let experiments =
        under a paced RPC stream; reports downtime vs message rate and \
        verifies exactly-once delivery, clean and with injected migration \
        aborts"
-      (fun pool _ -> migrate_sweep ~pool ());
+      (fun pool _ ->
+        later (List.iter Exp_migrate.print) (Exp_migrate.run ~pool ()));
   ]
 
 let find name = List.find_opt (fun e -> e.name = name) experiments
-
-let migrate ?trace ?metrics ?jobs ?seed ~rounds ~rates () =
-  let rates = match rates with [] -> None | l -> Some l in
-  run { default with trace; metrics; jobs } (fun pool ->
-      migrate_sweep ~pool ?rounds:(positive rounds) ?rates ?seed () ())
 
 (* The chaos soak manages its own plan: [Exp_chaos.run] installs the spec
    and seed itself — inside each task, so a sweep can run seeds on worker

@@ -2,10 +2,10 @@
     parameters and print the table/figure.  Integer knobs follow the CLI
     convention that [<= 0] picks the experiment's default ({!positive}).
 
-    Every System experiment takes the same five settings, {!opts}, and
-    runs through one combinator, {!run}; [migrate], [ablations], the
-    [chaos] seed sweep and [all] run through it too, with the settings
-    they lack left at their {!default}s.  The paper's evaluation is one
+    Every command that simulates runs through one combinator, {!run},
+    with the settings it takes, {!opts}, and the rest left at their
+    {!default}s; [all] and the [chaos] seed sweep do too.  The paper's
+    evaluation is one
     list, {!experiments}, which [all], [profile] and the CLI's
     per-experiment commands iterate over. *)
 
@@ -66,13 +66,6 @@ type experiment = {
 val experiments : experiment list
 
 val find : string -> experiment option
-
-(** Live-migration ablation ({!Exp_migrate}): downtime and exactly-once
-    delivery vs message rate, swept clean and under a [mig_abort] fault
-    plan.  [rounds] <= 0 and [rates = []] pick the defaults. *)
-val migrate :
-  ?trace:string -> ?metrics:string -> ?jobs:int -> ?seed:int ->
-  rounds:int -> rates:int list -> unit -> unit
 
 (** Chaos soak ({!Exp_chaos}): fs + kv workloads on m3fs under fault
     injection, exercising DTU retransmit, the TileMux watchdog,

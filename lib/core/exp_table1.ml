@@ -17,14 +17,13 @@ let run () =
   }
 
 let print r =
-  let out = Format.std_formatter in
-  Format.fprintf out "@.== Table 1: FPGA area consumption ==@.";
-  Format.fprintf out "  %-28s %9s %9s %9s@." "" "LUTs [k]" "FFs [k]" "BRAMs";
+  Format.printf "@.== Table 1: FPGA area consumption ==@.";
+  Format.printf "  %-28s %9s %9s %9s@." "" "LUTs [k]" "FFs [k]" "BRAMs";
   List.iter
     (fun (indent, name, res) ->
       let pad = String.make (2 * indent) ' ' in
-      Format.fprintf out "  %-28s %9.1f %9.1f %9.1f@." (pad ^ name)
-        res.Area.luts_k res.Area.ffs_k res.Area.brams)
+      Format.printf "  %-28s %9.1f %9.1f %9.1f@." (pad ^ name) res.Area.luts_k
+        res.Area.ffs_k res.Area.brams)
     r.rows;
   Exp_common.print_kv ~title:"Table 1: derived claims (paper, section 6.1)"
     [

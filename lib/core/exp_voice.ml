@@ -36,6 +36,18 @@ let slots = 4
 let cloud = (1, 9000)
 let mtu_payload = 1400
 
+(* [chunks ~size total f] runs [f off len] over [0, total) in order, in
+   pieces of at most [size] bytes. *)
+let chunks ~size total f =
+  let rec go off =
+    if off >= total then Proc.return ()
+    else
+      let len = min size (total - off) in
+      let* () = f off len in
+      go (off + len)
+  in
+  go 0
+
 (* Continuously scan room audio; on trigger, ship the window to the
    compressor through the delegated memory region (paper, 6.5.1: "the
    scanner delegates a memory capability to the data in memory to the
@@ -49,19 +61,11 @@ let scanner_program ~audio ~reps ~mem_ep ~chan () _env =
     (* Write the PCM into the shared region (page-sized DMA commands). *)
     let pcm = Audio.to_pcm_bytes (Array.sub samples window_off nsamples) in
     Bytes.blit pcm 0 pcm_buf.M3v_mux.Act_ops.data 0 (Bytes.length pcm);
-    let bytes = Bytes.length pcm in
-    let rec copy off =
-      if off >= bytes then Proc.return ()
-      else begin
-        let chunk = min 4096 (bytes - off) in
-        let* () =
-          A.mem_write ~ep:!mem_ep ~off:((slot * slot_bytes) + off) ~len:chunk
-            ~src:pcm_buf.M3v_mux.Act_ops.data ~src_off:off ()
-        in
-        copy (off + chunk)
-      end
+    let* () =
+      chunks ~size:4096 (Bytes.length pcm) (fun off len ->
+          A.mem_write ~ep:!mem_ep ~off:((slot * slot_bytes) + off) ~len
+            ~src:pcm_buf.M3v_mux.Act_ops.data ~src_off:off ())
     in
-    let* () = copy 0 in
     A.send ~ep:sgate ~size:16 (Audio_window { slot; nsamples })
   in
   let one_rep () =
@@ -119,18 +123,11 @@ let compressor_program ~reps ~mem_ep ~rgate ~udp_box ~on_rep ~ratio_box ~windows
     | Audio_window { slot; nsamples } ->
         let bytes = 2 * nsamples in
         (* Pull the PCM out of the delegated region. *)
-        let rec fetch off =
-          if off >= bytes then Proc.return ()
-          else begin
-            let chunk = min 4096 (bytes - off) in
-            let* () =
-              A.mem_read ~ep:!mem_ep ~off:((slot * slot_bytes) + off) ~len:chunk
-                ~dst:window_buf.M3v_mux.Act_ops.data ~dst_off:off ()
-            in
-            fetch (off + chunk)
-          end
+        let* () =
+          chunks ~size:4096 bytes (fun off len ->
+              A.mem_read ~ep:!mem_ep ~off:((slot * slot_bytes) + off) ~len
+                ~dst:window_buf.M3v_mux.Act_ops.data ~dst_off:off ())
         in
-        let* () = fetch 0 in
         let samples =
           Audio.of_pcm_bytes (Bytes.sub window_buf.M3v_mux.Act_ops.data 0 bytes)
         in
@@ -140,17 +137,10 @@ let compressor_program ~reps ~mem_ep ~rgate ~udp_box ~on_rep ~ratio_box ~windows
           float_of_int bytes /. float_of_int (Bytes.length compressed);
         incr windows;
         (* Ship the compressed audio to the cloud in MTU-sized packets. *)
-        let rec ship off =
-          if off >= Bytes.length compressed then Proc.return ()
-          else begin
-            let chunk = min mtu_payload (Bytes.length compressed - off) in
-            let* () =
-              udp.Net_client.u_sendto sock cloud (Bytes.sub compressed off chunk)
-            in
-            ship (off + chunk)
-          end
+        let* () =
+          chunks ~size:mtu_payload (Bytes.length compressed) (fun off len ->
+              udp.Net_client.u_sendto sock cloud (Bytes.sub compressed off len))
         in
-        let* () = ship 0 in
         let* () = A.ack ~ep:!rgate msg in
         serve ()
     | Rep_end ->

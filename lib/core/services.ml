@@ -83,9 +83,9 @@ let nic_tile sys =
   | Some tile -> tile
   | None -> invalid_arg "Services.make_net: platform has no NIC tile"
 
-let make_net sys ?tile ?drop_probability ~host () =
+let make_net sys ?drop_probability ~host () =
   let ctrl = System.controller sys in
-  let tile = match tile with Some t -> t | None -> nic_tile sys in
+  let tile = nic_tile sys in
   let handle = M3v_os.Netserv.make_handle () in
   let rgate = ref (-1) and nic_rgate = ref (-1) in
   let nic_box = ref None in

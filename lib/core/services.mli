@@ -38,11 +38,10 @@ type net_instance = {
     M3v_dtu.Dtu_types.act_id -> M3v_mux.Act_api.env -> M3v_os.Net_client.t;
 }
 
-(** Spawn the net service on the NIC tile ([tile] defaults to the first
-    tile with a NIC) talking to a remote host with the given behaviour. *)
+(** Spawn the net service on the first tile with a NIC, talking to a
+    remote host with the given behaviour. *)
 val make_net :
   System.t ->
-  ?tile:int ->
   ?drop_probability:float ->
   host:M3v_os.Nic.host_behavior ->
   unit ->

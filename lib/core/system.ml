@@ -18,14 +18,14 @@ type t = {
   runtimes : (int, Runtime.t) Hashtbl.t;
 }
 
-let create ?spec ?topology ?noc_params ?tlb_capacity ?timeslice ~variant () =
+let create ?spec ?topology ?timeslice ~variant () =
   let spec = match spec with Some s -> s | None -> Platform.fpga_spec () in
   let engine = Engine.create () in
   (* No-op unless a trace sink is installed. *)
   M3v_obs.Hooks.attach_engine engine;
   let platform =
-    Platform.create ?topology ?noc_params ?tlb_capacity
-      ~virtualized:(variant = M3v) ~tiles:spec engine ()
+    Platform.create ?topology ~virtualized:(variant = M3v) ~tiles:spec engine
+      ()
   in
   let ctrl_tile = Platform.controller_tile platform in
   let mode = match variant with M3v -> Controller.M3v | M3x -> Controller.M3x in
@@ -54,15 +54,15 @@ let runtime t ~tile =
 let spawn t ~tile ~name ?premap program =
   Runtime.spawn (runtime t ~tile) ~name ?premap ~program ()
 
-let channel t ~src ~dst ?(slots = 8) ?(slot_size = 512) ?(credits = 4) ?label () =
-  let label = match label with Some l -> l | None -> src in
+let channel t ~src ~dst ?(slots = 8) ?(credits = 4) () =
+  let slot_size = 512 in
   let rgate_sel =
     Controller.host_new_rgate t.ctrl ~act:dst ~slots ~slot_size
   in
   let rgate = Controller.host_activate t.ctrl ~act:dst ~sel:rgate_sel () in
   let sgate_sel =
-    Controller.host_new_sgate t.ctrl ~owner:src ~rgate_of:dst ~rgate_sel ~label
-      ~credits ()
+    Controller.host_new_sgate t.ctrl ~owner:src ~rgate_of:dst ~rgate_sel
+      ~label:src ~credits ()
   in
   let sgate = Controller.host_activate t.ctrl ~act:src ~sel:sgate_sel () in
   (* Reply gate on the sender's side, sized to match outstanding RPCs. *)

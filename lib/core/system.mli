@@ -22,8 +22,6 @@ type channel = {
 val create :
   ?spec:M3v_tile.Platform.tile_spec list ->
   ?topology:M3v_noc.Topology.t ->
-  ?noc_params:M3v_noc.Noc.params ->
-  ?tlb_capacity:int ->
   ?timeslice:M3v_sim.Time.t ->
   variant:variant ->
   unit ->
@@ -54,9 +52,7 @@ val channel :
   src:M3v_dtu.Dtu_types.act_id ->
   dst:M3v_dtu.Dtu_types.act_id ->
   ?slots:int ->
-  ?slot_size:int ->
   ?credits:int ->
-  ?label:int ->
   unit ->
   channel
 

@@ -134,14 +134,14 @@ let core_req_repost_ps = 5_000
 
 let credit_packet_bytes = 8
 
-let create ~virtualized ~tile ?(ep_count = 128) ?(tlb_capacity = 32) engine noc =
+let create ~virtualized ~tile engine noc =
   {
     virtualized;
     tile;
     engine;
     noc;
-    eps = Array.init ep_count (fun _ -> Ep.make_invalid ());
-    tlb = Tlb.create ~capacity:tlb_capacity;
+    eps = Array.init 128 (fun _ -> Ep.make_invalid ());
+    tlb = Tlb.create ~capacity:32;
     cur = invalid_act;
     unread = Hashtbl.create 8;
     core_reqs = Queue.create ();

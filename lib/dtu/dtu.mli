@@ -19,11 +19,10 @@ type t
 
 type completion = (unit, Dtu_types.error) result -> unit
 
+(** A DTU with 128 endpoints and a 32-entry TLB. *)
 val create :
   virtualized:bool ->
   tile:int ->
-  ?ep_count:int ->
-  ?tlb_capacity:int ->
   M3v_sim.Engine.t ->
   M3v_noc.Noc.t ->
   t

@@ -28,15 +28,14 @@ type t = {
 }
 
 let create ~engine ?dtu ?(wire_latency = Time.us 6) ?(ps_per_byte = 8_000)
-    ?(drop_probability = 0.0) ?rng ~host () =
-  let rng = match rng with Some r -> r | None -> Rng.create ~seed:0xE7 in
+    ?(drop_probability = 0.0) ~host () =
   {
     engine;
     dtu;
     wire_latency;
     ps_per_byte;
     drop_probability;
-    rng;
+    rng = Rng.create ~seed:0xE7;
     host;
     rx_gate = -1;
     rx_handler = None;

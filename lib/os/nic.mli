@@ -25,7 +25,6 @@ val create :
   ?wire_latency:M3v_sim.Time.t ->
   ?ps_per_byte:int ->
   ?drop_probability:float ->
-  ?rng:M3v_sim.Rng.t ->
   host:host_behavior ->
   unit ->
   t

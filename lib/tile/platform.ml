@@ -17,8 +17,7 @@ type t = {
   ctrl : int option;
 }
 
-let create ?topology ?noc_params ?(ep_count = 128) ?tlb_capacity ~virtualized
-    ~tiles engine () =
+let create ?topology ~virtualized ~tiles engine () =
   let count = List.length tiles in
   if count = 0 then invalid_arg "Platform.create: no tiles";
   let topo =
@@ -29,11 +28,9 @@ let create ?topology ?noc_params ?(ep_count = 128) ?tlb_capacity ~virtualized
         t
     | None -> Topology.star_mesh_2x2 ~tiles:count
   in
-  let noc = Noc.create ?params:noc_params engine topo in
+  let noc = Noc.create engine topo in
   let build id spec =
-    let mk_dtu ~virtualized =
-      Dtu.create ~virtualized ~tile:id ~ep_count ?tlb_capacity engine noc
-    in
+    let mk_dtu ~virtualized = Dtu.create ~virtualized ~tile:id engine noc in
     match spec with
     | Proc core ->
         { Tile.id; kind = Tile.Processing core; dtu = mk_dtu ~virtualized;

@@ -17,9 +17,6 @@ type t
     paper's Figure 3.  The default topology is the 2x2 star-mesh. *)
 val create :
   ?topology:M3v_noc.Topology.t ->
-  ?noc_params:M3v_noc.Noc.params ->
-  ?ep_count:int ->
-  ?tlb_capacity:int ->
   virtualized:bool ->
   tiles:tile_spec list ->
   M3v_sim.Engine.t ->

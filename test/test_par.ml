@@ -72,6 +72,32 @@ let test_par_jobs_clamped () =
   Par.Pool.with_pool ~jobs:3 (fun pool ->
       check_int "requested width" 3 (Par.Pool.jobs pool))
 
+(* [Exp_common.grid] submits one task per (x, y) pair, x-major, and hands
+   each x its results in y order.  fig9's fault schedule and every
+   --metrics merge follow this order. *)
+let test_grid_order () =
+  let xs = [ 1; 2; 3 ] and ys = [ "a"; "b" ] in
+  let expected =
+    [ (1, [ "1a"; "1b" ]); (2, [ "2a"; "2b" ]); (3, [ "3a"; "3b" ]) ]
+  in
+  let check = Alcotest.(check (list (pair int (list string)))) in
+  let calls = ref [] in
+  let seq =
+    M3v.Exp_common.grid Par.Pool.sequential
+      (fun x y ->
+        calls := (x, y) :: !calls;
+        string_of_int x ^ y)
+      xs ys
+  in
+  Alcotest.(check (list (pair int string)))
+    "f called x-major"
+    [ (1, "a"); (1, "b"); (2, "a"); (2, "b"); (3, "a"); (3, "b") ]
+    (List.rev !calls);
+  check "each x with its results in y order" expected seq;
+  Par.Pool.with_pool ~jobs:3 (fun pool ->
+      check "the same on a 3-wide pool" expected
+        (M3v.Exp_common.grid pool (fun x y -> string_of_int x ^ y) xs ys))
+
 let test_runner_sequential_rule () =
   (* A trace sink or an ambient fault plan is domain-local, so either one
      makes [Exp_runner.run] hand its body a 1-wide pool; otherwise
@@ -497,6 +523,8 @@ let suite =
     Alcotest.test_case "par: nested fan-out does not deadlock" `Quick
       test_par_nested_fanout;
     Alcotest.test_case "par: pool width" `Quick test_par_jobs_clamped;
+    Alcotest.test_case "par: grid submits x-major, groups by x" `Quick
+      test_grid_order;
     Alcotest.test_case "par: trace/faults force a 1-wide runner pool" `Quick
       test_runner_sequential_rule;
     Alcotest.test_case "fig9: parallel == sequential" `Slow
