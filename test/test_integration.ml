@@ -324,6 +324,17 @@ let test_fig7_shape_smoke () =
     (get "M3v read (isolated)" > get "M3v write (isolated)");
   check_bool "M3v read beats Linux read" true (get "M3v read (shared)" > get "Linux read")
 
+(* Fewer than four rounds still give the gem5 reference RPCs one timed
+   call each. *)
+let test_fig6_few_rounds () =
+  let r = M3v.Exp_fig6.run ~rounds:3 () in
+  check_int "four bars" 4 (List.length r.M3v.Exp_fig6.bars);
+  List.iter
+    (fun b ->
+      check_bool (b.M3v.Exp_common.label ^ " is positive") true
+        (b.M3v.Exp_common.mean > 0.0))
+    r.M3v.Exp_fig6.bars
+
 let test_ablation_extent_smoke () =
   let r = M3v.Ablations.extent_size ~caps:[ 1; 64 ] () in
   match r.M3v.Ablations.rows with
@@ -351,6 +362,7 @@ let suite =
       test_accel_retry_fails_on_permanent_error );
     ("fig9 shape (smoke)", `Slow, test_fig9_shape_smoke);
     ("fig7 shape (smoke)", `Slow, test_fig7_shape_smoke);
+    ("fig6 with 3 rounds", `Quick, test_fig6_few_rounds);
     ("ablation extent (smoke)", `Slow, test_ablation_extent_smoke);
     ("table1 consistency (smoke)", `Quick, test_table1_consistency_smoke);
   ]
