@@ -161,34 +161,35 @@ let prop_heap_matches_stable_sort =
       let expected = List.stable_sort (fun (a, _) (b, _) -> compare a b) entries in
       drain q = expected)
 
-(* Interleaved pushes and pops against the same model. *)
+(* Interleaved pushes and pops against the same model: a (time, value)
+   list in stable time order.  A new entry goes after every entry whose
+   time is <= its own, which is the (time, push order) order. *)
 let prop_heap_interleaved =
   QCheck.Test.make ~name:"FIFO ties survive interleaved push/pop" ~count:200
     QCheck.(list (pair (option (int_bound 20)) small_int))
     (fun script ->
       let q = Event_queue.create ~capacity:1 () in
-      let model = ref [] (* (time, seq, v), kept sorted *) in
-      let seq = ref 0 in
+      let rec insert ((time, _) as e) = function
+        | ((t, _) as x) :: rest when t <= time -> x :: insert e rest
+        | later -> e :: later
+      in
+      let model = ref [] in
       let ok = ref true in
       List.iter
         (fun (op, v) ->
           match op with
           | Some time ->
               Event_queue.push q ~time v;
-              incr seq;
-              model :=
-                List.stable_sort
-                  (fun (t1, s1, _) (t2, s2, _) -> compare (t1, s1) (t2, s2))
-                  ((time, !seq, v) :: !model)
+              model := insert (time, v) !model
           | None -> (
               match (Event_queue.pop q, !model) with
               | None, [] -> ()
-              | Some (t, v'), (mt, _, mv) :: rest ->
+              | Some (t, v'), (mt, mv) :: rest ->
                   if t <> mt || v' <> mv then ok := false;
                   model := rest
               | Some _, [] | None, _ :: _ -> ok := false))
         script;
-      !ok && drain q = List.map (fun (t, _, v) -> (t, v)) !model)
+      !ok && drain q = !model)
 
 let test_queue_clear_reuse () =
   let q = Event_queue.create ~capacity:4 () in
