@@ -113,6 +113,14 @@ let ablations_cmd =
           $ trace $ jobs)
     (entry "ablations")
 
+(* Exit 2 with one stderr line when a swept count is below 1. *)
+let require_positive cmd what counts =
+  match List.find_opt (fun n -> n < 1) counts with
+  | Some n ->
+      Format.eprintf "m3vsim %s: %s must be positive (got %d)@." cmd what n;
+      Stdlib.exit 2
+  | None -> ()
+
 let fanin_msgs =
   let doc = "Messages per sender (<= 0 picks the default)." in
   Arg.(value & opt int 0 & info [ "msgs" ] ~docv:"N" ~doc)
@@ -126,12 +134,7 @@ let fanin_senders =
 let fanin_cmd =
   Cmd.v (Cmd.info "fanin" ~doc:(entry "fanin").doc)
     Term.(const (fun o msgs senders ->
-              (match List.find_opt (fun n -> n < 1) senders with
-              | Some n ->
-                  Format.eprintf
-                    "m3vsim fanin: sender counts must be positive (got %d)@." n;
-                  Stdlib.exit 2
-              | None -> ());
+              require_positive "fanin" "sender counts" senders;
               let sender_counts =
                 match senders with [] -> None | counts -> Some counts
               in
@@ -272,6 +275,7 @@ let mig_seed =
 let migrate_cmd =
   Cmd.v (Cmd.info "migrate" ~doc:(entry "migrate").doc)
     Term.(const (fun trace metrics jobs seed rounds rates ->
+              require_positive "migrate" "rates" rates;
               let rates = match rates with [] -> None | l -> Some l in
               let rounds = M3v.Exp_runner.positive rounds in
               M3v.Exp_runner.(run { default with trace; metrics; jobs })

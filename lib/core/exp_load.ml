@@ -330,6 +330,8 @@ let validate cfg =
   else if cfg.drivers > cfg.clients then
     fail "drivers (%d) must not exceed clients (%d)" cfg.drivers cfg.clients
   else if cfg.keys <= 0 then fail "keys must be positive (got %d)" cfg.keys
+  else if cfg.duration_ms <= 0 then
+    fail "duration must be positive (got %d ms)" cfg.duration_ms
   else if not (cfg.skew >= 0.0 && cfg.skew < 1.0) then
     fail "skew must be in [0, 1) (got %g)" cfg.skew
   else if not (cfg.rate_per_s > 0.0) then

@@ -50,10 +50,10 @@ type result = {
 }
 
 (** [Ok ()] when [cfg] can run: drivers in [\[1, 8\]] (the services'
-    endpoint provisioning) and at most [clients], [clients] and [keys]
-    positive, [skew] in [\[0, 1)], [rate_per_s] positive, and a
-    non-empty step list of positive fractions.  Otherwise [Error msg]
-    names the first bad field. *)
+    endpoint provisioning) and at most [clients], [clients], [keys] and
+    [duration_ms] positive, [skew] in [\[0, 1)], [rate_per_s] positive,
+    and a non-empty step list of positive fractions.  Otherwise
+    [Error msg] names the first bad field. *)
 val validate : config -> (unit, string) Stdlib.result
 
 (** Steps fan out over [pool] as independent simulations and merge in

@@ -431,6 +431,7 @@ let test_exp_load_validate () =
       ("drivers > clients", { L.default with clients = 3 });
       ("clients 0", { L.default with clients = 0 });
       ("keys 0", { L.default with keys = 0 });
+      ("duration 0", { L.default with duration_ms = 0 });
       ("skew 1.5", { L.default with skew = 1.5 });
       ("skew -0.1", { L.default with skew = -0.1 });
       ("rate 0", { L.default with rate_per_s = 0.0 });
