@@ -156,11 +156,10 @@ let chaos_outcome = function
       Format.eprintf "chaos: suspended after %d checkpoint(s) -> %s@."
         checkpoints file
 
-let chaos ?trace ?faults ?(fault_seed = 7) ?jobs ?(seeds = 1)
-    ?checkpoint_every_ms ?(checkpoint_file = "chaos.ckpt") ?stop_after ?resume
-    ~rounds ~ops () =
+let chaos ?trace ?faults ~fault_seed ?jobs ~seeds ~checkpoint_every_ms
+    ~checkpoint_file ~stop_after ?resume ~rounds ~ops () =
   let spec = Option.map parse_faults faults in
-  let every_ms = Option.bind checkpoint_every_ms positive in
+  let every_ms = positive checkpoint_every_ms in
   (* A checkpointed soak holds one seed and no trace sink, and a resume
      takes its spec from the checkpoint: refuse a flag the run would
      otherwise drop. *)
@@ -179,7 +178,7 @@ let chaos ?trace ?faults ?(fault_seed = 7) ?jobs ?(seeds = 1)
         refuse "--resume" "--faults" "the checkpoint fixes the fault spec";
       if seeds > 1 then refuse "--resume" seeds_flag one_seed;
       match
-        Exp_chaos.resume ~file ?stop_after:(Option.bind stop_after positive) ()
+        Exp_chaos.resume ~file ?stop_after:(positive stop_after) ()
       with
       | Error msg ->
           Format.eprintf "m3vsim chaos: %s@." msg;
@@ -192,7 +191,7 @@ let chaos ?trace ?faults ?(fault_seed = 7) ?jobs ?(seeds = 1)
         (Exp_chaos.run_checkpointed ?spec ~seed:fault_seed
            ?fs_rounds:(positive rounds) ?kv_ops:(positive ops)
            ~every:(M3v_sim.Time.ms ms) ~file:checkpoint_file
-           ?stop_after:(Option.bind stop_after positive) ())
+           ?stop_after:(positive stop_after) ())
   | None, None ->
       run { default with trace; jobs } (fun pool ->
           Exp_chaos.run_sweep ~pool ?spec ~seed:fault_seed ~seeds
@@ -205,7 +204,7 @@ let chaos ?trace ?faults ?(fault_seed = 7) ?jobs ?(seeds = 1)
    paper-aligned segments.  [trace]/[folded]/[metrics] optionally dump
    the raw Chrome trace, a flamegraph-style folded-stack file, and the
    metrics registry alongside the profile tables. *)
-let profile ?(exp = "fig6") ?trace ?folded ?metrics ~rounds ~runs () =
+let profile ~exp ?trace ?folded ?metrics ~rounds ~runs () =
   (* Resolve the name first: an unknown experiment must not leave empty
      output files behind. *)
   let e =

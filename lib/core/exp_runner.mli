@@ -84,11 +84,11 @@ val find : string -> experiment option
     so [trace], [faults] or [seeds > 1] alongside [resume] exit 2 before
     the checkpoint is loaded. *)
 val chaos :
-  ?trace:string -> ?faults:string -> ?fault_seed:int -> ?jobs:int ->
-  ?seeds:int -> ?checkpoint_every_ms:int -> ?checkpoint_file:string ->
-  ?stop_after:int -> ?resume:string -> rounds:int -> ops:int -> unit -> unit
+  ?trace:string -> ?faults:string -> fault_seed:int -> ?jobs:int ->
+  seeds:int -> checkpoint_every_ms:int -> checkpoint_file:string ->
+  stop_after:int -> ?resume:string -> rounds:int -> ops:int -> unit -> unit
 
-(** Critical-path profiler: run [exp] (["fig6"] default; any name in
+(** Critical-path profiler: run [exp] (any name in
     {!experiments}) sequentially under a trace sink, then
     decompose each message flow's end-to-end latency into paper-aligned
     segments (sender command, NoC transit, mux scheduling delay,
@@ -101,7 +101,7 @@ val chaos :
     [Runs]; <= 0 picks the experiment default.  Output files are opened
     before the run: a path that cannot be written exits 1 at once. *)
 val profile :
-  ?exp:string -> ?trace:string -> ?folded:string -> ?metrics:string ->
+  exp:string -> ?trace:string -> ?folded:string -> ?metrics:string ->
   rounds:int -> runs:int -> unit -> unit
 
 (** Every entry of {!experiments} at its default size.  Whole
