@@ -28,10 +28,10 @@ val at_apply : t -> time:Time.t -> ('a -> unit) -> 'a -> unit
     [now]; see {!at_apply}. *)
 val after_apply : t -> delay:Time.t -> ('a -> unit) -> 'a -> unit
 
-(** [spin eng ~gap ~settle ~poll ~settled] parks a retry loop outside
-    the event queue.  It is called from the completion of a command that
-    failed, in place of [after eng ~delay:gap retry].  It replays the
-    two-event loop that [after] would start, step by step:
+(** [spin eng ~gap ~settle ~poll ~settled] starts a retry loop.  It is
+    called from the completion of a command that failed, in place of
+    [after eng ~delay:gap retry], and runs the two-event loop that
+    [after] would start:
 
     - a poll, [gap] after the previous step: [poll ()] returns [true] when
       the command would fail again, having done the failed command's
@@ -40,14 +40,12 @@ val after_apply : t -> delay:Time.t -> ('a -> unit) -> 'a -> unit
     - a completion: [settled ()] does the failed completion's
       bookkeeping, and the next poll is due [gap] later.
 
-    Each step runs at the exact [(time, seq)] slot its heap event would
-    have had: it reserves its sequence number where the heap version
-    would have pushed the event (the first poll's at this call, each
-    later one's at the end of the step before).  A step counts as one
-    event in {!events_processed}, in [run]'s result and [max_events]
-    budget and in the observer's cadence, and each parked loop counts as
-    one event in {!pending}.  The engine allocates one record per parked
-    loop and nothing per step; only [poll] and [settled] can. *)
+    Each step is an ordinary event, pushed where a scheduled retry would
+    have been (the first poll at this call, each later step at the end of
+    the step before), so it has the same [(time, seq)] slot and counts as
+    one event everywhere an event counts.  The engine allocates one
+    record per loop and nothing per step; only [poll] and [settled]
+    can. *)
 val spin :
   t ->
   gap:Time.t ->
@@ -64,18 +62,17 @@ val spin :
 
     The clock advances to [until] only when no pending event remains at or
     before it — if [max_events] stops the loop with such events pending,
-    [now] stays at the last processed event.  Parked loops' steps
-    ({!spin}) run in the same order and under the same [until] and
-    [max_events] rules as events. *)
+    [now] stays at the last processed event. *)
 val run : ?until:Time.t -> ?max_events:int -> t -> int
 
 (** Number of events processed so far over the engine's lifetime. *)
 val events_processed : t -> int
 
-(** Number of events still pending, one per parked loop included. *)
+(** Number of events still pending; a {!spin} loop's next step is one. *)
 val pending : t -> int
 
-(** Reset the clock to zero and drop pending events and parked loops. *)
+(** Reset the clock to zero and drop pending events, retry loops
+    included. *)
 val reset : t -> unit
 
 (** [set_observer t (Some f)] installs a dispatch-loop observer: [f now

@@ -1,18 +1,23 @@
-(** A binary min-heap of timestamped events, laid out as parallel arrays
+(** A queue of timestamped events, laid out as parallel arrays
     (structure-of-arrays) with reusable slots: a steady-state push/pop
     cycle at constant depth allocates nothing.
 
-    The heap order is kept in int arrays only (time, insertion sequence,
-    payload slot id); the payloads stay in stable slots.  A sift therefore
-    moves no boxed value and never runs the write barrier: a push stores
-    its payloads once, and a pop copies one live entry's payloads once,
-    into the slot it frees, so that slot does not keep the dropped
-    payloads reachable.
+    The order is kept in int arrays only (time, insertion sequence,
+    payload slot id); the payloads stay in stable slots.  Reordering
+    therefore moves no boxed value and never runs the write barrier: a
+    push stores its payloads once, and a pop copies one live entry's
+    payloads once, into the slot it frees, so that slot does not keep the
+    dropped payloads reachable.
+
+    Up to 32 entries are kept sorted, so a pop is O(1) and a push shifts
+    only the entries that pop before it; a deeper queue is a binary
+    min-heap until a pop leaves 16.  The mode changes the cost of a push
+    or pop, never the order.
 
     Events with equal timestamps pop in insertion order (FIFO), which keeps
     the simulation deterministic. *)
 
-(** A heap whose entries carry two payloads.  The engine uses this to
+(** A queue whose entries carry two payloads.  The engine uses this to
     store a (handler, argument) pair per event without boxing them in a
     closure or tuple. *)
 type ('a, 'b) t2
@@ -20,7 +25,7 @@ type ('a, 'b) t2
 (** Single-payload view: [('a, unit) t2]. *)
 type 'a t = ('a, unit) t2
 
-(** [capacity] pre-sizes the payload slots (default 256); the heap still
+(** [capacity] pre-sizes the payload slots (default 256); the queue still
     grows beyond it on demand. *)
 val create : ?capacity:int -> unit -> 'a t
 
@@ -33,12 +38,6 @@ val push : 'a t -> time:Time.t -> 'a -> unit
 
 val push2 : ('a, 'b) t2 -> time:Time.t -> 'a -> 'b -> unit
 
-(** [take_seq q] reserves the next insertion sequence number, as a push
-    would, without inserting anything.  An entry kept outside the heap
-    (the engine's parked retry loops) orders against the heap by
-    [(time, seq)] with the number reserved here. *)
-val take_seq : ('a, 'b) t2 -> int
-
 (** {2 Non-allocating accessors}
 
     The fast path for the dispatch loop: read the earliest entry's fields
@@ -47,10 +46,6 @@ val take_seq : ('a, 'b) t2 -> int
     first. *)
 
 val next_time : ('a, 'b) t2 -> Time.t
-
-(** The earliest entry's insertion sequence number: with [next_time], its
-    place in the [(time, seq)] order. *)
-val top_seq : ('a, 'b) t2 -> int
 
 val top_fst : ('a, 'b) t2 -> 'a
 val top_snd : ('a, 'b) t2 -> 'b

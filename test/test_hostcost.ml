@@ -1,6 +1,7 @@
 (* Host cost on the event path: layer counters are bumped in place, yet a
    [stats] value is a snapshot that later traffic leaves alone; counter
-   bumps and a parked retry loop's steps allocate nothing; saving and restoring endpoints moves their
+   bumps, an event-queue push/pop cycle and a retry loop's steps allocate
+   nothing; saving and restoring endpoints moves their
    records instead of copying them; a memory endpoint's DRAM window is
    backed when the endpoint is configured, and page-sized DRAM accesses
    allocate nothing; an LSM compaction takes under twice its tables' bytes
@@ -125,11 +126,36 @@ let test_counter_bumps_do_not_allocate () =
     (ignore (Stats.Counter.cell c "bucket/idle");
      Stats.Counter.get c "bucket/idle")
 
-(* A SEND stalled for credits is retried by a parked loop
+(* A push/pop cycle at constant depth reuses the slot it frees, with
+   boxed payloads: nothing at depth 8, where the queue is sorted, nor at
+   depth 1,000, where it is a heap. *)
+let test_queue_cycle_does_not_allocate () =
+  let x = Bytes.make 8 'x' and y = ref 0 in
+  List.iter
+    (fun depth ->
+      let q = Event_queue.create2 ~capacity:depth () in
+      for i = 1 to depth do
+        Event_queue.push2 q ~time:((i * 7919) land 0xFFFF) x y
+      done;
+      let i = ref 0 in
+      let cycle () =
+        let t = Event_queue.next_time q in
+        Event_queue.drop_min q;
+        incr i;
+        Event_queue.push2 q ~time:(t + 1 + ((!i * 7919) land 0xFFFF)) x y
+      in
+      let words = minor_words_per_call 10_000 cycle in
+      check_bool
+        (Printf.sprintf "push/pop cycle at depth %d: %.2f words = 0" depth words)
+        true (words = 0.0);
+      check_int "depth kept" depth (Event_queue.length q))
+    [ 8; 1000 ]
+
+(* A SEND stalled for credits is retried by a loop of queued steps
    ([Dtu.spin_send] on [Engine.spin]): each poll checks the endpoint and
    bumps counters, and neither it nor the failed completion after it
-   allocates.  Retried through the heap instead, the loop allocates about
-   4.5 words per event. *)
+   allocates.  Retried through [Engine.after] instead, the loop allocates
+   about 4.5 words per event. *)
 let test_parked_polls_do_not_allocate () =
   let eng = Engine.create () in
   let noc = Noc.create eng (Topology.star_mesh_2x2 ~tiles:2) in
@@ -150,9 +176,9 @@ let test_parked_polls_do_not_allocate () =
   let words = (Gc.minor_words () -. before) /. float_of_int steps in
   check_int "10,000 polls and completions" 20_000 steps;
   check_bool
-    (Printf.sprintf "parked step: %.4f words < 0.01" words)
+    (Printf.sprintf "retry step: %.4f words < 0.01" words)
     true (words < 0.01);
-  check_int "one parked loop pending" 1 (Engine.pending eng);
+  check_int "one retry step pending" 1 (Engine.pending eng);
   let st = Dtu.stats dtu in
   check_int "each poll counted a send" 10_001 st.Dtu.sends;
   check_int "and a credit stall" 10_001 st.Dtu.credit_stalls
@@ -425,6 +451,7 @@ let suite =
     ("dtu/noc/dram stats are snapshots", `Quick, test_dtu_noc_dram_snapshots);
     ("controller/nic stats are snapshots", `Quick, test_controller_nic_snapshots);
     ("counter bumps do not allocate", `Quick, test_counter_bumps_do_not_allocate);
+    ("queue push/pop cycle does not allocate", `Quick, test_queue_cycle_does_not_allocate);
     ("parked polls do not allocate", `Quick, test_parked_polls_do_not_allocate);
     ("take+put moves endpoints", `Quick, test_take_put_moves_endpoints);
     ("memory endpoint backs its window", `Quick, test_mem_endpoint_backs_its_window);

@@ -251,28 +251,61 @@ let prop_fast_path_matches_pop =
       done;
       !ok && Event_queue.is_empty q2)
 
-(* The slot heap against a reference list under every operation that
-   changes it.  Times come from a small range, so ties are common, and
-   the queue starts at capacity 1, so every growth step runs.  After each
-   step the top entry read through the accessors, its sequence number
-   included, is the head of a stable [(time, seq)] sort of the model. *)
-type qop = Push of int * int | Drop | Take_seq | Clear
+(* The queue against a reference list under every operation that
+   changes it.  Each pushed entry's payloads name it uniquely, so after
+   each step the earliest entry read through the accessors must be the
+   head of the model: a list in (time, push order), where a new entry
+   goes after every entry whose time is <= its own.  The queue starts at
+   capacity 1, so every growth step runs. *)
+type qop = Push of int | Drop | Clear
 
 let qop_print = function
-  | Push (t, v) -> Printf.sprintf "push %d %d" t v
+  | Push t -> Printf.sprintf "push %d" t
   | Drop -> "drop"
-  | Take_seq -> "take_seq"
   | Clear -> "clear"
+
+let queue_follows_script script =
+  let q = Event_queue.create2 ~capacity:1 () in
+  let rec insert ((time, _, _) as e) = function
+    | ((t, _, _) as x) :: rest when t <= time -> x :: insert e rest
+    | later -> e :: later
+  in
+  (* (time, fst, snd), in (time, push order) *)
+  let model = ref [] and pushed = ref 0 in
+  let agrees () =
+    Event_queue.length q = List.length !model
+    &&
+    match !model with
+    | [] -> Event_queue.is_empty q
+    | (t, x, y) :: _ ->
+        Event_queue.next_time q = t
+        && Event_queue.top_fst q = x
+        && Event_queue.top_snd q = y
+  in
+  List.for_all
+    (fun op ->
+      (match op with
+      | Push t ->
+          let x = Printf.sprintf "e%d" !pushed and y = [ !pushed ] in
+          incr pushed;
+          Event_queue.push2 q ~time:t x y;
+          model := insert (t, x, y) !model
+      | Drop -> (
+          match !model with
+          | [] -> ()
+          | _ :: rest ->
+              Event_queue.drop_min q;
+              model := rest)
+      | Clear ->
+          Event_queue.clear q;
+          model := []);
+      agrees ())
+    script
 
 let qop_gen =
   QCheck.Gen.(
     frequency
-      [
-        (6, map2 (fun t v -> Push (t, v)) (int_bound 7) small_nat);
-        (4, return Drop);
-        (1, return Take_seq);
-        (1, return Clear);
-      ])
+      [ (6, map (fun t -> Push t) (int_bound 7)); (4, return Drop); (1, return Clear) ])
 
 let prop_slot_heap_script =
   QCheck.Test.make ~name:"slot heap = stable (time, seq) sort of a reference"
@@ -280,49 +313,38 @@ let prop_slot_heap_script =
     (QCheck.make
        ~print:QCheck.Print.(list qop_print)
        QCheck.Gen.(list_size (int_bound 120) qop_gen))
-    (fun script ->
-      let q = Event_queue.create2 ~capacity:1 () in
-      (* (time, seq, fst, snd), kept sorted by (time, seq) *)
-      let model = ref [] and next_seq = ref 0 in
-      let agrees () =
-        Event_queue.length q = List.length !model
-        &&
-        match !model with
-        | [] -> Event_queue.is_empty q
-        | (t, seq, x, y) :: _ ->
-            Event_queue.next_time q = t
-            && Event_queue.top_seq q = seq
-            && Event_queue.top_fst q = x
-            && Event_queue.top_snd q = y
-      in
-      List.for_all
-        (fun op ->
-          (match op with
-          | Push (t, v) ->
-              let x = Printf.sprintf "x%d" v and y = [ v ] in
-              Event_queue.push2 q ~time:t x y;
-              model :=
-                List.stable_sort
-                  (fun (t1, s1, _, _) (t2, s2, _, _) -> compare (t1, s1) (t2, s2))
-                  (!model @ [ (t, !next_seq, x, y) ]);
-              incr next_seq
-          | Drop -> (
-              match !model with
-              | [] -> ()
-              | _ :: rest ->
-                  Event_queue.drop_min q;
-                  model := rest)
-          | Take_seq ->
-              let seq = Event_queue.take_seq q in
-              if seq <> !next_seq then
-                QCheck.Test.fail_reportf "take_seq %d, expected %d" seq !next_seq;
-              incr next_seq
-          | Clear ->
-              Event_queue.clear q;
-              model := [];
-              next_seq := 0);
-          agrees ())
-        script)
+    queue_follows_script
+
+(* The queue is sorted up to 32 entries and a heap above, until a pop
+   leaves 16.  Each script fills the queue past 32 and drains it below 16
+   two to four times, pushing now and then while it drains and popping
+   while it fills, with times from 0-7 so ties are common. *)
+let mode_switch_script st =
+  let int n = Random.State.int st n in
+  let ops = ref [] and depth = ref 0 in
+  let push () =
+    ops := Push (int 8) :: !ops;
+    incr depth
+  and drop () =
+    ops := Drop :: !ops;
+    decr depth
+  in
+  for _ = 1 to 2 + int 3 do
+    let high = 33 + int 40 and low = int 16 in
+    while !depth < high do
+      if !depth > 0 && int 4 = 0 then drop () else push ()
+    done;
+    while !depth > low do
+      if int 4 = 0 then push () else drop ()
+    done
+  done;
+  List.rev !ops
+
+let prop_queue_mode_switch =
+  QCheck.Test.make ~name:"queue order holds across the sorted/heap switch"
+    ~count:200
+    (QCheck.make ~print:QCheck.Print.(list qop_print) mode_switch_script)
+    queue_follows_script
 
 (* A dropped payload is not kept reachable by the slot it leaves while
    the other entries stay queued. *)
@@ -333,22 +355,28 @@ let push_tracked q w ~time =
 [@@inline never]
 
 let test_slot_heap_releases_dropped () =
-  let q = Event_queue.create2 ~capacity:1 () in
-  let w = Weak.create 1 in
-  push_tracked q w ~time:1;
-  Event_queue.push2 q ~time:2 (Bytes.make 64 'b') 2;
-  Event_queue.push2 q ~time:3 (Bytes.make 64 'c') 3;
-  Event_queue.drop_min q;
-  Gc.full_major ();
-  check_bool "dropped payload collected" false (Weak.check w 0);
-  check_int "two still queued" 2 (Event_queue.length q);
-  Alcotest.(check (list (pair int char)))
-    "the others drain in order"
-    [ (2, 'b'); (3, 'c') ]
-    (List.init 2 (fun _ ->
-         let t = Event_queue.next_time q and b = Event_queue.top_fst q in
-         Event_queue.drop_min q;
-         (t, Bytes.get b 0)))
+  (* At depth 3 the queue is sorted; at depth 100 it is a heap. *)
+  List.iter
+    (fun depth ->
+      let q = Event_queue.create2 ~capacity:1 () in
+      let w = Weak.create 1 in
+      push_tracked q w ~time:1;
+      for time = 2 to depth do
+        Event_queue.push2 q ~time (Bytes.make 64 'o') time
+      done;
+      Event_queue.drop_min q;
+      Gc.full_major ();
+      let at = Printf.sprintf " at depth %d" depth in
+      check_bool ("dropped payload collected" ^ at) false (Weak.check w 0);
+      check_int ("the others still queued" ^ at) (depth - 1) (Event_queue.length q);
+      Alcotest.(check (list (pair int int)))
+        ("the others drain in order" ^ at)
+        (List.init (depth - 1) (fun i -> (i + 2, i + 2)))
+        (List.init (depth - 1) (fun _ ->
+             let t = Event_queue.next_time q and v = Event_queue.top_snd q in
+             Event_queue.drop_min q;
+             (t, v))))
+    [ 3; 100 ]
 
 (* --- ambient switches: exact on every domain --- *)
 
@@ -562,4 +590,5 @@ let suite =
         prop_heap_interleaved;
         prop_fast_path_matches_pop;
         prop_slot_heap_script;
+        prop_queue_mode_switch;
       ]
