@@ -339,25 +339,22 @@ let resume ~file ?stop_after () =
 
 (* Multi-seed soak sweep.  Each seed is an independent task: [run]
    installs its plan domain-locally inside the task, so workers cannot see
-   each other's fault schedules.  Results come back in seed order;
-   liveness lines go through [Par.progress] (a single mutex-protected
-   stderr writer), so concurrent workers cannot interleave characters
-   within a line. *)
+   each other's fault schedules.  Results come back in seed order, and
+   each seed's liveness line is printed when the caller awaits that seed,
+   not when a worker finishes it, so stderr is in seed order too. *)
 let run_sweep ?(pool = M3v_par.Par.Pool.sequential) ?(spec = default_spec)
     ?(seed = 7) ?(seeds = 1) ?(fs_rounds = 5) ?(kv_ops = 120) () =
   let n = max 1 seeds in
   List.init n (fun i ->
-      let seed = seed + i in
-      M3v_par.Par.submit pool (fun () ->
-          let r = run ~spec ~seed ~fs_rounds ~kv_ops () in
-          M3v_par.Par.progress
-            (Printf.sprintf "chaos: seed %d done (fs %s, kv %s, %d restarts)"
-               seed
-               (if r.fs_done then "ok" else "FAILED")
-               (if r.kv_done then "ok" else "FAILED")
-               r.restarts);
-          r))
-  |> List.map M3v_par.Par.await
+      M3v_par.Par.submit pool (fun () -> run ~spec ~seed:(seed + i) ~fs_rounds ~kv_ops ()))
+  |> List.map (fun f ->
+         let r = M3v_par.Par.await f in
+         M3v_par.Par.progress
+           (Printf.sprintf "chaos: seed %d done (fs %s, kv %s, %d restarts)" r.seed
+              (if r.fs_done then "ok" else "FAILED")
+              (if r.kv_done then "ok" else "FAILED")
+              r.restarts);
+         r)
 
 let print r =
   let ff = Format.std_formatter in

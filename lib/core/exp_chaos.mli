@@ -75,8 +75,8 @@ val resume :
     [seed], fanning the runs out over [pool] as independent tasks (each
     installs its fault plan domain-locally).  Results return in seed
     order, so the printed sweep is byte-identical however many workers ran
-    it; per-seed completion lines go to stderr through the single-writer
-    {!M3v_par.Par.progress}. *)
+    it; so are the per-seed completion lines on stderr, printed through
+    {!M3v_par.Par.progress} as each seed is awaited. *)
 val run_sweep :
   ?pool:M3v_par.Par.Pool.t ->
   ?spec:M3v_fault.Fault.spec ->
