@@ -593,11 +593,10 @@ let send t ~ep ?reply_ep ?src_vaddr ?issue_ts ~msg_size data ~k =
   | Ok () -> ()
   | Error _ as err -> fail_send t ~k err
 
-(* A send stalled for credits, parked outside the event queue.  Each
+(* A send stalled for credits, retried by an [Engine.spin] loop.  Each
    poll is a SEND: while it fails with [No_credits], the stalled
    command's completion is bookkeeping only (its span closes
-   [cmd_process_ps] later), which the parked loop does in place of an
-   event. *)
+   [cmd_process_ps] later), which the loop's completion step does. *)
 let spin_send t ~ep ?reply_ep ?src_vaddr ?issue_ts ~msg_size data ~poll_ps
     ~on_poll ~on_settle ~k =
   (* The activity the stalled command was issued for, which its span

@@ -56,8 +56,8 @@ val send :
   unit
 
 (** [spin_send t ~ep ... data ~poll_ps ~on_poll ~on_settle ~k] retries
-    a SEND that failed with [No_credits] every [poll_ps], without an
-    engine event per retry (see {!M3v_sim.Engine.spin}).  Call it from the
+    a SEND that failed with [No_credits] every [poll_ps], allocating
+    nothing per retry (see {!M3v_sim.Engine.spin}).  Call it from the
     failed command's completion, with that command's arguments, in place
     of scheduling the SEND [poll_ps] later.  Each poll calls [on_poll ()]
     and then issues the SEND: its checks run and count as in {!send}.

@@ -322,7 +322,7 @@ let test_tlb_miss_fails_command () =
   | Error e -> Alcotest.failf "send after TLB fill: %s" (Dtu_types.error_to_string e)
 
 (* A SEND stalled for credits, retried every 2 us until the receiver acks
-   at 9 us: parked with [spin_send], it must count and complete exactly as
+   at 9 us: retried by [spin_send], it must count and complete exactly as
    when each retry is a [Dtu.send] scheduled with [Engine.after]. *)
 let stalled_send ~parked =
   let reg = M3v_obs.Metrics.create () in

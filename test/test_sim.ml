@@ -162,7 +162,7 @@ let test_engine_counts_across_max_events_cuts () =
   check_int "slice counts sum to total" 100 !total;
   check_int "processed ledger agrees" 100 (Engine.events_processed e)
 
-(* --- Engine.spin: parked retry loops ---
+(* --- Engine.spin: retry loops ---
 
    A script of senders sharing a pool of credits, plus interfering
    events.  Each sender makes a few sends; a send that finds no credit
@@ -170,7 +170,7 @@ let test_engine_counts_across_max_events_cuts () =
    stalled SEND.  [run_script ~parked] runs the script with each retry
    loop either built from [Engine.after] (the reference: poll, its
    failed completion [settle] later, the next poll [gap] after that) or
-   parked with [Engine.spin].  Both runs must log the same (label, time)
+   run by [Engine.spin] ([~parked:true]).  Both runs must log the same (label, time)
    pairs and report the same counts after every slice. *)
 
 type action =
@@ -327,7 +327,8 @@ let test_spin_replays_heap_loop =
       run_script ~parked:false sc = run_script ~parked:true sc)
 
 (* A long stall: 1,500 polls, so the observer's every-1,024-events
-   cadence falls on parked steps as it would on heap events. *)
+   cadence falls on [Engine.spin]'s steps as it would on [Engine.after]'s
+   events. *)
 let test_spin_observer_cadence () =
   let sc =
     {
@@ -346,8 +347,8 @@ let test_spin_observer_cadence () =
     (List.exists (fun (l, _) -> String.starts_with ~prefix:"observe" l) ref_run.log);
   check_bool "parked run identical" true (ref_run = run_script ~parked:true sc)
 
-(* Checkpoints marshal the engine, parked loops included.  A run cut
-   while a loop is parked, and one cut while none is, must resume from a
+(* Checkpoints marshal the engine, retry loops included.  A run cut
+   while a loop runs, and one cut while none does, must resume from a
    [Marshal] copy exactly as the uninterrupted run goes on. *)
 type ckpt_state = { eng : Engine.t; clog : (string * int) list ref }
 
