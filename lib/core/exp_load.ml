@@ -15,9 +15,9 @@
    output is byte-identical to sequential.  When no external trace is
    active, every step runs under a private trace sink and feeds the
    critical-path profiler, whose per-segment means drive the bottleneck
-   attribution; under an external [--trace] (which already forces
-   sequential execution, and whose sink cannot nest) the attribution is
-   reported as unavailable. *)
+   attribution; under an external [--trace] (a private sink would take
+   the step's events away from its file) the attribution is reported as
+   unavailable. *)
 
 open M3v_sim.Proc.Syntax
 module Proc = M3v_sim.Proc
@@ -242,9 +242,9 @@ let run_step cfg ~frac =
     in
     (stalls, sends)
   in
-  (* A private sink cannot nest inside an external --trace sink
-     (uninstall restores "none", not the previous sink), so profiler
-     segments are only collected when we own the tracing. *)
+  (* Profiler segments come from a private sink, and only when no
+     external --trace sink is live: a private one would take the step's
+     events away from that trace file. *)
   let sink = if Trace.on () then None else Some (Trace.make ()) in
   let stalls, sends =
     match sink with

@@ -5,6 +5,8 @@ module Controller = M3v_kernel.Controller
 module Runtime = M3v_mux.Runtime
 module Dtu = M3v_dtu.Dtu
 module Ep = M3v_dtu.Ep
+module Trace = M3v_obs.Trace
+module Metrics = M3v_obs.Metrics
 
 type variant = M3v | M3x
 
@@ -21,8 +23,21 @@ type t = {
 let create ?spec ?topology ?timeslice ~variant () =
   let spec = match spec with Some s -> s | None -> Platform.fpga_spec () in
   let engine = Engine.create () in
-  (* No-op unless a trace sink is installed. *)
-  M3v_obs.Hooks.attach_engine engine;
+  (* With tracing or metrics on, every 1024 processed events sample the
+     queue depth into the trace and every metric's time series.  The
+     engine takes a plain observer so lib/sim stays free of lib/obs. *)
+  if Trace.on () || Metrics.on () then
+    Engine.set_observer engine
+      (Some
+         (fun now pending ->
+           if Trace.on () then
+             Trace.counter ~cat:"engine" ~name:"pending_events" ~ts:now
+               ~value:(float_of_int pending) ();
+           if Metrics.on () then begin
+             Metrics.gauge_set ~name:"engine/pending_events" ~ts:now
+               (float_of_int pending);
+             Metrics.sample_ambient ~ts:now
+           end));
   let platform =
     Platform.create ?topology ~virtualized:(variant = M3v) ~tiles:spec engine
       ()

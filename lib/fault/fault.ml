@@ -20,6 +20,7 @@
 
 module Rng = M3v_sim.Rng
 module Trace = M3v_obs.Trace
+module Ambient = M3v_obs.Ambient
 
 type spec = {
   drop : float;
@@ -164,28 +165,13 @@ let create ?(seed = 1) spec =
 let stats t = t.stats
 let spec t = t.spec
 
-(* --- ambient installation, mirroring Trace: domain-local so parallel
+(* --- ambient installation, like Trace's sink: domain-local so parallel
    experiment tasks each run under their own plan (or none) --- *)
 
-let current : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-let installed = Atomic.make 0
-
-let set_current v =
-  (match (Domain.DLS.get current, v) with
-  | None, Some _ -> Atomic.incr installed
-  | Some _, None -> Atomic.decr installed
-  | None, None | Some _, Some _ -> ());
-  Domain.DLS.set current v
-
-let active () = if Atomic.get installed = 0 then None else Domain.DLS.get current
-let on () = Atomic.get installed > 0 && Option.is_some (Domain.DLS.get current)
-let installed_domains () = Atomic.get installed
-let install t = set_current (Some t)
-let uninstall () = set_current None
-
-let with_plan t f =
-  install t;
-  Fun.protect ~finally:uninstall f
+let current : t Ambient.t = Ambient.make ()
+let on () = Ambient.on current
+let installed_domains () = Ambient.domains current
+let with_plan t f = Ambient.with_ current t f
 
 (* [protect] exempts an activity from crash/hang injection (e.g. the
    pager, whose loss would wedge every faulting activity on the tile
@@ -197,7 +183,7 @@ let protect t ~act = Hashtbl.replace t.protected act ()
 type noc_fate = Deliver | Drop | Duplicate | Delay of int
 
 let noc_fate ~now ~src ~dst =
-  match active () with
+  match Ambient.get current with
   | None -> Deliver
   | Some p ->
       let r = Rng.float p.rng in
@@ -230,7 +216,7 @@ let noc_fate ~now ~src ~dst =
       else Deliver
 
 let cmd_fails ~now ~tile =
-  match active () with
+  match Ambient.get current with
   | None -> false
   | Some p ->
       p.spec.cmd_fail > 0.
@@ -248,7 +234,7 @@ type act_fate = Crash | Hang
    [spec.hang] hangs are injected across the whole run, each with
    per-boundary probability [crash_p]/[hang_p] while budget remains. *)
 let act_fate ~now ~tile ~act =
-  match active () with
+  match Ambient.get current with
   | None -> None
   | Some p ->
       if Hashtbl.mem p.protected act then None
@@ -274,7 +260,7 @@ let act_fate ~now ~tile ~act =
    [mig_abort_p] while budget remains.  After the flip the protocol can
    only roll forward, so the controller stops consulting this hook. *)
 let mig_fate ~now ~tile ~act ~phase =
-  match active () with
+  match Ambient.get current with
   | None -> false
   | Some p ->
       p.mig_abort_left > 0

@@ -61,23 +61,20 @@ val create : ?seed:int -> spec -> t
 val stats : t -> stats
 val spec : t -> spec
 
-(** {1 Global installation} *)
+(** {1 Installation} *)
 
-val install : t -> unit
-val uninstall : unit -> unit
-
-(** [with_plan t f] runs [f] with [t] installed, uninstalling on return or
-    exception. *)
+(** [with_plan t f] runs [f] with [t] as this domain's plan, then puts
+    back the plan [f] replaced (or none), on return or exception. *)
 val with_plan : t -> (unit -> 'a) -> 'a
 
-(** Whether a plan is installed.  Injection points and recovery machinery
-    (retransmit timers, watchdogs, RPC deadlines) check this first so the
-    fault-free fast path stays untouched.  Like {!M3v_obs.Trace.on}, it
-    reads the process-wide count of domains with a plan first. *)
+(** Whether a plan is installed on this domain.  Injection points and
+    recovery machinery (retransmit timers, watchdogs, RPC deadlines) check
+    this first so the fault-free fast path stays untouched.  Exact on
+    every domain (see {!M3v_obs.Ambient.on}). *)
 val on : unit -> bool
 
-(** The number of domains that have a plan installed now.  For tests,
-    like {!M3v_obs.Trace.installed_domains}. *)
+(** The number of domains that have a plan installed now (see
+    {!M3v_obs.Ambient.domains}). *)
 val installed_domains : unit -> int
 
 (** Exempt activity [act] from crash/hang injection (e.g. the pager). *)

@@ -32,7 +32,7 @@ val recv : eps:int list -> (int * M3v_dtu.Msg.t) Proc.t
 
 (** Like {!recv} but resolves to [None] if nothing arrived within
     [timeout] (relative).  The runtime arms the deadline only under M3v
-    and only while a fault plan is installed ({!M3v_fault.Fault.install});
+    and only while a fault plan is installed ({!M3v_fault.Fault.with_plan});
     otherwise the call waits like {!recv} and never resolves to [None].
     Service clients use this to survive a crashed or wedged server instead
     of blocking forever. *)

@@ -21,8 +21,6 @@ let escape b s =
       | c -> Buffer.add_char b c)
     s
 
-let escape_into = escape
-
 let add_value b = function
   | Trace.I i -> Buffer.add_string b (string_of_int i)
   | Trace.F f -> Buffer.add_string b (Printf.sprintf "%g" f)
@@ -101,9 +99,10 @@ let add_meta b ~ph_name ~pid ?tid ~label () =
 
 let act_label act =
   if act = global_tid then "(unattributed)"
-  else if act = 0xFFFF then "(no act)"
-  else if act = 0xFFFE then "tilemux"
-  else Printf.sprintf "act %d" act
+  else
+    match Trace.reserved_act act with
+    | Some label -> label
+    | None -> Printf.sprintf "act %d" act
 
 let add_metadata b sink =
   let module IS = Set.Make (Int) in

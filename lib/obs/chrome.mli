@@ -21,4 +21,4 @@ val write : out_channel -> Trace.sink -> unit
 val write_file : string -> Trace.sink -> unit
 
 (** JSON-escape [s] into the buffer (shared with the metrics exporter). *)
-val escape_into : Buffer.t -> string -> unit
+val escape : Buffer.t -> string -> unit

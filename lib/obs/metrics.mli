@@ -2,7 +2,7 @@
     (tile, activity, category), with ring-buffer time-series sampling and
     deterministic text/JSON export.
 
-    Like {!Trace}, the registry is ambient and domain-local: emitters
+    Like {!Trace}'s sink, the registry is an {!Ambient} setting: emitters
     allocate nothing when no registry is installed, and while no domain
     has one they cost one atomic load, so instrumented hot paths are free
     in ordinary runs.
@@ -15,25 +15,23 @@
 type t
 
 (** [create ()] makes an empty registry.  Each gauge/counter keeps at most
-    [series_cap] time-series samples (a ring of the newest). *)
-val create : ?series_cap:int -> unit -> t
-
-val default_series_cap : int
+    512 time-series samples (a ring of the newest). *)
+val create : unit -> t
 
 (** {1 Ambient registry} *)
 
-val install : t -> unit
-val uninstall : unit -> unit
+(** [with_registry r f] runs [f] with [r] as this domain's registry, then
+    puts back the registry [f] replaced (or none), on return or
+    exception. *)
 val with_registry : t -> (unit -> 'a) -> 'a
 
 (** Whether a registry is installed on this domain.  Hot call sites check
-    this before computing emitter arguments.  Like {!Trace.on}, it reads
-    the process-wide count of domains with a registry first. *)
+    this before computing emitter arguments.  Exact on every domain (see
+    {!Ambient.on}). *)
 val on : unit -> bool
 
 (** The number of domains that have a registry installed now (a
-    {!shard_task} counts while it runs).  For tests, like
-    {!Trace.installed_domains}. *)
+    {!shard_task} counts while it runs; see {!Ambient.domains}). *)
 val installed_domains : unit -> int
 
 (** {1 Emitters} — no-ops when no registry is installed.  A name must keep
@@ -56,28 +54,22 @@ val observe : name:string -> ?tile:int -> ?act:int -> ?cat:string -> float -> un
 
 (** {1 Sampling} *)
 
-(** Push the current value of every counter and gauge into its ring
-    series, stamped [ts].  Wired to the engine observer (every 1024
-    simulation events) so cadence is deterministic in simulated time. *)
-val sample : t -> ts:int -> unit
-
-(** {!sample} on this domain's ambient registry, if any. *)
+(** Push the current value of every counter and gauge of this domain's
+    registry, if any, into its ring series, stamped [ts].  Wired to the
+    engine observer (every 1024 simulation events) so cadence is
+    deterministic in simulated time. *)
 val sample_ambient : ts:int -> unit
 
-(** {1 Merging and sharding} *)
-
-(** [merge ~into src] folds [src] into [into]: counters add, histograms
-    merge, gauges keep the value with the later simulated timestamp
-    ([src] wins ties), series are merge-sorted by timestamp and truncated
-    to the ring capacity.  Deterministic given a deterministic merge
-    order. *)
-val merge : into:t -> t -> unit
+(** {1 Sharding} *)
 
 (** [shard_task f] — [None] when metrics are off.  Otherwise wraps [f] so
     it records into a fresh shard no matter which domain runs it, and
     returns the thunk that merges the shard into the registry that was
-    ambient at wrap time.  Used by [Par.Pool.submit]; the merge thunk runs
-    at [await], in submission order. *)
+    ambient at wrap time: counters add, histograms merge, gauges keep the
+    value with the later simulated timestamp (the shard wins ties), series
+    are merge-sorted by timestamp and truncated to the ring capacity.
+    Used by [Par.Pool.submit]; the merge thunk runs at [await], in
+    submission order, so the result is deterministic. *)
 val shard_task : (unit -> 'a) -> ((unit -> 'a) * (unit -> unit)) option
 
 (** {1 Export} *)
@@ -88,7 +80,6 @@ val shard_task : (unit -> 'a) -> ((unit -> 'a) * (unit -> unit)) option
 val to_buffer : t -> Buffer.t
 
 val to_json : t -> string
-val write_file : string -> t -> unit
 
 (** Human-readable tables (counters, gauges, histograms). *)
 val print : Format.formatter -> t -> unit

@@ -291,9 +291,10 @@ let print fmt r =
 
 let act_frame act =
   if act < 0 then "(none)"
-  else if act = 0xFFFF then "(no act)"
-  else if act = 0xFFFE then "tilemux"
-  else Printf.sprintf "act%d" act
+  else
+    match Trace.reserved_act act with
+    | Some label -> label
+    | None -> Printf.sprintf "act%d" act
 
 let tile_frame tile =
   if tile < 0 then "global" else Printf.sprintf "tile%d" tile

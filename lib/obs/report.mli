@@ -1,6 +1,4 @@
 (** Human-readable trace summaries: latency percentiles (p50/p90/p99) per
     histogram and a per-tile/per-category event table. *)
 
-val print_histograms : Format.formatter -> Trace.sink -> unit
-val print_tallies : Format.formatter -> Trace.sink -> unit
 val print : Format.formatter -> Trace.sink -> unit

@@ -111,7 +111,6 @@ let prop_spec_roundtrip =
 (* --- gating: without a plan every hook is inert --- *)
 
 let test_no_plan_is_inert () =
-  Fault.uninstall ();
   check_bool "off" false (Fault.on ());
   check_bool "deliver" true (Fault.noc_fate ~now:0 ~src:0 ~dst:1 = Fault.Deliver);
   check_bool "no cmd glitch" false (Fault.cmd_fails ~now:0 ~tile:1);
