@@ -452,6 +452,24 @@ let test_switches_exact_across_domains () =
       check_int "no registry left installed" 0 (Metrics.installed_domains ());
       check_switches "all off after the metrics run" all_off (switches ()))
 
+(* An install inside another puts back the outer sink, registry and
+   plan, not none. *)
+let test_nested_installs_restore_outer () =
+  let outer = Trace.make () in
+  let after =
+    Trace.with_sink outer (fun () ->
+        Metrics.with_registry (Metrics.create ()) (fun () ->
+            Fault.with_plan (Fault.create Fault.none) (fun () ->
+                with_all (fun () -> ());
+                Trace.instant ~cat:"c" ~name:"after" ~ts:0 ();
+                switches ())))
+  in
+  check_switches "outer settings back after the inner installs"
+    (true, true, true) after;
+  check_int "the outer sink got the later event" 1 (Trace.event_count outer);
+  check_switches "all off after the outer installs" all_off (switches ());
+  check_counts "nothing left installed" (0, 0, 0) (installed ())
+
 (* --- Engine: clock rule and apply fast path --- *)
 
 let test_engine_until_advances_when_drained () =
@@ -570,6 +588,8 @@ let suite =
       test_slot_heap_releases_dropped;
     Alcotest.test_case "switches: exact across domains" `Quick
       test_switches_exact_across_domains;
+    Alcotest.test_case "switches: nested installs restore the outer" `Quick
+      test_nested_installs_restore_outer;
     Alcotest.test_case "engine: until advances a drained clock" `Quick
       test_engine_until_advances_when_drained;
     Alcotest.test_case "engine: max_events keeps clock on pending work" `Quick
