@@ -8,9 +8,10 @@
    runs the experiment under a deterministic fault plan.  ablations,
    migrate and chaos take a subset; table1 and complexity take none.
 
-   Parallelism: --jobs N (or M3V_JOBS) fans independent units of the
-   experiment out over N domains.  Output is byte-identical to a
-   sequential run; --trace/--faults force sequential execution. *)
+   Parallelism: --jobs N fans independent units of the experiment out
+   over N domains (default: the number of cores).  Output is
+   byte-identical to a sequential run; --trace/--faults force sequential
+   execution. *)
 
 open Cmdliner
 
@@ -50,9 +51,8 @@ let fault_seed =
 let jobs =
   let doc =
     "Run independent parts of the experiment on $(docv) domains \
-     (defaults to $(b,M3V_JOBS) or the number of cores).  Output is \
-     byte-identical to --jobs 1.  --trace and --faults force sequential \
-     execution."
+     (defaults to the number of cores).  Output is byte-identical to \
+     --jobs 1.  --trace and --faults force sequential execution."
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 

@@ -31,9 +31,9 @@ type opts = {
   jobs : int option;
       (** Fan the experiment's independent units — bars, sweep points,
           seeds — out over a {!M3v_par.Par} Domain pool of this size
-          ([None]: the [M3V_JOBS] environment variable or the core
-          count).  Results merge in task-submission order, so parallel
-          and sequential runs print byte-identical output. *)
+          ([None]: the core count).  Results merge in task-submission
+          order, so parallel and sequential runs print byte-identical
+          output. *)
 }
 
 (** No trace, metrics or faults; [fault_seed = 7]; [jobs = None]. *)

@@ -35,14 +35,6 @@ module Pool = struct
   let sequential = Seq
   let jobs = function Seq -> 1 | Par p -> p.njobs
 
-  let default_jobs () =
-    match Sys.getenv_opt "M3V_JOBS" with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n > 0 -> n
-        | Some _ | None -> Domain.recommended_domain_count ())
-    | None -> Domain.recommended_domain_count ()
-
   let rec worker_loop p =
     Mutex.lock p.qm;
     let rec next () =
@@ -60,7 +52,7 @@ module Pool = struct
     in
     next ()
 
-  let create ?jobs:(n = default_jobs ()) () =
+  let create ?jobs:(n = Domain.recommended_domain_count ()) () =
     if n <= 1 then Seq
     else begin
       let p =
@@ -94,8 +86,6 @@ module Pool = struct
     let p = create ?jobs () in
     Fun.protect ~finally:(fun () -> shutdown p) (fun () -> f p)
 end
-
-let default_jobs = Pool.default_jobs
 
 type 'a future = {
   state : 'a state Atomic.t;

@@ -23,8 +23,8 @@ module Pool : sig
 
   (** [create ~jobs ()] starts [jobs - 1] worker domains (the submitting
       domain is the remaining worker: it helps while awaiting).  [jobs]
-      defaults to {!default_jobs}; values [<= 1] create a sequential
-      pool. *)
+      defaults to [Domain.recommended_domain_count ()]; values [<= 1]
+      create a sequential pool. *)
   val create : ?jobs:int -> unit -> t
 
   (** A pool that runs every task inline at submission.  Never needs
@@ -70,10 +70,6 @@ val map : Pool.t -> ('a -> 'b) -> 'a list -> 'b list
 (** [all pool fs] runs the thunks and returns their results in list
     order. *)
 val all : Pool.t -> (unit -> 'a) list -> 'a list
-
-(** Default worker count: [M3V_JOBS] if set to a positive integer, else
-    [Domain.recommended_domain_count ()]. *)
-val default_jobs : unit -> int
 
 (** [progress line] prints [line ^ "\n"] to stderr atomically (single
     mutex-protected writer), flushing immediately.  Safe to call from any
