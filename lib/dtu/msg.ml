@@ -27,8 +27,8 @@ let header_bytes = 16
 let next_uid : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 
 (* Flow tracepoints embed uids as causal-flow ids, so a traced run must
-   allocate them reproducibly: restart the counter whenever a trace sink
-   is installed. *)
+   allocate them reproducibly: restart the counter whenever a domain's
+   first trace sink is installed. *)
 let () = M3v_obs.Trace.at_install (fun () -> Domain.DLS.get next_uid := 0)
 
 (* Checkpoint/restore must capture the counter explicitly: it lives in
