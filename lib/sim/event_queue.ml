@@ -27,19 +27,33 @@
 
    Two payload slots let the engine store a (handler, argument) pair per
    event without a closure; single-payload users ([push]/[pop]) are the
-   same queue with [ys] fixed to [unit].
+   same queue with [ys] fixed to [unit].  The payload arrays' element
+   type is [any], not the payloads' own type; see below.
 
    Ordering: by time, then by insertion sequence — events with equal
    timestamps pop in FIFO order, which keeps the simulation
    deterministic.  Every reordering moves a hole instead of swapping, so
    each step is one copy per array rather than three. *)
 
+(* The payload arrays' element type.  An array of a type variable makes
+   ocamlopt test, at every read and write, whether the array is a flat
+   float array.  A record type tells it that these arrays hold pointers
+   and immediates only, so a read is a plain load and a write goes
+   straight to [caml_modify].  No [any] is ever built: [inj] and [prj]
+   coerce the payloads, and a boxed float is stored as its pointer.  The
+   arrays must therefore never be flat float arrays; see [grow]. *)
+type any = { never_built : unit }
+
+let[@inline] inj (x : 'a) : any = Obj.magic x
+let[@inline] prj (x : any) : 'a = Obj.magic x
+
+(* ['a] and ['b] are the types of the payloads stored as [any]. *)
 type ('a, 'b) t2 = {
   mutable times : int array; (* Time.t = int; queue order *)
   mutable seqs : int array; (* queue order *)
   mutable slot : int array; (* queue order, then the free slot ids *)
-  mutable xs : 'a array; (* by slot id *)
-  mutable ys : 'b array; (* by slot id *)
+  mutable xs : any array; (* by slot id *)
+  mutable ys : any array; (* by slot id *)
   mutable size : int;
   mutable mask : int; (* -1 while sorted, 0 while a heap *)
   mutable next_seq : int;
@@ -76,6 +90,12 @@ let create ?capacity () = create2 ?capacity ()
 let is_empty q = q.size = 0
 let length q = q.size
 
+(* [Array.make]'s fill for a payload array: the payload itself, unless
+   it is a boxed float, from which [Array.make] would build a flat float
+   array. *)
+let fill (x : any) =
+  if Obj.tag (Obj.repr x) = Obj.double_tag then inj () else x
+
 (* A push into a full queue grows it first.  Payload arrays need a fill
    value, so allocation is deferred to the first push (and sized by
    [hint], pre-sizing the steady state).  The queue is full, so every old
@@ -87,7 +107,7 @@ let grow q a b =
   let ncap = max q.hint (2 * cap) in
   let nt = Array.make ncap 0 and ns = Array.make ncap 0 in
   let nslot = Array.init ncap Fun.id in
-  let nx = Array.make ncap a and ny = Array.make ncap b in
+  let nx = Array.make ncap (fill a) and ny = Array.make ncap (fill b) in
   Array.blit q.times 0 nt 0 cap;
   Array.blit q.seqs 0 ns 0 cap;
   Array.blit q.slot 0 nslot 0 cap;
@@ -166,6 +186,7 @@ let to_sorted q =
   q.mask <- -1
 
 let push2 q ~time a b =
+  let a = inj a and b = inj b in
   let n = q.size in
   if n = Array.length q.times then grow q a b;
   if n = heap_above && q.mask <> 0 then to_heap q;
@@ -194,17 +215,19 @@ let push2 q ~time a b =
 
 let push q ~time v = push2 q ~time v ()
 
-let next_time q =
-  if q.size = 0 then invalid_arg "Event_queue.next_time: empty queue";
+(* The earliest entry's reads inline into the caller: a test for an
+   empty queue, the position and one to two loads. *)
+let[@inline] next_time q =
+  if q.size = 0 then raise (Invalid_argument "Event_queue.next_time: empty queue");
   Array.unsafe_get q.times ((q.size - 1) land q.mask)
 
-let top_fst q =
-  if q.size = 0 then invalid_arg "Event_queue.top_fst: empty queue";
-  Array.unsafe_get q.xs (Array.unsafe_get q.slot ((q.size - 1) land q.mask))
+let[@inline] top_fst q =
+  if q.size = 0 then raise (Invalid_argument "Event_queue.top_fst: empty queue");
+  prj (Array.unsafe_get q.xs (Array.unsafe_get q.slot ((q.size - 1) land q.mask)))
 
-let top_snd q =
-  if q.size = 0 then invalid_arg "Event_queue.top_snd: empty queue";
-  Array.unsafe_get q.ys (Array.unsafe_get q.slot ((q.size - 1) land q.mask))
+let[@inline] top_snd q =
+  if q.size = 0 then raise (Invalid_argument "Event_queue.top_snd: empty queue");
+  prj (Array.unsafe_get q.ys (Array.unsafe_get q.slot ((q.size - 1) land q.mask)))
 
 let drop_min q =
   if q.size = 0 then invalid_arg "Event_queue.drop_min: empty queue";

@@ -54,6 +54,52 @@ let test_queue_many =
       in
       drain [] = List.sort compare times)
 
+(* Boxed floats as payloads.  The payload arrays are read and written as
+   arrays of pointers, so a float payload must be stored as its box.  A
+   flat float array, which [Array.make] builds from a float fill value,
+   would hide the boxes from the GC: after a minor collection they are
+   gone, and fresh allocation reuses their memory.  The first push of a
+   fresh queue or engine sizes its arrays from that push's payloads. *)
+let gc_and_reuse () =
+  Gc.minor ();
+  ignore (Sys.opaque_identity (List.init 2000 (fun i -> Bytes.make 16 (Char.chr (i land 0xff)))))
+
+let test_queue_float_payloads () =
+  let x i = float_of_int i +. 0.5 and y i = float_of_int i +. 0.25 in
+  let check_float = Alcotest.(check (float 0.)) in
+  (* 40 entries: past the sorted mode's 32, so the heap reorders them. *)
+  let n = 40 in
+  let q = Event_queue.create2 ~capacity:1 () in
+  for i = 0 to n - 1 do
+    let t = i * 7 mod n in
+    Event_queue.push2 q ~time:t (x t) (y t)
+  done;
+  gc_and_reuse ();
+  for t = 0 to n - 1 do
+    check_int "time" t (Event_queue.next_time q);
+    check_float "first payload" (x t) (Event_queue.top_fst q);
+    check_float "second payload" (y t) (Event_queue.top_snd q);
+    Event_queue.drop_min q
+  done;
+  let q = Event_queue.create ~capacity:1 () in
+  List.iter (fun t -> Event_queue.push q ~time:t (x t)) [ 3; 1; 2 ];
+  gc_and_reuse ();
+  check_float "pop_min" (x 1) (Event_queue.pop_min q);
+  (match Event_queue.pop q with
+  | Some (2, v) -> check_float "pop" (x 2) v
+  | _ -> Alcotest.fail "pop: no entry at time 2");
+  check_float "pop_min, last" (x 3) (Event_queue.pop_min q);
+  let eng = Engine.create () in
+  let got = ref [] in
+  let note (v : float) = got := v :: !got in
+  Engine.at_apply eng ~time:5 note (x 5);
+  Engine.at eng ~time:1 (fun () -> note (x 1));
+  Engine.at_apply eng ~time:3 note (x 3);
+  gc_and_reuse ();
+  check_int "three events" 3 (Engine.run eng);
+  Alcotest.(check (list (float 0.)))
+    "engine handlers got their floats" [ x 1; x 3; x 5 ] (List.rev !got)
+
 (* --- Engine --- *)
 
 let test_engine_runs_in_order () =
@@ -529,6 +575,7 @@ let suite =
     ("time freq rounding", `Quick, test_time_freq_rounding);
     ("event queue order", `Quick, test_queue_order);
     ("event queue fifo ties", `Quick, test_queue_fifo_ties);
+    ("event queue: float payloads survive", `Quick, test_queue_float_payloads);
     ("engine ordering", `Quick, test_engine_runs_in_order);
     ("engine nested", `Quick, test_engine_nested_scheduling);
     ("engine horizon", `Quick, test_engine_horizon);
