@@ -169,7 +169,7 @@ let spec t = t.spec
    experiment tasks each run under their own plan (or none) --- *)
 
 let current : t Ambient.t = Ambient.make ()
-let on () = Ambient.on current
+let[@inline] on () = Ambient.on current
 let installed_domains () = Ambient.domains current
 let with_plan t f = Ambient.with_ current t f
 

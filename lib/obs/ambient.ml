@@ -3,7 +3,11 @@
    every restore.  [get] and [on] read the count first and touch
    domain-local storage only when some domain holds a value.  The answer
    is exact: a domain's own install precedes its own reads, and the count
-   never drops below the number of domains holding a value. *)
+   never drops below the number of domains holding a value.
+
+   [get] and [on] inline into their callers as the count test and a
+   branch; the domain-local read behind the branch is [held], kept out of
+   line because inlining [Domain.DLS.get] would make every guard large. *)
 type 'a t = { current : 'a option Domain.DLS.key; installed : int Atomic.t }
 
 let make () =
@@ -16,11 +20,12 @@ let set t v =
   | None, None | Some _, Some _ -> ());
   Domain.DLS.set t.current v
 
-let get t =
-  if Atomic.get t.installed = 0 then None else Domain.DLS.get t.current
+let[@inline never] held t = Domain.DLS.get t.current
 
-let on t =
-  Atomic.get t.installed > 0 && Option.is_some (Domain.DLS.get t.current)
+let[@inline] get t = if Atomic.get t.installed = 0 then None else held t
+
+let[@inline] on t =
+  Atomic.get t.installed > 0 && Option.is_some (held t)
 
 let domains t = Atomic.get t.installed
 

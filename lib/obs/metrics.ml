@@ -35,7 +35,7 @@ let create () = { table = Hashtbl.create 64; series = Hashtbl.create 16 }
 (* --- ambient registry --- *)
 
 let current : t Ambient.t = Ambient.make ()
-let on () = Ambient.on current
+let[@inline] on () = Ambient.on current
 let installed_domains () = Ambient.domains current
 let with_registry r f = Ambient.with_ current r f
 

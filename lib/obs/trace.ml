@@ -40,7 +40,7 @@ let make ?(max_events = 500_000) () =
    constructor; every tracepoint below returns immediately (allocating
    nothing) while this domain has none. *)
 let current : sink Ambient.t = Ambient.make ()
-let on () = Ambient.on current
+let[@inline] on () = Ambient.on current
 let installed_domains () = Ambient.domains current
 
 (* Run-local allocator resets (e.g. the message uid counter).  Trace
