@@ -1,4 +1,5 @@
 module Engine = M3v_sim.Engine
+module Int_table = M3v_sim.Int_table
 module Noc = M3v_noc.Noc
 module Trace = M3v_obs.Trace
 module Metrics = M3v_obs.Metrics
@@ -93,7 +94,7 @@ type t = {
   eps : Ep.t array;
   tlb : Tlb.t;
   mutable cur : act_id;
-  unread : (act_id, int ref) Hashtbl.t;
+  unread : int ref Int_table.t;  (* by activity *)
   core_reqs : act_id Queue.t;
   mutable core_req_irq : unit -> unit;
   mutable msg_arrived : act_id -> unit;
@@ -143,7 +144,7 @@ let create ~virtualized ~tile engine noc =
     eps = Array.init 128 (fun _ -> Ep.make_invalid ());
     tlb = Tlb.create ~capacity:32;
     cur = invalid_act;
-    unread = Hashtbl.create 8;
+    unread = Int_table.create 8;
     core_reqs = Queue.create ();
     core_req_irq = (fun () -> ());
     msg_arrived = (fun _ -> ());
@@ -168,11 +169,11 @@ let stats t = { t.stats with sends = t.stats.sends }
 let tlb t = t.tlb
 
 let unread_cell t act =
-  match Hashtbl.find_opt t.unread act with
-  | Some r -> r
-  | None ->
+  match Int_table.find t.unread act with
+  | r -> r
+  | exception Not_found ->
       let r = ref 0 in
-      Hashtbl.add t.unread act r;
+      Int_table.replace t.unread act r;
       r
 
 let unread_of t act = !(unread_cell t act)
@@ -351,6 +352,11 @@ let deliver dst ~dst_ep (msg : Msg.t) =
 
 (* --- credits --- *)
 
+(* Where the endpoint slot [ep] forwards to after its activity migrated
+   away.  No lookup while nothing migrated away from this tile. *)
+let moved_to t ep =
+  if Hashtbl.length t.moved = 0 then None else Hashtbl.find_opt t.moved ep
+
 let add_count tbl key n =
   Hashtbl.replace tbl key (n + Option.value (Hashtbl.find_opt tbl key) ~default:0)
 
@@ -370,7 +376,7 @@ let rec apply_grant dtu ~ep n =
     match dtu.eps.(ep).Ep.cfg with
     | Ep.Send s -> top_up ~ctx:"grant" s n
     | Ep.Invalid -> (
-        match Hashtbl.find_opt dtu.moved ep with
+        match moved_to dtu ep with
         | Some (fwd_tile, fwd_ep) -> grant_credits dtu ~dst:fwd_tile ~ep:fwd_ep n
         | None -> add_count dtu.pending_refunds ep n)
     | Ep.Recv _ | Ep.Mem _ -> ()
@@ -503,7 +509,7 @@ let rec chase t st ~credit ~k ~bytes msg tile ep hops =
     match t.lookup_dtu tile with
     | None -> ack_to_sender t st ~credit ~k ~from:tile (Error Recv_gone)
     | Some dst -> (
-        match Hashtbl.find_opt dst.moved ep with
+        match moved_to dst ep with
         | Some (fwd_tile, fwd_ep) when hops > 0 ->
             if Trace.on () then
               Trace.instant ~cat:"dtu" ~name:"mig_forward" ~tile
@@ -1036,7 +1042,7 @@ let ext_seed_unread t ~act =
   cell := !n;
   !n
 
-let ext_drop_unread t ~act = Hashtbl.remove t.unread act
+let ext_drop_unread t ~act = Int_table.remove t.unread act
 
 (* Credit inventory as seen by this DTU: credits sitting at send
    endpoints, plus refunds parked for Invalid slots or batched at shared

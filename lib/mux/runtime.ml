@@ -1,6 +1,7 @@
 module Engine = M3v_sim.Engine
 module Time = M3v_sim.Time
 module Proc = M3v_sim.Proc
+module Int_table = M3v_sim.Int_table
 module Stats = M3v_sim.Stats
 module Dtu = M3v_dtu.Dtu
 module Dtu_types = M3v_dtu.Dtu_types
@@ -98,7 +99,7 @@ type t = {
   core : Core_model.t;
   ctrl : Controller.t;
   timeslice : Time.t;
-  acts : (act_id, arec) Hashtbl.t;
+  acts : arec Int_table.t;
       (** by id, for the ids the vDTU and the controller hand over *)
   mutable spawn_order : arec list;
   runq : arec Queue.t;
@@ -132,7 +133,7 @@ let tile t = t.rtile
 let counters t = t.counters
 
 let find t aid =
-  match Hashtbl.find_opt t.acts aid with
+  match Int_table.find_opt t.acts aid with
   | Some a -> a
   | None -> invalid_arg (Printf.sprintf "Runtime: unknown activity %d on tile %d" aid t.rtile)
 
@@ -282,7 +283,7 @@ and do_dispatch t =
                activity accumulated messages while blocking, keep it
                ready. *)
             (if (not (is_reserved_act old)) && old_unread > 0 then
-               match Hashtbl.find_opt t.acts old with
+               match Int_table.find_opt t.acts old with
                | Some oa when oa.st = Blocked_recv -> wake t oa
                | Some _ | None -> ());
             a.slice_left <- t.timeslice;
@@ -355,7 +356,7 @@ and handle_core_reqs t ~k =
                   Dtu.ack_core_req t.dtu;
                   loop ~first:false)
             else begin
-              (match Hashtbl.find_opt t.acts target with
+              (match Int_table.find_opt t.acts target with
               | Some a -> make_ready t a
               | None -> ());
               Dtu.ack_core_req t.dtu;
@@ -385,7 +386,7 @@ and handle_tm_msg t ~k =
               (* Apply the page-table entry on behalf of the controller
                  (paper, section 4.3), then confirm. *)
               charge_mux t t.core.Core_model.translate_cycles (fun () ->
-                  (match Hashtbl.find_opt t.acts tm_act with
+                  (match Int_table.find_opt t.acts tm_act with
                   | Some a ->
                       Addrspace.map a.addr ~vpage:tm_vpage ~ppage:tm_ppage
                         ~perm:tm_perm
@@ -590,7 +591,7 @@ and mig_park_now t (a : arec) action =
   a.resume <- None;
   a.st <- Migrating;
   if is_current t a then leave_core t a ~why:"migrate";
-  Hashtbl.remove t.acts a.aid;
+  Int_table.remove t.acts a.aid;
   t.spawn_order <- List.filter (fun b -> b != a) t.spawn_order;
   Stats.Counter.incr t.counters "mig_park";
   mux_instant t "mig_park";
@@ -842,7 +843,7 @@ and recv_loop t (a : arec) ?deadline eps k =
                   arm_recv_deadline t a ?deadline ();
                   mux_instant t "block";
                   leave_core t a ~why:"block")
-            else if t.rmode = M3v_mode || Hashtbl.length t.acts = 1 then begin
+            else if t.rmode = M3v_mode || Int_table.length t.acts = 1 then begin
               (* Nothing else to run (M3v), or the sole activity on an M3x
                  tile: the core polls the DTU, which wakes it when a
                  message arrives, without the controller — M3x keeps the
@@ -965,7 +966,7 @@ and dtu_cmd t (a : arec) op k =
 (* --- wakeups --- *)
 
 let on_msg_arrived t owner =
-  match Hashtbl.find_opt t.acts owner with
+  match Int_table.find_opt t.acts owner with
   | None -> ()
   | Some a ->
       if is_current t a && a.st = Polling then begin
@@ -1039,14 +1040,14 @@ let install t (im : image) ~sys_sgate ~sys_rgate ~st =
       mig_action = im.im_action;
     }
   in
-  Hashtbl.replace t.acts im.im_aid a;
+  Int_table.replace t.acts im.im_aid a;
   t.spawn_order <- t.spawn_order @ [ a ];
   a
 
 (* --- migration stub (M3v) --- *)
 
 let mig_quiesce t ~act ~k =
-  match Hashtbl.find_opt t.acts act with
+  match Int_table.find_opt t.acts act with
   | None -> k None
   | Some a -> (
       match a.st with
@@ -1143,7 +1144,7 @@ let create ~mode ~controller ~tile ?(timeslice = Time.ms 1) () =
       core;
       ctrl = controller;
       timeslice;
-      acts = Hashtbl.create 8;
+      acts = Int_table.create 8;
       spawn_order = [];
       runq = Queue.create ();
       current = None;

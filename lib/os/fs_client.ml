@@ -2,6 +2,7 @@ open M3v_sim.Proc.Syntax
 module Proc = M3v_sim.Proc
 module A = M3v_mux.Act_api
 module Proto = M3v_kernel.Protocol
+module Int_table = M3v_sim.Int_table
 open Fs_proto
 
 type window = {
@@ -22,7 +23,7 @@ type t = {
   sgate : int;
   reply_ep : int;
   data_ep : int;
-  fds : (int, fd_state) Hashtbl.t;
+  fds : fd_state Int_table.t;
   mutable ep_fd : int;  (** which fd's extent the data endpoint holds *)
   mutable switches : int;
   mutable seq : int;  (** request tag counter (stale-reply detection) *)
@@ -34,7 +35,7 @@ let create ~env ~sgate ~reply_ep ~data_ep =
     sgate;
     reply_ep;
     data_ep;
-    fds = Hashtbl.create 8;
+    fds = Int_table.create 8;
     ep_fd = -1;
     switches = 0;
     seq = 0;
@@ -53,15 +54,15 @@ let rpc t req =
     ~wrap ~tag_of ~rep_of ~give_up req
 
 let fd_state t fd =
-  match Hashtbl.find_opt t.fds fd with
-  | Some st -> st
-  | None -> invalid_arg (Printf.sprintf "Fs_client: unknown fd %d" fd)
+  match Int_table.find t.fds fd with
+  | st -> st
+  | exception Not_found -> invalid_arg (Printf.sprintf "Fs_client: unknown fd %d" fd)
 
 let open_ t path flags =
   let* rep = rpc t (Open { path; flags }) in
   match rep with
   | R_fd fd ->
-      Hashtbl.replace t.fds fd
+      Int_table.replace t.fds fd
         { pos = 0; max_written = 0; writable = flags.fl_write; window = None };
       Proc.return (Ok fd)
   | R_err e -> Proc.return (Error e)
@@ -162,7 +163,7 @@ let seek t ~fd ~pos =
 
 let close t ~fd =
   let st = fd_state t fd in
-  Hashtbl.remove t.fds fd;
+  Int_table.remove t.fds fd;
   let* rep = rpc t (Close { fd; size = st.max_written }) in
   match rep with
   | R_ok | R_err _ -> Proc.return ()  (* the fd is gone either way *)

@@ -21,7 +21,7 @@ type t = {
   allocated : Bytes.t;  (* one byte per block: crude but fast bitmap *)
   mutable next_block : int;  (* rotating first-fit cursor *)
   mutable free : int;
-  nodes : (ino, node) Hashtbl.t;
+  mutable nodes : node option array;  (* by ino; inos are dense from 0 *)
   mutable next_ino : ino;
 }
 
@@ -37,12 +37,12 @@ let create ?(max_extent_blocks = default_max_extent_blocks) ~blocks () =
       allocated = Bytes.make blocks '\000';
       next_block = 0;
       free = blocks;
-      nodes = Hashtbl.create 64;
+      nodes = Array.make 64 None;
       next_ino = 1;
     }
   in
-  Hashtbl.replace t.nodes root
-    { n_ino = root; n_size = 0; n_kind = Dir (Hashtbl.create 16) };
+  t.nodes.(root) <-
+    Some { n_ino = root; n_size = 0; n_kind = Dir (Hashtbl.create 16) };
   t
 
 let max_extent_blocks t = t.max_ext
@@ -50,7 +50,7 @@ let total_blocks t = t.blocks
 let free_blocks t = t.free
 
 let node t ino =
-  match Hashtbl.find_opt t.nodes ino with
+  match if ino >= 0 && ino < t.next_ino then t.nodes.(ino) else None with
   | Some n -> n
   | None -> invalid_arg (Printf.sprintf "Fs_core: unknown inode %d" ino)
 
@@ -130,8 +130,13 @@ let parent_and_name t path =
 let new_node t kind =
   let ino = t.next_ino in
   t.next_ino <- ino + 1;
-  let n = { n_ino = ino; n_size = 0; n_kind = kind } in
-  Hashtbl.replace t.nodes ino n;
+  let n = Array.length t.nodes in
+  if ino = n then begin
+    let nodes = Array.make (2 * n) None in
+    Array.blit t.nodes 0 nodes 0 n;
+    t.nodes <- nodes
+  end;
+  t.nodes.(ino) <- Some { n_ino = ino; n_size = 0; n_kind = kind };
   ino
 
 let mkdir t path =
@@ -180,13 +185,13 @@ let unlink t path =
           | File _ ->
               truncate t ino;
               Hashtbl.remove entries name;
-              Hashtbl.remove t.nodes ino;
+              t.nodes.(ino) <- None;
               Ok ()
           | Dir d ->
               if Hashtbl.length d > 0 then Error "directory not empty"
               else begin
                 Hashtbl.remove entries name;
-                Hashtbl.remove t.nodes ino;
+                t.nodes.(ino) <- None;
                 Ok ()
               end))
 
@@ -320,8 +325,9 @@ let segments t ino ~off ~len =
 let check_invariants t =
   let seen = Hashtbl.create 256 in
   let error = ref None in
-  Hashtbl.iter
-    (fun ino n ->
+  Array.iter
+    (Option.iter (fun n ->
+      let ino = n.n_ino in
       match n.n_kind with
       | Dir _ -> ()
       | File f ->
@@ -340,7 +346,7 @@ let check_invariants t =
                     error := Some (Printf.sprintf "block %d in use but marked free" b)
                 end
               done)
-            f.extents)
+            f.extents))
     t.nodes;
   (* Free count must be consistent with the bitmap. *)
   let marked = ref 0 in

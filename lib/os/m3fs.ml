@@ -3,6 +3,7 @@ module Proc = M3v_sim.Proc
 module A = M3v_mux.Act_api
 module Proto = M3v_kernel.Protocol
 module Msg = M3v_dtu.Msg
+module Int_table = M3v_sim.Int_table
 open Fs_proto
 
 type stats = {
@@ -13,7 +14,7 @@ type stats = {
 
 type handle = {
   fs : Fs_core.t;
-  fds : (int, Fs_core.ino) Hashtbl.t;
+  fds : Fs_core.ino Int_table.t;
   mutable next_fd : int;
   stats : stats;
 }
@@ -24,7 +25,7 @@ let stats h = { h.stats with ops = h.stats.ops }
 let make_handle ?max_extent_blocks ~blocks () =
   {
     fs = Fs_core.create ?max_extent_blocks ~blocks ();
-    fds = Hashtbl.create 16;
+    fds = Int_table.create 16;
     next_fd = 3;
     stats = { ops = 0; extents_granted = 0; blocks_cleared = 0 };
   }
@@ -77,7 +78,7 @@ let program h ~rgate ~mem_ep ~region_sel () (env : A.env) =
       | Write_ext { fd; _ }
       | Read_inline { fd; _ }
       | Write_inline { fd; _ } )
-      when not (Hashtbl.mem h.fds fd) ->
+      when not (Int_table.mem h.fds fd) ->
         reply (R_err "bad fd")
     | Open { path; flags } -> (
         match
@@ -87,10 +88,10 @@ let program h ~rgate ~mem_ep ~region_sel () (env : A.env) =
         | Ok ino ->
             let fd = h.next_fd in
             h.next_fd <- fd + 1;
-            Hashtbl.replace h.fds fd ino;
+            Int_table.replace h.fds fd ino;
             reply (R_fd fd))
     | Read_ext { fd; off } -> (
-        match Fs_core.read_extent h.fs (Hashtbl.find h.fds fd) ~off with
+        match Fs_core.read_extent h.fs (Int_table.find h.fds fd) ~off with
         | None -> reply R_eof
         | Some (region_off, win_len, win_file_off) ->
             let* sel =
@@ -100,7 +101,7 @@ let program h ~rgate ~mem_ep ~region_sel () (env : A.env) =
               (R_ext { sel; win_off = off - win_file_off; win_len; win_file_off }))
     | Write_ext { fd; off } ->
         let (region_off, win_len, win_file_off), fresh =
-          Fs_core.ensure_write_extent h.fs (Hashtbl.find h.fds fd) ~off
+          Fs_core.ensure_write_extent h.fs (Int_table.find h.fds fd) ~off
         in
         let* () = clear_extents fresh in
         let* sel =
@@ -110,7 +111,7 @@ let program h ~rgate ~mem_ep ~region_sel () (env : A.env) =
           (R_ext { sel; win_off = off - win_file_off; win_len; win_file_off })
     | Read_inline { fd; off; len } ->
         let segs =
-          Fs_core.segments h.fs (Hashtbl.find h.fds fd) ~off
+          Fs_core.segments h.fs (Int_table.find h.fds fd) ~off
             ~len:(min len inline_limit)
         in
         let data = Bytes.create (List.fold_left (fun acc (_, _, l) -> acc + l) 0 segs) in
@@ -122,7 +123,7 @@ let program h ~rgate ~mem_ep ~region_sel () (env : A.env) =
         in
         reply (R_data data)
     | Write_inline { fd; off; data } ->
-        let ino = Hashtbl.find h.fds fd in
+        let ino = Int_table.find h.fds fd in
         let len = Bytes.length data in
         let* () = clear_extents (Fs_core.ensure_range h.fs ino ~off ~len) in
         Fs_core.set_size h.fs ino (off + len);
@@ -134,10 +135,10 @@ let program h ~rgate ~mem_ep ~region_sel () (env : A.env) =
         in
         reply R_ok
     | Close { fd; size } ->
-        (match Hashtbl.find_opt h.fds fd with
+        (match Int_table.find_opt h.fds fd with
         | Some ino -> Fs_core.set_size h.fs ino size
         | None -> ());
-        Hashtbl.remove h.fds fd;
+        Int_table.remove h.fds fd;
         reply R_ok
     | Stat { path } ->
         reply

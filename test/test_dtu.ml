@@ -469,6 +469,40 @@ let test_ext_inject () =
       match m.Msg.data with Ping 123 -> () | _ -> Alcotest.fail "payload")
   | _ -> Alcotest.fail "injected message not readable"
 
+(* The unread counters are keyed by activity id: TileMux's reserved id,
+   an id far past the first ones and enough ids to grow the table count
+   like any other, and [ext_drop_unread] clears each. *)
+let test_unread_any_act_id () =
+  let f = make_fabric () in
+  let owners =
+    (2, Dtu_types.tilemux_act) :: (3, 100_000)
+    :: List.init 40 (fun i -> (10 + i, 20 + i))
+  in
+  List.iter
+    (fun (ep, owner) ->
+      Dtu.ext_config f.d1 ~ep ~owner (Ep.recv_config ~slots:8 ~slot_size:256 ()))
+    owners;
+  let msgs ep = 1 + (ep mod 3) in
+  List.iter
+    (fun (ep, _) ->
+      for i = 1 to msgs ep do
+        match Dtu.ext_inject f.d1 ~ep (Msg.make ~src_tile:0 ~src_act:0 ~size:8 (Ping i)) with
+        | Ok () -> ()
+        | Error _ -> Alcotest.failf "inject into ep %d failed" ep
+      done)
+    owners;
+  ignore (Engine.run f.eng);
+  List.iter
+    (fun (ep, owner) ->
+      check_int (Printf.sprintf "unread of act %d" owner) (msgs ep)
+        (Dtu.unread_of f.d1 owner))
+    owners;
+  List.iter (fun (_, owner) -> Dtu.ext_drop_unread f.d1 ~act:owner) owners;
+  List.iter
+    (fun (_, owner) ->
+      check_int (Printf.sprintf "act %d cleared" owner) 0 (Dtu.unread_of f.d1 owner))
+    owners
+
 (* --- Tlb unit tests --- *)
 
 let test_tlb_eviction () =
@@ -490,6 +524,101 @@ let test_tlb_perms_and_act_tags () =
   check_bool "other act misses" true (Tlb.lookup tlb ~act:2 ~vpage:5 ~write:false = None);
   Tlb.invalidate_act tlb 1;
   check_bool "invalidate act" true (Tlb.lookup tlb ~act:1 ~vpage:5 ~write:false = None)
+
+(* The TLB against a reference model: an association list of
+   ((act, vpage), (ppage, perm)) in insertion order, oldest first, which
+   FIFO eviction drops from the front.  Acts include TileMux's reserved
+   id, two acts map the same vpages, and vpages reach past 2^32. *)
+type tlb_op =
+  | Insert of int * int * int * Dtu_types.perm
+  | Lookup of int * int * bool
+  | Invalidate_act of int
+  | Invalidate_page of int * int
+
+let tlb_acts = [ 0; 1; Dtu_types.tilemux_act ]
+let tlb_vpages = [ 0; 1; 2; 5; 1 lsl 32; (1 lsl 32) + 1; (1 lsl 52) - 1 ]
+
+let tlb_op_gen =
+  let open QCheck.Gen in
+  let act = oneofl tlb_acts and vpage = oneofl tlb_vpages in
+  frequency
+    [
+      ( 4,
+        map3
+          (fun a v (p, perm) -> Insert (a, v, p, perm))
+          act vpage
+          (pair (int_bound 1000) (oneofl Dtu_types.[ R; W; RW ])) );
+      (4, map3 (fun a v w -> Lookup (a, v, w)) act vpage bool);
+      (1, map (fun a -> Invalidate_act a) act);
+      (1, map2 (fun a v -> Invalidate_page (a, v)) act vpage);
+    ]
+
+let prop_tlb_matches_model =
+  QCheck.Test.make ~name:"Tlb = association-list model" ~count:500
+    QCheck.(make Gen.(pair (int_range 1 6) (list_size (int_bound 80) tlb_op_gen)))
+    (fun (capacity, script) ->
+      let tlb = Tlb.create ~capacity in
+      let model = ref [] in
+      let hits = ref 0 and misses = ref 0 and upgrades = ref 0 and evictions = ref 0 in
+      let step = function
+        | Insert (act, vpage, ppage, perm) ->
+            Tlb.insert tlb ~act ~vpage ~ppage ~perm;
+            let key = (act, vpage) in
+            if List.mem_assoc key !model then
+              model :=
+                List.map
+                  (fun ((k, _) as b) -> if k = key then (k, (ppage, perm)) else b)
+                  !model
+            else begin
+              if List.length !model >= capacity then begin
+                model := List.tl !model;
+                incr evictions
+              end;
+              model := !model @ [ (key, (ppage, perm)) ]
+            end;
+            true
+        | Lookup (act, vpage, write) ->
+            let expected =
+              match List.assoc_opt (act, vpage) !model with
+              | Some (ppage, perm)
+                when (not write) || Dtu_types.perm_allows_write perm ->
+                  incr hits;
+                  Some ppage
+              | Some _ ->
+                  incr upgrades;
+                  None
+              | None ->
+                  incr misses;
+                  None
+            in
+            Tlb.lookup tlb ~act ~vpage ~write = expected
+        | Invalidate_act act ->
+            Tlb.invalidate_act tlb act;
+            model := List.filter (fun ((a, _), _) -> a <> act) !model;
+            true
+        | Invalidate_page (act, vpage) ->
+            Tlb.invalidate_page tlb ~act ~vpage;
+            model := List.remove_assoc (act, vpage) !model;
+            true
+      in
+      let agrees () =
+        let st = Tlb.stats tlb in
+        Tlb.entry_count tlb = List.length !model
+        && Tlb.fifo_length tlb = List.length !model
+        && st.Tlb.hits = !hits && st.Tlb.misses = !misses
+        && st.Tlb.perm_upgrades = !upgrades
+        && st.Tlb.evictions = !evictions
+        && List.for_all
+             (fun act ->
+               Tlb.entries_of_act tlb act
+               = (List.filter_map
+                    (fun ((a, v), (ppage, perm)) ->
+                      if a = act then Some (v, { Tlb.ppage; perm }) else None)
+                    !model
+                 |> List.sort (fun (a, _) (b, _) -> compare a b)))
+             tlb_acts
+      in
+      List.for_all (fun op -> step op && agrees ()) script)
 
 (* A vDTU activity must not be able to reply through, or ack-free, a
    receive endpoint owned by another activity (the Unknown_ep rule of
@@ -1111,6 +1240,7 @@ let suite =
     ("ep snapshot/restore", `Quick, test_ep_snapshot_restore);
     ("take keeps an in-flight refund", `Quick, test_take_keeps_in_flight_refund);
     ("ext inject", `Quick, test_ext_inject);
+    ("unread counted for any act id", `Quick, test_unread_any_act_id);
     ("tlb eviction", `Quick, test_tlb_eviction);
     ("tlb perms and tags", `Quick, test_tlb_perms_and_act_tags);
     ("foreign reply/ack rejected", `Quick, test_foreign_reply_and_ack_rejected);
@@ -1149,4 +1279,5 @@ let suite =
       `Quick,
       test_drain_and_release (Ep.mpmc_config ~slots:8 ~slot_size:256 ~ack_batch:4 ()) );
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_mpmc_exactly_once_conserved ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_tlb_matches_model; prop_mpmc_exactly_once_conserved ]

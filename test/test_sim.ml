@@ -100,6 +100,42 @@ let test_queue_float_payloads () =
   Alcotest.(check (list (float 0.)))
     "engine handlers got their floats" [ x 1; x 3; x 5 ] (List.rev !got)
 
+(* [Int_table] against [Hashtbl] as the model: a script of replace,
+   remove and lookups over few keys (so bindings collide, are replaced
+   and removed), negative and large ones included, long enough to resize
+   the buckets. *)
+let test_int_table_model =
+  let key = QCheck.Gen.oneofl [ 0; 1; 2; 3; 17; -5; max_int; min_int; 1 lsl 40 ] in
+  let op =
+    QCheck.Gen.(
+      pair (int_bound 2) (oneof [ key; map (fun k -> k * 9) (int_bound 40) ]))
+  in
+  QCheck.Test.make ~name:"Int_table = Hashtbl on int keys" ~count:300
+    QCheck.(make Gen.(list_size (int_bound 120) op))
+    (fun script ->
+      let t = Int_table.create 1 and m = Hashtbl.create 1 in
+      List.for_all
+        (fun (o, k) ->
+          (match o with
+          | 0 ->
+              Int_table.replace t k (k + 1);
+              Hashtbl.replace m k (k + 1)
+          | 1 ->
+              Int_table.remove t k;
+              Hashtbl.remove m k
+          | _ -> ());
+          Int_table.find_opt t k = Hashtbl.find_opt m k
+          && Int_table.mem t k = Hashtbl.mem m k
+          && (match Int_table.find t k with
+             | v -> Hashtbl.find_opt m k = Some v
+             | exception Not_found -> not (Hashtbl.mem m k))
+          && Int_table.length t = Hashtbl.length m
+          && List.sort compare (Int_table.fold (fun k v acc -> (k, v) :: acc) t [])
+             = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m []))
+        script
+      && (Int_table.reset t;
+          Int_table.length t = 0 && Int_table.fold (fun _ _ n -> n + 1) t 0 = 0))
+
 (* --- Engine --- *)
 
 let test_engine_runs_in_order () =
@@ -602,4 +638,5 @@ let suite =
     ("stats stddev", `Quick, test_stats_stddev);
     ("stats counter", `Quick, test_counter);
   ]
-  @ qsuite [ test_queue_many; test_spin_replays_heap_loop; test_rng_bounds ]
+  @ qsuite
+      [ test_queue_many; test_int_table_model; test_spin_replays_heap_loop; test_rng_bounds ]
