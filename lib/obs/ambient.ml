@@ -13,23 +13,22 @@ type 'a t = { current : 'a option Domain.DLS.key; installed : int Atomic.t }
 let make () =
   { current = Domain.DLS.new_key (fun () -> None); installed = Atomic.make 0 }
 
+let[@inline never] held t = Domain.DLS.get t.current
+
 let set t v =
-  (match (Domain.DLS.get t.current, v) with
+  (match (held t, v) with
   | None, Some _ -> Atomic.incr t.installed
   | Some _, None -> Atomic.decr t.installed
   | None, None | Some _, Some _ -> ());
   Domain.DLS.set t.current v
 
-let[@inline never] held t = Domain.DLS.get t.current
-
 let[@inline] get t = if Atomic.get t.installed = 0 then None else held t
 
-let[@inline] on t =
-  Atomic.get t.installed > 0 && Option.is_some (held t)
+let[@inline] on t = Atomic.get t.installed > 0 && Option.is_some (held t)
 
 let domains t = Atomic.get t.installed
 
 let with_ t v f =
-  let outer = Domain.DLS.get t.current in
+  let outer = held t in
   set t (Some v);
   Fun.protect ~finally:(fun () -> set t outer) f
