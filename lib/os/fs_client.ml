@@ -56,7 +56,8 @@ let rpc t req =
 let fd_state t fd =
   match Int_table.find t.fds fd with
   | st -> st
-  | exception Not_found -> invalid_arg (Printf.sprintf "Fs_client: unknown fd %d" fd)
+  | exception Not_found ->
+      invalid_arg (Printf.sprintf "Fs_client: unknown fd %d" fd)
 
 let open_ t path flags =
   let* rep = rpc t (Open { path; flags }) in

@@ -217,17 +217,22 @@ let push q ~time v = push2 q ~time v ()
 
 (* The earliest entry's reads inline into the caller: a test for an
    empty queue, the position and one to two loads. *)
+let[@inline] top q = (q.size - 1) land q.mask
+
 let[@inline] next_time q =
-  if q.size = 0 then raise (Invalid_argument "Event_queue.next_time: empty queue");
-  Array.unsafe_get q.times ((q.size - 1) land q.mask)
+  if q.size = 0 then
+    raise (Invalid_argument "Event_queue.next_time: empty queue");
+  Array.unsafe_get q.times (top q)
 
 let[@inline] top_fst q =
-  if q.size = 0 then raise (Invalid_argument "Event_queue.top_fst: empty queue");
-  prj (Array.unsafe_get q.xs (Array.unsafe_get q.slot ((q.size - 1) land q.mask)))
+  if q.size = 0 then
+    raise (Invalid_argument "Event_queue.top_fst: empty queue");
+  prj (Array.unsafe_get q.xs (Array.unsafe_get q.slot (top q)))
 
 let[@inline] top_snd q =
-  if q.size = 0 then raise (Invalid_argument "Event_queue.top_snd: empty queue");
-  prj (Array.unsafe_get q.ys (Array.unsafe_get q.slot ((q.size - 1) land q.mask)))
+  if q.size = 0 then
+    raise (Invalid_argument "Event_queue.top_snd: empty queue");
+  prj (Array.unsafe_get q.ys (Array.unsafe_get q.slot (top q)))
 
 let drop_min q =
   if q.size = 0 then invalid_arg "Event_queue.drop_min: empty queue";

@@ -480,13 +480,15 @@ let test_unread_any_act_id () =
   in
   List.iter
     (fun (ep, owner) ->
-      Dtu.ext_config f.d1 ~ep ~owner (Ep.recv_config ~slots:8 ~slot_size:256 ()))
+      Dtu.ext_config f.d1 ~ep ~owner
+        (Ep.recv_config ~slots:8 ~slot_size:256 ()))
     owners;
   let msgs ep = 1 + (ep mod 3) in
   List.iter
     (fun (ep, _) ->
       for i = 1 to msgs ep do
-        match Dtu.ext_inject f.d1 ~ep (Msg.make ~src_tile:0 ~src_act:0 ~size:8 (Ping i)) with
+        let msg = Msg.make ~src_tile:0 ~src_act:0 ~size:8 (Ping i) in
+        match Dtu.ext_inject f.d1 ~ep msg with
         | Ok () -> ()
         | Error _ -> Alcotest.failf "inject into ep %d failed" ep
       done)
@@ -500,7 +502,8 @@ let test_unread_any_act_id () =
   List.iter (fun (_, owner) -> Dtu.ext_drop_unread f.d1 ~act:owner) owners;
   List.iter
     (fun (_, owner) ->
-      check_int (Printf.sprintf "act %d cleared" owner) 0 (Dtu.unread_of f.d1 owner))
+      check_int (Printf.sprintf "act %d cleared" owner) 0
+        (Dtu.unread_of f.d1 owner))
     owners
 
 (* --- Tlb unit tests --- *)
@@ -555,11 +558,13 @@ let tlb_op_gen =
 
 let prop_tlb_matches_model =
   QCheck.Test.make ~name:"Tlb = association-list model" ~count:500
-    QCheck.(make Gen.(pair (int_range 1 6) (list_size (int_bound 80) tlb_op_gen)))
+    QCheck.(
+      make Gen.(pair (int_range 1 6) (list_size (int_bound 80) tlb_op_gen)))
     (fun (capacity, script) ->
       let tlb = Tlb.create ~capacity in
       let model = ref [] in
-      let hits = ref 0 and misses = ref 0 and upgrades = ref 0 and evictions = ref 0 in
+      let hits = ref 0 and misses = ref 0 in
+      let upgrades = ref 0 and evictions = ref 0 in
       let step = function
         | Insert (act, vpage, ppage, perm) ->
             Tlb.insert tlb ~act ~vpage ~ppage ~perm;
@@ -567,7 +572,8 @@ let prop_tlb_matches_model =
             if List.mem_assoc key !model then
               model :=
                 List.map
-                  (fun ((k, _) as b) -> if k = key then (k, (ppage, perm)) else b)
+                  (fun ((k, _) as b) ->
+                    if k = key then (k, (ppage, perm)) else b)
                   !model
             else begin
               if List.length !model >= capacity then begin

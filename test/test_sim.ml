@@ -62,7 +62,8 @@ let test_queue_many =
    fresh queue or engine sizes its arrays from that push's payloads. *)
 let gc_and_reuse () =
   Gc.minor ();
-  ignore (Sys.opaque_identity (List.init 2000 (fun i -> Bytes.make 16 (Char.chr (i land 0xff)))))
+  let junk i = Bytes.make 16 (Char.chr (i land 0xff)) in
+  ignore (Sys.opaque_identity (List.init 2000 junk))
 
 let test_queue_float_payloads () =
   let x i = float_of_int i +. 0.5 and y i = float_of_int i +. 0.25 in
@@ -105,7 +106,9 @@ let test_queue_float_payloads () =
    and removed), negative and large ones included, long enough to resize
    the buckets. *)
 let test_int_table_model =
-  let key = QCheck.Gen.oneofl [ 0; 1; 2; 3; 17; -5; max_int; min_int; 1 lsl 40 ] in
+  let key =
+    QCheck.Gen.oneofl [ 0; 1; 2; 3; 17; -5; max_int; min_int; 1 lsl 40 ]
+  in
   let op =
     QCheck.Gen.(
       pair (int_bound 2) (oneof [ key; map (fun k -> k * 9) (int_bound 40) ]))
@@ -114,6 +117,7 @@ let test_int_table_model =
     QCheck.(make Gen.(list_size (int_bound 120) op))
     (fun script ->
       let t = Int_table.create 1 and m = Hashtbl.create 1 in
+      let bindings k v acc = (k, v) :: acc in
       List.for_all
         (fun (o, k) ->
           (match o with
@@ -130,11 +134,11 @@ let test_int_table_model =
              | v -> Hashtbl.find_opt m k = Some v
              | exception Not_found -> not (Hashtbl.mem m k))
           && Int_table.length t = Hashtbl.length m
-          && List.sort compare (Int_table.fold (fun k v acc -> (k, v) :: acc) t [])
-             = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m []))
+          && List.sort compare (Int_table.fold bindings t [])
+             = List.sort compare (Hashtbl.fold bindings m []))
         script
       && (Int_table.reset t;
-          Int_table.length t = 0 && Int_table.fold (fun _ _ n -> n + 1) t 0 = 0))
+          Int_table.length t = 0 && Int_table.fold bindings t [] = []))
 
 (* --- Engine --- *)
 
@@ -639,4 +643,9 @@ let suite =
     ("stats counter", `Quick, test_counter);
   ]
   @ qsuite
-      [ test_queue_many; test_int_table_model; test_spin_replays_heap_loop; test_rng_bounds ]
+      [
+        test_queue_many;
+        test_int_table_model;
+        test_spin_replays_heap_loop;
+        test_rng_bounds;
+      ]
