@@ -3,9 +3,10 @@
 
     Domain-local rather than process-global, so tasks on worker domains
     each run under their own value (or none) without seeing each other's.
-    While no domain of the process holds a value, {!get} and {!on} are one
-    atomic load of a process-wide count and allocate nothing; only when
-    some domain holds one do they also read this domain's value. *)
+    {!get} and {!on} inline into their callers.  While no domain of the
+    process holds a value, each is a load of a process-wide count and a
+    branch, and allocates nothing; only when some domain holds one do they
+    call out to read this domain's value. *)
 
 type 'a t
 

@@ -21,7 +21,8 @@ val after : t -> delay:Time.t -> (unit -> unit) -> unit
 
 (** [at_apply eng ~time k x] schedules [k x] at absolute [time] without
     allocating a wrapper closure — the non-allocating fast path for the
-    dominant completion-delivery events ([fun () -> k result]). *)
+    dominant completion-delivery events ([fun () -> k result]).  [x] may
+    be of any type, a float included. *)
 val at_apply : t -> time:Time.t -> ('a -> unit) -> 'a -> unit
 
 (** [after_apply eng ~delay k x] schedules [k x] to run [delay] after
@@ -62,7 +63,10 @@ val spin :
 
     The clock advances to [until] only when no pending event remains at or
     before it — if [max_events] stops the loop with such events pending,
-    [now] stays at the last processed event. *)
+    [now] stays at the last processed event.
+
+    The loop reads each event from the queue inline and makes one call
+    into {!Event_queue} per event, [drop_min]. *)
 val run : ?until:Time.t -> ?max_events:int -> t -> int
 
 (** Number of events processed so far over the engine's lifetime. *)

@@ -15,7 +15,11 @@
     or pop, never the order.
 
     Events with equal timestamps pop in insertion order (FIFO), which keeps
-    the simulation deterministic. *)
+    the simulation deterministic.
+
+    Payloads may be of any type.  The payload arrays are read and written
+    as arrays of pointers, without a test for a flat float array; a float
+    payload is stored boxed. *)
 
 (** A queue whose entries carry two payloads.  The engine uses this to
     store a (handler, argument) pair per event without boxing them in a
@@ -42,8 +46,10 @@ val push2 : ('a, 'b) t2 -> time:Time.t -> 'a -> 'b -> unit
 
     The fast path for the dispatch loop: read the earliest entry's fields
     with [next_time]/[top_fst]/[top_snd], then remove it with [drop_min].
-    All raise [Invalid_argument] on an empty queue — check [is_empty]
-    first. *)
+    The three reads inline into the caller, each a test for an empty queue
+    and one or two loads, so [drop_min], which re-sorts, is the loop's one
+    call into this module per event.  All raise [Invalid_argument] on an
+    empty queue — check [is_empty] first. *)
 
 val next_time : ('a, 'b) t2 -> Time.t
 
