@@ -1,5 +1,3 @@
-module Int_table = M3v_sim.Int_table
-
 type key = Dtu_types.act_id * int
 type entry = { ppage : int; perm : Dtu_types.perm }
 
@@ -7,8 +5,7 @@ type stats = { hits : int; misses : int; perm_upgrades : int; evictions : int }
 
 type t = {
   capacity : int;
-  pages : entry Int_table.t Int_table.t;  (* act -> vpage -> entry *)
-  mutable count : int;
+  entries : (key, entry) Hashtbl.t;
   mutable fifo : key Queue.t;
   mutable hits : int;
   mutable misses : int;
@@ -20,8 +17,7 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Tlb.create: capacity must be positive";
   {
     capacity;
-    pages = Int_table.create 8;
-    count = 0;
+    entries = Hashtbl.create capacity;
     fifo = Queue.create ();
     hits = 0;
     misses = 0;
@@ -31,31 +27,18 @@ let create ~capacity =
 
 let capacity t = t.capacity
 
-(* Raises [Not_found] if [act] maps no page. *)
-let pages_of t act = Int_table.find t.pages act
-
-let mem t act vpage =
-  match pages_of t act with
-  | pages -> Int_table.mem pages vpage
-  | exception Not_found -> false
-
-let remove t act vpage =
-  let pages = pages_of t act in
-  Int_table.remove pages vpage;
-  t.count <- t.count - 1
-
 let lookup t ~act ~vpage ~write =
-  match Int_table.find (pages_of t act) vpage with
-  | e when (not write) || Dtu_types.perm_allows_write e.perm ->
+  match Hashtbl.find_opt t.entries (act, vpage) with
+  | Some e when (not write) || Dtu_types.perm_allows_write e.perm ->
       t.hits <- t.hits + 1;
       Some e.ppage
-  | _ ->
+  | Some _ ->
       (* The mapping exists but lacks write permission: the command fails
          like a miss, but TileMux only upgrades the entry instead of
          translating from scratch — count it separately. *)
       t.perm_upgrades <- t.perm_upgrades + 1;
       None
-  | exception Not_found ->
+  | None ->
       t.misses <- t.misses + 1;
       None
 
@@ -65,9 +48,9 @@ let evict_one t =
   let rec loop () =
     match Queue.take_opt t.fifo with
     | None -> ()
-    | Some (act, vpage) ->
-        if mem t act vpage then begin
-          remove t act vpage;
+    | Some key ->
+        if Hashtbl.mem t.entries key then begin
+          Hashtbl.remove t.entries key;
           t.evictions <- t.evictions + 1
         end
         else loop ()
@@ -75,20 +58,12 @@ let evict_one t =
   loop ()
 
 let insert t ~act ~vpage ~ppage ~perm =
-  let pages =
-    match pages_of t act with
-    | pages -> pages
-    | exception Not_found ->
-        let pages = Int_table.create 8 in
-        Int_table.replace t.pages act pages;
-        pages
-  in
-  if not (Int_table.mem pages vpage) then begin
-    if t.count >= t.capacity then evict_one t;
-    Queue.add (act, vpage) t.fifo;
-    t.count <- t.count + 1
+  let key = (act, vpage) in
+  if not (Hashtbl.mem t.entries key) then begin
+    if Hashtbl.length t.entries >= t.capacity then evict_one t;
+    Queue.add key t.fifo
   end;
-  Int_table.replace pages vpage { ppage; perm }
+  Hashtbl.replace t.entries key { ppage; perm }
 
 (* Rebuild the eviction FIFO keeping only keys that still map to live
    entries.  Without this, every invalidation leaves its key behind and the
@@ -97,40 +72,37 @@ let insert t ~act ~vpage ~ppage ~perm =
 let compact_fifo t =
   let fresh = Queue.create () in
   Queue.iter
-    (fun ((act, vpage) as key) -> if mem t act vpage then Queue.add key fresh)
+    (fun key -> if Hashtbl.mem t.entries key then Queue.add key fresh)
     t.fifo;
   t.fifo <- fresh
 
 (* Export one activity's live mappings, sorted by vpage so migration
    re-installs them in a deterministic order on the target DTU. *)
 let entries_of_act t act =
-  match pages_of t act with
-  | pages ->
-      Int_table.fold (fun vpage e acc -> (vpage, e) :: acc) pages []
-      |> List.sort (fun (va, _) (vb, _) -> Stdlib.compare va vb)
-  | exception Not_found -> []
+  Hashtbl.fold
+    (fun (a, vpage) e acc -> if a = act then (vpage, e) :: acc else acc)
+    t.entries []
+  |> List.sort (fun (va, _) (vb, _) -> Stdlib.compare va vb)
 
 let invalidate_act t act =
-  match pages_of t act with
-  | pages ->
-      Int_table.remove t.pages act;
-      let n = Int_table.length pages in
-      t.count <- t.count - n;
-      if n > 0 then compact_fifo t
-  | exception Not_found -> ()
+  let stale =
+    Hashtbl.fold (fun (a, p) _ acc -> if a = act then (a, p) :: acc else acc)
+      t.entries []
+  in
+  List.iter (Hashtbl.remove t.entries) stale;
+  if stale <> [] then compact_fifo t
 
 let invalidate_page t ~act ~vpage =
-  if mem t act vpage then begin
-    remove t act vpage;
+  if Hashtbl.mem t.entries (act, vpage) then begin
+    Hashtbl.remove t.entries (act, vpage);
     compact_fifo t
   end
 
 let flush t =
-  Int_table.reset t.pages;
-  t.count <- 0;
+  Hashtbl.reset t.entries;
   Queue.clear t.fifo
 
-let entry_count t = t.count
+let entry_count t = Hashtbl.length t.entries
 let fifo_length t = Queue.length t.fifo
 
 let stats t =
