@@ -10,8 +10,8 @@ let create n =
 
 let length t = t.size
 
-(* A multiply and a shift, so ids that differ only in high bits, such as
-   strided page numbers, still spread over the buckets. *)
+(* A multiply and a shift, so keys that differ only in high bits still
+   spread over the buckets. *)
 let[@inline] index buckets key =
   let h = key * 0x2545F4914F6CDD1D in
   (h lxor (h lsr 29)) land (Array.length buckets - 1)
@@ -83,13 +83,3 @@ let rec unlink t i key prev = function
 let remove t key =
   let i = index t.buckets key in
   unlink t i key Empty (Array.unsafe_get t.buckets i)
-
-let fold f t acc =
-  let rec chain b acc =
-    match b with Empty -> acc | Cons c -> chain c.next (f c.key c.data acc)
-  in
-  Array.fold_left (fun acc b -> chain b acc) acc t.buckets
-
-let reset t =
-  t.size <- 0;
-  Array.fill t.buckets 0 (Array.length t.buckets) Empty

@@ -2,8 +2,7 @@
 
     [Hashtbl]'s generic functions hash a key with [caml_hash] and compare
     it with [caml_compare], two C calls per lookup.  This table hashes and
-    compares the int in OCaml.  Buckets are chained as in [Hashtbl]; the
-    order of {!fold} is unspecified. *)
+    compares the int in OCaml.  Buckets are chained as in [Hashtbl]. *)
 
 type 'a t
 
@@ -24,7 +23,3 @@ val mem : 'a t -> int -> bool
 val replace : 'a t -> int -> 'a -> unit
 
 val remove : 'a t -> int -> unit
-val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
-
-(** Remove every binding. *)
-val reset : 'a t -> unit

@@ -117,7 +117,6 @@ let test_int_table_model =
     QCheck.(make Gen.(list_size (int_bound 120) op))
     (fun script ->
       let t = Int_table.create 1 and m = Hashtbl.create 1 in
-      let bindings k v acc = (k, v) :: acc in
       List.for_all
         (fun (o, k) ->
           (match o with
@@ -134,11 +133,10 @@ let test_int_table_model =
              | v -> Hashtbl.find_opt m k = Some v
              | exception Not_found -> not (Hashtbl.mem m k))
           && Int_table.length t = Hashtbl.length m
-          && List.sort compare (Int_table.fold bindings t [])
-             = List.sort compare (Hashtbl.fold bindings m []))
-        script
-      && (Int_table.reset t;
-          Int_table.length t = 0 && Int_table.fold bindings t [] = []))
+          && Hashtbl.fold
+               (fun k v ok -> ok && Int_table.find_opt t k = Some v)
+               m true)
+        script)
 
 (* --- Engine --- *)
 
