@@ -4,7 +4,10 @@ type t = { sample_rate : int; samples : int array }
 
 let clamp16 v = max (-32768) (min 32767 v)
 
-let room_audio rng ~seconds ?(sample_rate = 16_000) ?(burst_every = 2.0) () =
+let sample_rate = 16_000
+let burst_every = 2.0
+
+let room_audio rng ~seconds () =
   let n = int_of_float (seconds *. float_of_int sample_rate) in
   let burst_len = sample_rate / 2 in
   let burst_gap = int_of_float (burst_every *. float_of_int sample_rate) in

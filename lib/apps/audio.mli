@@ -6,10 +6,9 @@
 
 type t = { sample_rate : int; samples : int array }
 
-(** [room_audio rng ~seconds ~sample_rate ~burst_every] synthesizes audio
-    with a voice burst roughly every [burst_every] seconds. *)
-val room_audio :
-  M3v_sim.Rng.t -> seconds:float -> ?sample_rate:int -> ?burst_every:float -> unit -> t
+(** [room_audio rng ~seconds] synthesizes [seconds] of 16 kHz audio with a
+    voice burst every 2 seconds. *)
+val room_audio : M3v_sim.Rng.t -> seconds:float -> unit -> t
 
 (** Short-window energy, used by the trigger scanner. *)
 val window_energy : t -> off:int -> len:int -> float

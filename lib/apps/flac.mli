@@ -15,4 +15,3 @@ val decompress : bytes -> int array
 val ratio : int array -> float
 
 val compress_cycles_per_sample : int
-val frame_samples : int

@@ -21,7 +21,7 @@ let rep_size = function
   | Value None | Done -> 16
   | Failed e -> 16 + String.length e
 
-let program ~vfs ~rgate ?(dir = "/kv") ?served () _env =
+let program ~vfs ~rgate ?(dir = "/kv") () _env =
   let* store = Kvstore.create ~vfs:(Option.get !vfs) ~dir () in
   match store with
   | Error e -> failwith ("kvserv: store creation failed: " ^ e)
@@ -39,7 +39,6 @@ let program ~vfs ~rgate ?(dir = "/kv") ?served () _env =
           | _ -> Proc.return (Failed "unknown request")
         in
         let* () = A.reply ~recv_ep:ep ~msg ~size:(rep_size rep) (Kv_rep rep) in
-        (match served with Some r -> incr r | None -> ());
         serve ()
       in
       serve ()

@@ -20,13 +20,12 @@ val rep_size : rep -> int
 (** [program ~vfs ~rgate ()] is the server activity body.  [vfs] and
     [rgate] are boxes filled after spawn, before boot (the standard
     late-binding pattern).  The store lives under [dir] on the given
-    filesystem.  [served], when provided, counts answered requests.
-    The server never returns; a parked [recv] drains with the run. *)
+    filesystem.  The server never returns; a parked [recv] drains with
+    the run. *)
 val program :
   vfs:M3v_os.Vfs.t option ref ->
   rgate:int ref ->
   ?dir:string ->
-  ?served:int ref ->
   unit ->
   M3v_mux.Act_api.env ->
   unit M3v_sim.Proc.t

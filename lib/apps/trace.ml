@@ -27,7 +27,8 @@ let compute_cycles t =
 (* "find" searches through [dirs] directories with [files_per_dir] files
    each (paper defaults: 24 x 40): per directory one readdir, per file one
    stat, and every fourth file is opened and sampled. *)
-let find_trace ?(dirs = 24) ?(files_per_dir = 40) ?(compute_per_op = 28_000) () =
+let find_trace ?(dirs = 24) ?(files_per_dir = 40) () =
+  let compute_per_op = 28_000 in
   let ops = ref [] in
   let push op = ops := op :: !ops in
   let dir_name d = Printf.sprintf "/find/d%02d" d in
@@ -59,7 +60,8 @@ let find_trace ?(dirs = 24) ?(files_per_dir = 40) ?(compute_per_op = 28_000) () 
 (* "SQLite": [inserts] transactions (rollback journal + page reads and
    writes + journal removal — SQLite issues dozens of file-system calls
    per transaction) and [selects] lookups (open + seeks + page reads). *)
-let sqlite_trace ?(inserts = 32) ?(selects = 32) ?(compute_per_op = 120_000) () =
+let sqlite_trace () =
+  let inserts = 32 and selects = 32 and compute_per_op = 120_000 in
   let ops = ref [] in
   let push op = ops := op :: !ops in
   push (T_open { path = "/sqlite/db"; write = false });

@@ -32,6 +32,6 @@ val rpc_count : t -> int
 (** Total compute cycles per run. *)
 val compute_cycles : t -> int
 
-val find_trace : ?dirs:int -> ?files_per_dir:int -> ?compute_per_op:int -> unit -> t
+val find_trace : ?dirs:int -> ?files_per_dir:int -> unit -> t
 
-val sqlite_trace : ?inserts:int -> ?selects:int -> ?compute_per_op:int -> unit -> t
+val sqlite_trace : unit -> t

@@ -37,7 +37,9 @@ let mix = function
 
 type op_tag = T_read | T_insert | T_update | T_scan
 
-let ops workload ~records ~count ?(value_size = 1024) ?(scan_length = 20) rng =
+let scan_length = 20
+
+let ops workload ~records ~count ?(value_size = 1024) rng =
   let zipf = Zipf.create ~n:records rng in
   let next_insert = ref records in
   let r, i, u, s = mix workload in

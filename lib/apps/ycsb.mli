@@ -23,20 +23,16 @@ val all_workloads : workload list
 (** [record_key i] is YCSB's "user<i>" key. *)
 val record_key : int -> string
 
-(** Deterministic value payload for a key. *)
-val value_for : M3v_sim.Rng.t -> size:int -> bytes
-
 (** [load ~records ~value_size rng] is the initial dataset. *)
 val load : records:int -> value_size:int -> M3v_sim.Rng.t -> (string * bytes) list
 
-(** [ops workload ~records ~count ~value_size ~scan_length rng] generates
-    the operation sequence. *)
+(** [ops workload ~records ~count ~value_size rng] generates the operation
+    sequence; each scan covers 20 records. *)
 val ops :
   workload ->
   records:int ->
   count:int ->
   ?value_size:int ->
-  ?scan_length:int ->
   M3v_sim.Rng.t ->
   op list
 

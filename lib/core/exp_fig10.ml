@@ -108,8 +108,8 @@ let linux_samples ~reps ~requests =
   ignore (M3v_sim.Engine.run engine);
   List.rev !samples
 
-let run ?(pool = Par.Pool.sequential) ?(runs = 8) ?(warmup = 2) ?(records = 200)
-    ?(operations = 200) () =
+let run ?(pool = Par.Pool.sequential) ?(runs = 8) ?(warmup = 2) ?(records = 200) () =
+  let operations = 200 in
   let reps = runs + warmup in
   (* One task per (workload, config) cell.  [workload_bytes] is
      deterministic per workload (seeded by its name), so recomputing it

@@ -24,6 +24,6 @@ type row = {
 type result = { workloads : (string * row list) list }
 
 val run :
-  ?pool:M3v_par.Par.Pool.t -> ?runs:int -> ?warmup:int -> ?records:int ->
-  ?operations:int -> unit -> result
+  ?pool:M3v_par.Par.Pool.t -> ?runs:int -> ?warmup:int -> ?records:int -> unit ->
+  result
 val print : result -> unit

@@ -26,9 +26,6 @@ type kind = Kv_get | Kv_put | Fs_read | Udp_echo
 val kind_name : kind -> string
 val all_kinds : kind list
 
-(** [Some kind] for "get"/"put"/"fs"/"udp". *)
-val kind_of_string : string -> kind option
-
 (** Parse a "udp=50,get=25,put=10,fs=15" weight list. *)
 val parse_mix : string -> ((kind * int) list, string) result
 

@@ -1,7 +1,9 @@
 type step = { k_offered : float; k_goodput : float; k_p99_us : float }
 type verdict = { knee : int option; reason : string }
 
-let detect ?(slo_p99_us = infinity) ?(min_efficiency = 0.5) steps =
+let min_efficiency = 0.5
+
+let detect ?(slo_p99_us = infinity) steps =
   let arr = Array.of_list steps in
   let n = Array.length arr in
   let found = ref None in

@@ -18,8 +18,7 @@ type verdict = {
   reason : string;  (** human-readable criterion that fired *)
 }
 
-(** [detect ~slo_p99_us ~min_efficiency steps].  [slo_p99_us] defaults to
-    infinity (SLO criterion disabled); [min_efficiency] defaults to 0.5
-    (a step must convert at least half of the added offered load into
-    goodput). *)
-val detect : ?slo_p99_us:float -> ?min_efficiency:float -> step list -> verdict
+(** [detect ~slo_p99_us steps].  [slo_p99_us] defaults to infinity (SLO
+    criterion disabled); [min_efficiency] is 0.5 (a step must convert at
+    least half of the added offered load into goodput). *)
+val detect : ?slo_p99_us:float -> step list -> verdict

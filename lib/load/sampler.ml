@@ -94,6 +94,9 @@ module Mmpp = struct
      target. *)
   let p_hi = 0.2
 
+  (* Mean calm-plus-burst cycle, split between the states by [p_hi]. *)
+  let dwell_ps = 2.5e10
+
   type t = {
     gap_ps : float array; (* mean inter-arrival per state: 0 calm, 1 burst *)
     dwell_ps : float array; (* mean dwell per state *)
@@ -103,7 +106,7 @@ module Mmpp = struct
     mutable until_ps : int; (* leave the current state at this instant *)
   }
 
-  let create ?(burst = 4.0) ?(dwell_ps = 2.5e10) ~rate_per_s ~start_ps rng =
+  let create ?(burst = 4.0) ~rate_per_s ~start_ps rng =
     if rate_per_s <= 0.0 then invalid_arg "Mmpp.create: rate must be positive";
     if burst <= 1.0 then invalid_arg "Mmpp.create: burst must exceed 1";
     if burst >= 1.0 /. p_hi then

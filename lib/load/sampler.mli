@@ -57,7 +57,6 @@ module Mmpp : sig
 
   val create :
     ?burst:float ->
-    ?dwell_ps:float ->
     rate_per_s:float ->
     start_ps:int ->
     M3v_sim.Rng.t ->

@@ -6,15 +6,13 @@
     to tids; timestamps are emitted in (fractional) microseconds.
 
     Events without a tile or activity ([ev_tile]/[ev_act] = -1) are
-    assigned the dedicated {!global_pid}/{!global_tid} instead of being
+    assigned the dedicated {!global_pid} (and tid) instead of being
     clamped onto tile 0, and ["process_name"]/["thread_name"] metadata
     events label every track. *)
 
 (** The pid given to events with [ev_tile = -1] (and the tid for
     [ev_act = -1]), labelled "global" via metadata. *)
 val global_pid : int
-
-val global_tid : int
 
 val to_buffer : Trace.sink -> Buffer.t
 val write : out_channel -> Trace.sink -> unit

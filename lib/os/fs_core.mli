@@ -11,9 +11,7 @@ type t
 
 val block_size : int
 
-(** Paper setting: extents are limited to 64 blocks. *)
-val default_max_extent_blocks : int
-
+(** [max_extent_blocks] defaults to the paper's setting, 64 blocks. *)
 val create : ?max_extent_blocks:int -> blocks:int -> unit -> t
 
 val max_extent_blocks : t -> int

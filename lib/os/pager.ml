@@ -5,8 +5,9 @@ module Runtime = M3v_mux.Runtime
 module Proto = M3v_kernel.Protocol
 
 let fault_policy_cycles = 260
+let pool_pages = 4096
 
-let program ~rgate ?(pool_pages = 4096) () (env : A.env) =
+let program ~rgate () (env : A.env) =
   (* Obtain the physical pool: one Alloc_mem syscall at startup.  The
      returned capability is the root the pager could derive per-activity
      frames from; frames are handed out bump-style. *)

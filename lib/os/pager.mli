@@ -9,11 +9,10 @@
     startup. *)
 
 (** The pager's program.  [rgate] is the receive endpoint (on the pager's
-    tile) where TileMux fault messages arrive; [pool_pages] bounds the
-    physical pool (default 4096 pages = 16 MiB). *)
+    tile) where TileMux fault messages arrive; the physical pool holds
+    4096 pages (16 MiB). *)
 val program :
   rgate:int ->
-  ?pool_pages:int ->
   unit ->
   M3v_mux.Act_api.env ->
   unit M3v_sim.Proc.t

@@ -17,11 +17,5 @@ val now_ns : unit -> ns
 val elapsed_ns : since:ns -> ns
 (** Nanoseconds elapsed since an earlier {!now_ns} reading. *)
 
-val elapsed_s : since:ns -> float
-(** Seconds elapsed since an earlier {!now_ns} reading. *)
-
-val ns_to_s : ns -> float
-(** Convert a nanosecond delta to seconds. *)
-
 val timed : (unit -> 'a) -> 'a * float
 (** [timed f] runs [f] and returns its result with elapsed seconds. *)

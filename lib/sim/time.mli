@@ -20,7 +20,6 @@ val compare : t -> t -> int
 val min : t -> t -> t
 val max : t -> t -> t
 
-val to_ns : t -> float
 val to_us : t -> float
 val to_ms : t -> float
 val to_s : t -> float
