@@ -10,8 +10,10 @@
 
    Parallelism: --jobs N fans independent units of the experiment out
    over N domains (default: the number of cores).  Output is
-   byte-identical to a sequential run; --trace/--faults force sequential
-   execution. *)
+   byte-identical to a sequential run, with --trace, --metrics and
+   --faults too: each task records into its own child of the sink and
+   registry and draws from its own child of the fault plan, and the
+   children join in submission order. *)
 
 open Cmdliner
 
@@ -27,8 +29,8 @@ let metrics =
   let doc =
     "Export the metrics registry (counters, gauges, histograms, \
      time-series) as JSON to $(docv) and print the metric tables.  \
-     Unlike --trace, metrics do not force sequential execution: --jobs 4 \
-     output is byte-identical to --jobs 1."
+     Metrics honour --jobs: --jobs 4 output is byte-identical to --jobs \
+     1."
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
@@ -39,8 +41,10 @@ let faults =
      (per data packet), cmd_fail (per DTU command), crash_p and hang_p \
      (per TMCall boundary, defaults 0.005) and mig_abort_p (per \
      abortable migration phase, default 0.25).  Counts: crash, hang and \
-     mig_abort (the most to inject) and delay_ps (the largest injected \
-     delay in ps, default 200000).  E.g. drop=0.01,dup=0.005,crash=2."
+     mig_abort (the most to inject in each task of the run) and delay_ps \
+     (the largest injected delay in ps, default 200000).  Each task \
+     draws its own fault stream, so the run honours --jobs.  E.g. \
+     drop=0.01,dup=0.005,crash=2."
   in
   Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC" ~doc)
 
@@ -52,7 +56,7 @@ let jobs =
   let doc =
     "Run independent parts of the experiment on $(docv) domains \
      (defaults to the number of cores).  Output is byte-identical to \
-     --jobs 1.  --trace and --faults force sequential execution."
+     --jobs 1, traces, metrics and fault runs included."
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 

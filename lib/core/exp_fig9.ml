@@ -38,8 +38,9 @@ let run ?(pool = Par.Pool.sequential) ?(runs = 3) ?(warmup = 1)
   let sqlite = Trace.sqlite_trace () in
   (* One task per (tile count, series) point: every [throughput] call
      builds its own System, and the traces are shared read-only.  Under
-     --faults all tasks draw from one fault RNG in this order, so the
-     series keep it; [print] picks the table's column order by label. *)
+     --faults each task's fault stream is seeded by its place in this
+     order, so the series keep it; [print] picks the table's column
+     order by label. *)
   let series =
     [
       ("M3v find", System.M3v, find);

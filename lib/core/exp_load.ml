@@ -12,12 +12,10 @@
 
    Each load step is an independent simulation (own [System]), so steps
    fan out over the pool and merge in submission order — [--jobs N]
-   output is byte-identical to sequential.  When no external trace is
-   active, every step runs under a private trace sink and feeds the
-   critical-path profiler, whose per-segment means drive the bottleneck
-   attribution; under an external [--trace] (a private sink would take
-   the step's events away from its file) the attribution is reported as
-   unavailable. *)
+   output is byte-identical to sequential.  Every step records into a
+   trace sink of its own (a child of the [--trace] sink, if any) and
+   feeds it to the critical-path profiler, whose per-segment means drive
+   the bottleneck attribution. *)
 
 open M3v_sim.Proc.Syntax
 module Proc = M3v_sim.Proc
@@ -242,20 +240,8 @@ let run_step cfg ~frac =
     in
     (stalls, sends)
   in
-  (* Profiler segments come from a private sink, and only when no
-     external --trace sink is live: a private one would take the step's
-     events away from that trace file. *)
-  let sink = if Trace.on () then None else Some (Trace.make ()) in
-  let stalls, sends =
-    match sink with
-    | Some s -> Trace.with_sink s simulate
-    | None -> simulate ()
-  in
-  let segments =
-    match sink with
-    | Some s -> Profile.segment_means (Profile.analyze s)
-    | None -> []
-  in
+  let (stalls, sends), sink = Trace.scoped simulate in
+  let segments = Profile.segment_means (Profile.analyze sink) in
   let all = List.concat_map List.rev (Array.to_list samples) in
   let window_end = warmup_ps + duration_ps in
   let window_s = float_of_int duration_ps /. 1e12 in
@@ -299,28 +285,24 @@ let run_step cfg ~frac =
    stalls under backpressure), mux scheduling (sched_wait + activity
    switches), or the server side (service + receive-buffer wait). *)
 let attribution ~segments ~credit_stalls =
-  match segments with
-  | [] -> "n/a (external trace active; rerun without --trace)"
-  | segs ->
-      let get n = Option.value ~default:0.0 (List.assoc_opt n segs) in
-      let credit = get "sender_cmd" in
-      let sched = get "sched_wait" +. get "ctx_switch" in
-      let server = get "server" +. get "buffer_wait" in
-      let total = credit +. sched +. server in
-      if total <= 0.0 then "n/a (no complete flows)"
-      else
-        let name, v =
-          if server >= credit && server >= sched then
-            ("server service time", server)
-          else if sched >= credit then ("TileMux sched_wait", sched)
-          else ("credit stalls", credit)
-        in
-        Printf.sprintf
-          "%s (%.0f%% of the attributable critical path; %d credit-stalled \
-           sends)"
-          name
-          (100.0 *. v /. total)
-          credit_stalls
+  let get n = Option.value ~default:0.0 (List.assoc_opt n segments) in
+  let credit = get "sender_cmd" in
+  let sched = get "sched_wait" +. get "ctx_switch" in
+  let server = get "server" +. get "buffer_wait" in
+  let total = credit +. sched +. server in
+  if total <= 0.0 then "n/a (no complete flows)"
+  else
+    let name, v =
+      if server >= credit && server >= sched then
+        ("server service time", server)
+      else if sched >= credit then ("TileMux sched_wait", sched)
+      else ("credit stalls", credit)
+    in
+    Printf.sprintf
+      "%s (%.0f%% of the attributable critical path; %d credit-stalled sends)"
+      name
+      (100.0 *. v /. total)
+      credit_stalls
 
 let validate cfg =
   let fail fmt = Printf.ksprintf Result.error fmt in

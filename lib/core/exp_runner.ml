@@ -49,10 +49,7 @@ let with_trace trace f =
       M3v_obs.Report.print Format.std_formatter sink
 
 (* When [metrics] names a file, run the experiment with a metrics registry
-   installed, then export JSON there and print the metric tables.  Unlike
-   tracing, metrics do NOT force sequential execution: the pool shards the
-   registry per task and merges in submission order, so parallel metrics
-   output is byte-identical to a sequential run's. *)
+   installed, then export JSON there and print the metric tables. *)
 let with_metrics metrics f =
   match metrics with
   | None -> f ()
@@ -78,16 +75,12 @@ type opts = {
 let default =
   { trace = None; metrics = None; faults = None; fault_seed = 7; jobs = None }
 
-(* The one place that sizes a System experiment's pool.  A trace sink and
-   an ambient fault plan are domain-local, so tasks on worker domains
-   would silently escape them — and a shared fault RNG would destroy
-   schedule determinism anyway: either one makes the pool 1 wide.  Inside
-   the pool come the fault plan, the trace sink and the metrics
-   registry. *)
+(* The one place that sizes a System experiment's pool.  Inside the pool
+   come the fault plan, the trace sink and the metrics registry; each pool
+   task runs under children of all three (see [Par.submit]), so every
+   setting works at every width. *)
 let run o f =
-  let sequential = Option.is_some o.trace || Option.is_some o.faults in
-  let jobs = if sequential then Some 1 else o.jobs in
-  Par.Pool.with_pool ?jobs (fun pool ->
+  Par.Pool.with_pool ?jobs:o.jobs (fun pool ->
       with_faults ?faults:o.faults ~fault_seed:o.fault_seed (fun () ->
           with_trace o.trace (fun () ->
               with_metrics o.metrics (fun () -> f pool))))
@@ -145,9 +138,8 @@ let experiments =
 let find name = List.find_opt (fun e -> e.name = name) experiments
 
 (* The chaos soak manages its own plan: [Exp_chaos.run] installs the spec
-   and seed itself — inside each task, so a sweep can run seeds on worker
-   domains.  Only tracing forces it sequential, so [faults] is the soak's
-   spec, never the ambient plan of [run]. *)
+   and seed itself, inside each task, so [faults] is the soak's spec,
+   never the ambient plan of [run]. *)
 let chaos_outcome = function
   | Exp_chaos.Completed r -> Exp_chaos.print r
   | Exp_chaos.Suspended { checkpoints; file } ->
@@ -198,12 +190,11 @@ let chaos ?trace ?faults ~fault_seed ?jobs ~seeds ~checkpoint_every_ms
             ?fs_rounds:(positive rounds) ?kv_ops:(positive ops) ()
           |> List.iter Exp_chaos.print)
 
-(* Critical-path profiler entry point: run one experiment sequentially
-   under a private trace sink (flow events need the single-domain sink),
-   then decompose every message flow's end-to-end latency into
-   paper-aligned segments.  [trace]/[folded]/[metrics] optionally dump
-   the raw Chrome trace, a flamegraph-style folded-stack file, and the
-   metrics registry alongside the profile tables. *)
+(* Critical-path profiler entry point: [run] one experiment and
+   decompose every message flow's end-to-end latency, recorded in a sink
+   of the profile's own (a child of the [--trace] sink, if any), into
+   paper-aligned segments.  [folded] optionally dumps a flamegraph-style
+   folded-stack file alongside the profile tables. *)
 let profile ~exp ?trace ?folded ?metrics ~rounds ~runs () =
   (* Resolve the name first: an unknown experiment must not leave empty
      output files behind. *)
@@ -222,32 +213,20 @@ let profile ~exp ?trace ?folded ?metrics ~rounds ~runs () =
     | Some Runs -> positive runs
     | None -> None
   in
-  let trace =
-    Option.map (fun path -> (path, open_out_or_exit "trace" path)) trace
-  in
   let folded =
     Option.map (fun path -> (path, open_out_or_exit "folded-stack" path)) folded
   in
-  let sink = M3v_obs.Trace.make () in
-  with_metrics metrics (fun () ->
-      M3v_obs.Trace.with_sink sink (fun () ->
-          let (_ : unit -> unit) = e.run Par.Pool.sequential size in
-          ()));
-  Option.iter
-    (fun (path, oc) ->
-      M3v_obs.Chrome.write oc sink;
-      close_out oc;
-      Format.printf "trace: %d events -> %s@."
-        (M3v_obs.Trace.event_count sink)
-        path)
-    trace;
-  Option.iter
-    (fun (path, oc) ->
-      Buffer.output_buffer oc (M3v_obs.Profile.folded sink);
-      close_out oc;
-      Format.printf "folded stacks -> %s@." path)
-    folded;
-  M3v_obs.Profile.print Format.std_formatter (M3v_obs.Profile.analyze sink)
+  run { default with trace; metrics } (fun pool ->
+      let (_ : unit -> unit), sink =
+        M3v_obs.Trace.scoped (fun () -> e.run pool size)
+      in
+      Option.iter
+        (fun (path, oc) ->
+          Buffer.output_buffer oc (M3v_obs.Profile.folded sink);
+          close_out oc;
+          Format.printf "folded stacks -> %s@." path)
+        folded;
+      M3v_obs.Profile.print Format.std_formatter (M3v_obs.Profile.analyze sink))
 
 (* Fan out whole experiments as tasks (they also fan out internally via
    the same pool); each task returns its printer, which main runs in

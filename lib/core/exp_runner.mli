@@ -31,21 +31,22 @@ type opts = {
   jobs : int option;
       (** Fan the experiment's independent units — bars, sweep points,
           seeds — out over a {!M3v_par.Par} Domain pool of this size
-          ([None]: the core count).  Results merge in task-submission
-          order, so parallel and sequential runs print byte-identical
-          output. *)
+          ([None]: the core count).  Results, traces, metrics and fault
+          tallies merge in task-submission order, so parallel and
+          sequential runs print and write byte-identical output. *)
 }
 
 (** No trace, metrics or faults; [fault_seed = 7]; [jobs = None]. *)
 val default : opts
 
-(** [run opts f] gives [f] a pool sized by [opts.jobs] — 1 wide whenever
-    [trace] or [faults] is set, since both are domain-local and cannot
-    follow tasks onto worker domains — and runs it under the fault plan,
-    trace sink and metrics registry [opts] asks for, in that nesting
-    order.  Metrics do not force a sequential pool: the pool keeps one
-    registry per task and merges them in submission order, so [--jobs 4]
-    output is byte-identical to [--jobs 1]. *)
+(** [run opts f] gives [f] a pool sized by [opts.jobs] and runs it under
+    the fault plan, trace sink and metrics registry [opts] asks for, in
+    that nesting order.  Each pool task runs under children of the three
+    and they join back in submission order (see
+    {!M3v_par.Par.submit}), so [--jobs 4] output is byte-identical to
+    [--jobs 1] with any of them set.  Under [faults] each task draws its
+    own fault stream, and the crash, hang and mig_abort counts apply per
+    task. *)
 val run : opts -> (M3v_par.Par.Pool.t -> unit) -> unit
 
 (** The size flag an experiment takes: [--rounds] (measured RPC round
@@ -88,18 +89,18 @@ val chaos :
   seeds:int -> checkpoint_every_ms:int -> checkpoint_file:string ->
   stop_after:int -> ?resume:string -> rounds:int -> ops:int -> unit -> unit
 
-(** Critical-path profiler: run [exp] (any name in
-    {!experiments}) sequentially under a trace sink, then
+(** Critical-path profiler: {!run} [exp] (any name in {!experiments}),
+    recording it in a sink of its own ({!M3v_obs.Trace.scoped}), then
     decompose each message flow's end-to-end latency into paper-aligned
     segments (sender command, NoC transit, mux scheduling delay,
     activity-switch cost, buffer wait, server compute, reply) with
     p50/p99 per segment.  Segments sum exactly (in simulated picoseconds)
-    to the end-to-end latency.  [trace] additionally dumps the Chrome
-    trace, [folded] a flamegraph-style folded-stack file of simulated-time
-    spans, [metrics] the metrics registry JSON.  [rounds] sizes an
-    experiment whose size flag is [Rounds], [runs] one whose flag is
-    [Runs]; <= 0 picks the experiment default.  Output files are opened
-    before the run: a path that cannot be written exits 1 at once. *)
+    to the end-to-end latency.  [folded] dumps a flamegraph-style
+    folded-stack file of simulated-time spans; [trace] and [metrics] are
+    {!run}'s.  [rounds] sizes an experiment whose size flag is [Rounds],
+    [runs] one whose flag is [Runs]; <= 0 picks the experiment default.
+    Output files are opened before the run: a path that cannot be
+    written exits 1 at once. *)
 val profile :
   exp:string -> ?trace:string -> ?folded:string -> ?metrics:string ->
   rounds:int -> runs:int -> unit -> unit

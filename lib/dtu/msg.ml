@@ -28,8 +28,14 @@ let next_uid : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 
 (* Flow tracepoints embed uids as causal-flow ids, so a traced run must
    allocate them reproducibly: restart the counter whenever a domain's
-   first trace sink is installed. *)
-let () = M3v_obs.Trace.at_install (fun () -> Domain.DLS.get next_uid := 0)
+   first trace sink is installed and for every traced task, and put it
+   back after. *)
+let () =
+  M3v_obs.Trace.at_install (fun () ->
+      let next = Domain.DLS.get next_uid in
+      let saved = !next in
+      next := 0;
+      fun () -> next := saved)
 
 (* Checkpoint/restore must capture the counter explicitly: it lives in
    domain-local storage, which [Marshal] does not traverse. *)

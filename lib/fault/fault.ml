@@ -134,17 +134,20 @@ type stats = {
 
 type t = {
   spec : spec;
+  seed : int;
   rng : Rng.t;
   stats : stats;
   protected : (int, unit) Hashtbl.t;
   mutable crash_left : int;
   mutable hang_left : int;
   mutable mig_abort_left : int;
+  mutable forks : int; (* children forked for pool tasks so far *)
 }
 
 let create ?(seed = 1) spec =
   {
     spec;
+    seed;
     rng = Rng.create ~seed;
     stats =
       {
@@ -160,15 +163,36 @@ let create ?(seed = 1) spec =
     crash_left = spec.crash;
     hang_left = spec.hang;
     mig_abort_left = spec.mig_abort;
+    forks = 0;
   }
 
 let stats t = t.stats
 let spec t = t.spec
 
-(* --- ambient installation, like Trace's sink: domain-local so parallel
-   experiment tasks each run under their own plan (or none) --- *)
+(* --- ambient installation, like Trace's sink: domain-local, and a pool
+   task runs under a child of its submitter's plan.  The child draws from
+   a stream of its own, seeded from the parent's seed and the child's
+   place among the parent's forks, so each task's faults are the same
+   whichever domain runs it; it has the whole spec's crash, hang and
+   mig_abort budgets, and its tallies add into the parent's at join. --- *)
 
-let current : t Ambient.t = Ambient.make ()
+let fork t =
+  t.forks <- t.forks + 1;
+  create ~seed:(Hashtbl.hash (t.seed, t.forks)) t.spec
+
+let join parent child =
+  let p = parent.stats and c = child.stats in
+  p.dropped <- p.dropped + c.dropped;
+  p.duplicated <- p.duplicated + c.duplicated;
+  p.delayed <- p.delayed + c.delayed;
+  p.cmd_glitches <- p.cmd_glitches + c.cmd_glitches;
+  p.crashes_injected <- p.crashes_injected + c.crashes_injected;
+  p.hangs_injected <- p.hangs_injected + c.hangs_injected;
+  p.mig_aborts_injected <- p.mig_aborts_injected + c.mig_aborts_injected
+
+let current : t Ambient.t =
+  Ambient.make ~fork ~join ~start:(fun () -> ignore)
+
 let[@inline] on () = Ambient.on current
 let installed_domains () = Ambient.domains current
 let with_plan t f = Ambient.with_ current t f
@@ -231,7 +255,7 @@ let cmd_fails ~now ~tile =
 type act_fate = Crash | Hang
 
 (* Drawn at TMCall boundaries.  Budgeted: at most [spec.crash] crashes and
-   [spec.hang] hangs are injected across the whole run, each with
+   [spec.hang] hangs are injected per plan (per pool task), each with
    per-boundary probability [crash_p]/[hang_p] while budget remains. *)
 let act_fate ~now ~tile ~act =
   match Ambient.get current with
@@ -256,7 +280,7 @@ let act_fate ~now ~tile ~act =
 
 (* Drawn once per migration at each abortable phase boundary (before the
    atomic endpoint flip).  Budgeted like crash/hang: at most
-   [spec.mig_abort] aborts across the run, each with probability
+   [spec.mig_abort] aborts per plan, each with probability
    [mig_abort_p] while budget remains.  After the flip the protocol can
    only roll forward, so the controller stops consulting this hook. *)
 let mig_fate ~now ~tile ~act ~phase =

@@ -23,11 +23,11 @@ type spec = {
   delay : float;  (** per-data-packet extra-delay probability *)
   delay_ps : int;  (** max injected delay, ps (uniform in [1, delay_ps]) *)
   cmd_fail : float;  (** transient DTU command failure probability *)
-  crash : int;  (** total activity crashes to inject *)
+  crash : int;  (** activity crashes to inject, per plan *)
   crash_p : float;  (** per-TMCall-boundary crash probability *)
-  hang : int;  (** total activity hangs to inject *)
+  hang : int;  (** activity hangs to inject, per plan *)
   hang_p : float;  (** per-TMCall-boundary hang probability *)
-  mig_abort : int;  (** total migration aborts to inject *)
+  mig_abort : int;  (** migration aborts to inject, per plan *)
   mig_abort_p : float;  (** per-abortable-phase abort probability *)
 }
 
@@ -64,7 +64,15 @@ val spec : t -> spec
 (** {1 Installation} *)
 
 (** [with_plan t f] runs [f] with [t] as this domain's plan, then puts
-    back the plan [f] replaced (or none), on return or exception. *)
+    back the plan [f] replaced (or none), on return or exception.
+
+    Pool tasks take the plan by {!M3v_obs.Ambient}'s per-task rule: each
+    task runs under a child plan of its own, with the spec's whole crash,
+    hang and mig_abort budgets, drawing from a stream seeded from the
+    parent's seed and the child's place among the parent's forks.  The
+    child's tallies add into the parent's {!stats} when the submitter
+    awaits the task, so a run's faults and tallies do not depend on which
+    domain runs which task. *)
 val with_plan : t -> (unit -> 'a) -> 'a
 
 (** Whether a plan is installed on this domain.  Injection points and

@@ -8,7 +8,13 @@
     Events without a tile or activity ([ev_tile]/[ev_act] = -1) are
     assigned the dedicated {!global_pid} (and tid) instead of being
     clamped onto tile 0, and ["process_name"]/["thread_name"] metadata
-    events label every track. *)
+    events label every track.
+
+    Each task of the sink that recorded events ({!Trace.parts}) gets a
+    block of pids and a range of flow ids of its own, in task order, so
+    the systems of different tasks neither share tracks nor join flows.
+    The first block keeps the plain tile pids, {!global_pid} and flow
+    ids; when there are several, each label names its task. *)
 
 (** The pid given to events with [ev_tile = -1] (and the tid for
     [ev_act = -1]), labelled "global" via metadata. *)

@@ -6,11 +6,11 @@ module H = Stats.Histogram
    while no domain has a registry, zero allocation) unless a registry is
    installed on the running domain.
 
-   Parallel runs shard the registry per task: [shard_task] wraps a task
-   so it records into a private shard, and returns a merge thunk the pool
-   runs at [await] — in submission order, so merged output is
-   byte-identical to a sequential run (counters and histograms commute;
-   gauges resolve by simulated timestamp; series are merged by sort). *)
+   A pool task records into a fresh shard of its submitter's registry,
+   which [merge] folds back when the submitter awaits the task — in
+   submission order, so merged output is byte-identical to a sequential
+   run (counters and histograms commute; gauges resolve by simulated
+   timestamp; series are merged by sort). *)
 
 type key = { k_name : string; k_tile : int; k_act : int; k_cat : string }
 
@@ -32,13 +32,6 @@ type t = { table : (key, metric) Hashtbl.t; series : (key, series) Hashtbl.t }
 let series_cap = 512
 let create () = { table = Hashtbl.create 64; series = Hashtbl.create 16 }
 
-(* --- ambient registry --- *)
-
-let current : t Ambient.t = Ambient.make ()
-let[@inline] on () = Ambient.on current
-let installed_domains () = Ambient.domains current
-let with_registry r f = Ambient.with_ current r f
-
 (* --- recording --- *)
 
 let find_or_add r key mk =
@@ -58,39 +51,6 @@ let add r ~name ~tile ~act ~cat v =
   with
   | Counter c -> c.c <- c.c +. v
   | _ -> invalid_arg ("Metrics: " ^ name ^ " is not a counter")
-
-let counter_add ~name ?(tile = -1) ?(act = -1) ?(cat = "") v =
-  match Ambient.get current with
-  | None -> ()
-  | Some r -> add r ~name ~tile ~act ~cat v
-
-let counter_incr ~name ?(tile = -1) ?(act = -1) ?(cat = "") () =
-  match Ambient.get current with
-  | None -> ()
-  | Some r -> add r ~name ~tile ~act ~cat 1.0
-
-let gauge_set ~name ?(tile = -1) ?(act = -1) ?(cat = "") ~ts v =
-  match Ambient.get current with
-  | None -> ()
-  | Some r -> (
-      match
-        find_or_add r (key ~name ~tile ~act ~cat) (fun () ->
-            Gauge { g = 0.0; g_ts = min_int })
-      with
-      | Gauge g ->
-          g.g <- v;
-          g.g_ts <- ts
-      | _ -> invalid_arg ("Metrics: " ^ name ^ " is not a gauge"))
-
-let observe ~name ?(tile = -1) ?(act = -1) ?(cat = "") v =
-  match Ambient.get current with
-  | None -> ()
-  | Some r -> (
-      match
-        find_or_add r (key ~name ~tile ~act ~cat) (fun () -> Hist (H.create ()))
-      with
-      | Hist h -> H.add h v
-      | _ -> invalid_arg ("Metrics: " ^ name ^ " is not a histogram"))
 
 (* --- time series --- *)
 
@@ -123,21 +83,6 @@ let series_points ser =
   List.init ser.ser_len (fun i ->
       let j = (start + i) mod series_cap in
       (ser.ser_ts.(j), ser.ser_val.(j)))
-
-(* Sample every gauge and counter of the ambient registry into its ring
-   series.  Called from the engine observer hook (every 1024 simulation
-   events), so sampling cadence is deterministic in simulated time. *)
-let sample_ambient ~ts =
-  match Ambient.get current with
-  | None -> ()
-  | Some r ->
-      Hashtbl.iter
-        (fun k m ->
-          match m with
-          | Gauge g -> series_push r k ~ts g.g
-          | Counter c -> series_push r k ~ts c.c
-          | Hist _ -> ())
-        r.table
 
 (* --- merging --- *)
 
@@ -209,18 +154,67 @@ let merge ~into src =
           List.iter (fun (ts, v) -> series_push into k ~ts v) kept)
     (sorted_keys src.series)
 
-(* [shard_task f] wraps [f] to run against a fresh shard (whatever domain
-   executes it — the pool's helping-await may run it on the submitter),
-   and returns the thunk that folds the shard into the registry ambient at
-   submission time.  [None] when metrics are off, so the pool adds zero
-   overhead in plain runs. *)
-let shard_task f =
+(* --- ambient registry --- *)
+
+let current : t Ambient.t =
+  Ambient.make
+    ~fork:(fun _ -> create ())
+    ~join:(fun parent shard -> merge ~into:parent shard)
+    ~start:(fun () -> ignore)
+
+let[@inline] on () = Ambient.on current
+let installed_domains () = Ambient.domains current
+let with_registry r f = Ambient.with_ current r f
+
+(* --- emitters --- *)
+
+let counter_add ~name ?(tile = -1) ?(act = -1) ?(cat = "") v =
   match Ambient.get current with
-  | None -> None
-  | Some parent ->
-      let shard = create () in
-      Some
-        ((fun () -> with_registry shard f), fun () -> merge ~into:parent shard)
+  | None -> ()
+  | Some r -> add r ~name ~tile ~act ~cat v
+
+let counter_incr ~name ?(tile = -1) ?(act = -1) ?(cat = "") () =
+  match Ambient.get current with
+  | None -> ()
+  | Some r -> add r ~name ~tile ~act ~cat 1.0
+
+let gauge_set ~name ?(tile = -1) ?(act = -1) ?(cat = "") ~ts v =
+  match Ambient.get current with
+  | None -> ()
+  | Some r -> (
+      match
+        find_or_add r (key ~name ~tile ~act ~cat) (fun () ->
+            Gauge { g = 0.0; g_ts = min_int })
+      with
+      | Gauge g ->
+          g.g <- v;
+          g.g_ts <- ts
+      | _ -> invalid_arg ("Metrics: " ^ name ^ " is not a gauge"))
+
+let observe ~name ?(tile = -1) ?(act = -1) ?(cat = "") v =
+  match Ambient.get current with
+  | None -> ()
+  | Some r -> (
+      match
+        find_or_add r (key ~name ~tile ~act ~cat) (fun () -> Hist (H.create ()))
+      with
+      | Hist h -> H.add h v
+      | _ -> invalid_arg ("Metrics: " ^ name ^ " is not a histogram"))
+
+(* Sample every gauge and counter of the ambient registry into its ring
+   series.  Called from the engine observer hook (every 1024 simulation
+   events), so sampling cadence is deterministic in simulated time. *)
+let sample_ambient ~ts =
+  match Ambient.get current with
+  | None -> ()
+  | Some r ->
+      Hashtbl.iter
+        (fun k m ->
+          match m with
+          | Gauge g -> series_push r k ~ts g.g
+          | Counter c -> series_push r k ~ts c.c
+          | Hist _ -> ())
+        r.table
 
 (* --- export --- *)
 

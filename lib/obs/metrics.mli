@@ -7,10 +7,13 @@
     has one they cost one atomic load, so instrumented hot paths are free
     in ordinary runs.
 
-    Parallel experiment runs shard the registry per pool task via
-    {!shard_task}; the pool merges each shard back at [await] in
-    submission order, so [--jobs N] output is byte-identical to a
-    sequential run. *)
+    Pool tasks take the registry by {!Ambient}'s per-task rule: each task
+    records into a fresh shard, which joins the submitter's registry at
+    [await], in submission order: counters add, histograms merge, gauges
+    keep the value with the later simulated timestamp (the shard wins
+    ties), series are merge-sorted by timestamp and truncated to the ring
+    capacity.  So [--jobs N] output is byte-identical to a sequential
+    run. *)
 
 type t
 
@@ -30,8 +33,8 @@ val with_registry : t -> (unit -> 'a) -> 'a
     {!Ambient.on}). *)
 val on : unit -> bool
 
-(** The number of domains that have a registry installed now (a
-    {!shard_task} counts while it runs; see {!Ambient.domains}). *)
+(** The number of domains that have a registry installed now (a task's
+    shard counts while it runs; see {!Ambient.domains}). *)
 val installed_domains : unit -> int
 
 (** {1 Emitters} — no-ops when no registry is installed.  A name must keep
@@ -59,18 +62,6 @@ val observe : name:string -> ?tile:int -> ?act:int -> ?cat:string -> float -> un
     engine observer (every 1024 simulation events) so cadence is
     deterministic in simulated time. *)
 val sample_ambient : ts:int -> unit
-
-(** {1 Sharding} *)
-
-(** [shard_task f] — [None] when metrics are off.  Otherwise wraps [f] so
-    it records into a fresh shard no matter which domain runs it, and
-    returns the thunk that merges the shard into the registry that was
-    ambient at wrap time: counters add, histograms merge, gauges keep the
-    value with the later simulated timestamp (the shard wins ties), series
-    are merge-sorted by timestamp and truncated to the ring capacity.
-    Used by [Par.Pool.submit]; the merge thunk runs at [await], in
-    submission order, so the result is deterministic. *)
-val shard_task : (unit -> 'a) -> ((unit -> 'a) * (unit -> unit)) option
 
 (** {1 Export} *)
 

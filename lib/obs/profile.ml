@@ -8,7 +8,11 @@ module Stats = M3v_sim.Stats
    deliver→fetch wait into scheduling delay, activity-switch cost, and
    genuine receive-buffer wait.  Segment boundaries are clamped to be
    monotone, so segments are telescoping differences and always sum
-   exactly (in simulated ps) to the end-to-end latency. *)
+   exactly (in simulated ps) to the end-to-end latency.
+
+   Every task of the sink simulates a system of its own (see
+   [Trace.parts]), so flows, reply-to-request links and the tracks of
+   mux spans and switches are keyed by task too. *)
 
 type point = { p_ts : int; p_tile : int; p_act : int }
 
@@ -50,10 +54,11 @@ let arg_int key args =
     args
 
 type ctx = {
-  flows : (int, flow) Hashtbl.t;
-  runs : (int * int, (int * int) list ref) Hashtbl.t;
-      (* (tile, act) -> (start, dur) spans, chronological *)
-  switches : (int, int list ref) Hashtbl.t; (* tile -> instant ts, chrono *)
+  flows : (int * int, flow) Hashtbl.t; (* (task, uid) -> flow *)
+  runs : (int * int * int, (int * int) list ref) Hashtbl.t;
+      (* (task, tile, act) -> (start, dur) spans, newest first *)
+  switches : (int * int, int list ref) Hashtbl.t;
+      (* (task, tile) -> instant ts, newest first *)
 }
 
 let flow_of ctx id =
@@ -85,29 +90,32 @@ let collect sink =
       switches = Hashtbl.create 16;
     }
   in
+  let collect_event task (ev : Trace.event) =
+    match ev.ev_ph with
+    | Trace.Flow_start | Trace.Flow_step | Trace.Flow_end ->
+        let f = flow_of ctx (task, ev.ev_id) in
+        let p = { p_ts = ev.ev_ts; p_tile = ev.ev_tile; p_act = ev.ev_act } in
+        (match arg_int "req" ev.ev_args with
+        | Some req -> f.f_parent <- Some req
+        | None -> ());
+        (match arg_str "kind" ev.ev_args with
+        | Some "issue" -> if f.f_issue = None then f.f_issue <- Some p
+        | Some "inject" -> if f.f_inject = None then f.f_inject <- Some p
+        | Some "deliver" -> if f.f_deliver = None then f.f_deliver <- Some p
+        | Some "fetch" -> f.f_fetch <- Some p
+        | _ -> ())
+    | Trace.Complete
+      when ev.ev_cat = "mux" && ev.ev_name = "run" && ev.ev_tile >= 0
+           && ev.ev_act >= 0 ->
+        push_assoc ctx.runs (task, ev.ev_tile, ev.ev_act) (ev.ev_ts, ev.ev_dur)
+    | Trace.Instant when ev.ev_cat = "mux" && ev.ev_name = "ctx_switch" ->
+        if ev.ev_tile >= 0 then
+          push_assoc ctx.switches (task, ev.ev_tile) ev.ev_ts
+    | _ -> ()
+  in
   List.iter
-    (fun (ev : Trace.event) ->
-      match ev.ev_ph with
-      | Trace.Flow_start | Trace.Flow_step | Trace.Flow_end ->
-          let f = flow_of ctx ev.ev_id in
-          let p = { p_ts = ev.ev_ts; p_tile = ev.ev_tile; p_act = ev.ev_act } in
-          (match arg_int "req" ev.ev_args with
-          | Some req -> f.f_parent <- Some req
-          | None -> ());
-          (match arg_str "kind" ev.ev_args with
-          | Some "issue" -> if f.f_issue = None then f.f_issue <- Some p
-          | Some "inject" -> if f.f_inject = None then f.f_inject <- Some p
-          | Some "deliver" -> if f.f_deliver = None then f.f_deliver <- Some p
-          | Some "fetch" -> f.f_fetch <- Some p
-          | _ -> ())
-      | Trace.Complete
-        when ev.ev_cat = "mux" && ev.ev_name = "run" && ev.ev_tile >= 0
-             && ev.ev_act >= 0 ->
-          push_assoc ctx.runs (ev.ev_tile, ev.ev_act) (ev.ev_ts, ev.ev_dur)
-      | Trace.Instant when ev.ev_cat = "mux" && ev.ev_name = "ctx_switch" ->
-          if ev.ev_tile >= 0 then push_assoc ctx.switches ev.ev_tile ev.ev_ts
-      | _ -> ())
-    (Trace.events sink);
+    (fun (task, evs) -> List.iter (collect_event task) evs)
+    (Trace.parts sink);
   ctx
 
 (* --- wait decomposition --- *)
@@ -120,9 +128,9 @@ let collect sink =
    fetch on the kernel tile, which has no mux) the whole interval is
    buffer wait.  All boundaries are clamped into [td, tf] so the three
    parts always sum to tf - td. *)
-let wait_breakdown ctx ~tile ~act ~td ~tf =
+let wait_breakdown ctx ~task ~tile ~act ~td ~tf =
   let run_start =
-    match Hashtbl.find_opt ctx.runs (tile, act) with
+    match Hashtbl.find_opt ctx.runs (task, tile, act) with
     | None -> None
     | Some spans ->
         List.find_map
@@ -133,7 +141,7 @@ let wait_breakdown ctx ~tile ~act ~td ~tf =
   | None -> (0, 0, tf - td)
   | Some rs ->
       let sw =
-        match Hashtbl.find_opt ctx.switches tile with
+        match Hashtbl.find_opt ctx.switches (task, tile) with
         | None -> rs
         | Some instants -> (
             (* newest first *)
@@ -161,12 +169,12 @@ let leg_times f =
       Some (t_issue, t_inject, t_deliver, t_fetch, fe)
   | _ -> None
 
-let leg_segments ctx f =
+let leg_segments ctx ~task f =
   match leg_times f with
   | None -> None
   | Some (t_issue, t_inject, t_deliver, t_fetch, fetch_pt) ->
       let sched, switch, buffer =
-        wait_breakdown ctx ~tile:fetch_pt.p_tile ~act:fetch_pt.p_act
+        wait_breakdown ctx ~task ~tile:fetch_pt.p_tile ~act:fetch_pt.p_act
           ~td:t_deliver ~tf:t_fetch
       in
       Some
@@ -185,25 +193,28 @@ let analyze sink =
   (* Which flows are requests (some reply names them as parent)? *)
   let replied = Hashtbl.create 64 in
   Hashtbl.iter
-    (fun id f ->
+    (fun (task, id) f ->
       match f.f_parent with
-      | Some req -> if Hashtbl.mem ctx.flows req then Hashtbl.replace replied req id
+      | Some req ->
+          if Hashtbl.mem ctx.flows (task, req) then
+            Hashtbl.replace replied (task, req) id
       | None -> ())
     ctx.flows;
   let rpcs = ref [] and oneways = ref [] and incomplete = ref 0 in
   Hashtbl.iter
-    (fun id f ->
+    (fun ((task, id) as key) f ->
       if f.f_parent <> None then ()
         (* reply legs are folded into their request's profile *)
       else
-        match (leg_segments ctx f, Hashtbl.find_opt replied id) with
+        match (leg_segments ctx ~task f, Hashtbl.find_opt replied key) with
         | None, _ -> if f.f_issue <> None then incr incomplete
         | Some (segs, t_issue, t_fetch), None ->
-            oneways :=
+            let fp =
               { fp_id = id; fp_e2e = t_fetch - t_issue; fp_segments = segs }
-              :: !oneways
+            in
+            oneways := (key, fp) :: !oneways
         | Some (segs, t_issue, t_fetch), Some reply_id -> (
-            let r = Hashtbl.find ctx.flows reply_id in
+            let r = Hashtbl.find ctx.flows (task, reply_id) in
             match (r.f_issue, leg_times r) with
             | Some ri, Some (_, _, _, r_fetch, _) ->
                 let t_reply_issue = max t_fetch ri.p_ts in
@@ -216,22 +227,27 @@ let analyze sink =
                     ]
                 in
                 rpcs :=
-                  {
-                    fp_id = id;
-                    fp_e2e = t_reply_fetch - t_issue;
-                    fp_segments = segs;
-                  }
+                  ( key,
+                    {
+                      fp_id = id;
+                      fp_e2e = t_reply_fetch - t_issue;
+                      fp_segments = segs;
+                    } )
                   :: !rpcs
             | _ ->
                 (* reply never completed; profile the request leg alone *)
-                oneways :=
+                let fp =
                   { fp_id = id; fp_e2e = t_fetch - t_issue; fp_segments = segs }
-                  :: !oneways))
+                in
+                oneways := (key, fp) :: !oneways))
     ctx.flows;
-  let by_id a b = Int.compare a.fp_id b.fp_id in
+  (* In task order, then uid order within a task. *)
+  let in_order flows =
+    List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) flows)
+  in
   {
-    rpcs = List.sort by_id !rpcs;
-    oneways = List.sort by_id !oneways;
+    rpcs = in_order !rpcs;
+    oneways = in_order !oneways;
     incomplete = !incomplete;
   }
 
@@ -299,10 +315,11 @@ let act_frame act =
 let tile_frame tile =
   if tile < 0 then "global" else Printf.sprintf "tile%d" tile
 
-(* Reconstruct span nesting per (tile, act) track by interval containment
-   and attribute each span its self time (duration minus nested children),
-   producing standard "frame;frame;frame weight" folded lines with
-   simulated picoseconds as the weight. *)
+(* Reconstruct span nesting per (task, tile, act) track by interval
+   containment and attribute each span its self time (duration minus
+   nested children), producing standard "frame;frame;frame weight" folded
+   lines with simulated picoseconds as the weight.  The frames name the
+   tile and activity, so a path's weight sums over tasks. *)
 let folded sink =
   let acc : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let add path v =
@@ -310,22 +327,25 @@ let folded sink =
     | Some n -> Hashtbl.replace acc path (n + v)
     | None -> Hashtbl.add acc path v
   in
-  let groups : (int * int, Trace.event list ref) Hashtbl.t =
+  let groups : (int * int * int, Trace.event list ref) Hashtbl.t =
     Hashtbl.create 32
   in
   List.iter
-    (fun (ev : Trace.event) ->
-      if ev.ev_ph = Trace.Complete then
-        push_assoc groups (ev.ev_tile, ev.ev_act) ev)
-    (Trace.events sink);
+    (fun (task, evs) ->
+      List.iter
+        (fun (ev : Trace.event) ->
+          if ev.ev_ph = Trace.Complete then
+            push_assoc groups (task, ev.ev_tile, ev.ev_act) ev)
+        evs)
+    (Trace.parts sink);
   let keys =
     Hashtbl.fold (fun k _ acc -> k :: acc) groups []
     |> List.sort Stdlib.compare
   in
   List.iter
-    (fun (tile, act) ->
+    (fun ((_, tile, act) as track) ->
       let evs =
-        List.rev !(Hashtbl.find groups (tile, act))
+        List.rev !(Hashtbl.find groups track)
         |> List.stable_sort (fun (a : Trace.event) b ->
                match Int.compare a.ev_ts b.ev_ts with
                | 0 -> Int.compare b.ev_dur a.ev_dur (* parents first *)

@@ -14,15 +14,18 @@
     flamegraph tools. *)
 
 type flow_prof = {
-  fp_id : int;  (** message uid *)
+  fp_id : int;  (** message uid, unique within its task *)
   fp_e2e : int;  (** end-to-end latency, ps *)
   fp_segments : (string * int) list;
       (** ordered (segment, ps); sums exactly to [fp_e2e] *)
 }
 
 type report = {
-  rpcs : flow_prof list;  (** request/reply pairs, by request uid *)
-  oneways : flow_prof list;  (** complete flows with no reply *)
+  rpcs : flow_prof list;
+      (** request/reply pairs, in task order and by request uid within a
+          task (see {!Trace.parts}) *)
+  oneways : flow_prof list;
+      (** complete flows with no reply, in the same order *)
   incomplete : int;  (** flows issued but never fetched *)
 }
 
@@ -43,5 +46,6 @@ val segment_means : report -> (string * float) list
 val print : Format.formatter -> report -> unit
 
 (** Folded-stack (flamegraph collapsed) export of all Complete spans,
-    grouped per tile and activity, weighted by simulated self-time ps. *)
+    nested per task, tile and activity and grouped per tile and activity,
+    weighted by simulated self-time ps. *)
 val folded : Trace.sink -> Buffer.t

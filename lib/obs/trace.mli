@@ -45,19 +45,39 @@ type sink
     accumulating regardless. *)
 val make : ?max_events:int -> unit -> sink
 
-(** Register a reset hook that {!with_sink} runs when it installs a
-    domain's first sink (e.g. the message uid counter whose values flow
-    events embed).  Call at module-init time only. *)
-val at_install : (unit -> unit) -> unit
+(** Register a run-local allocator (e.g. the message uid counter whose
+    values flow events embed): the hook resets it and returns what puts it
+    back.  {!with_sink} runs the hooks when it installs a domain's first
+    sink, and every pool task that records into a sink runs them at its
+    start, wherever it runs.  Call at module-init time only. *)
+val at_install : (unit -> unit -> unit) -> unit
 
 (** [with_sink s f] runs [f] with [s] as this domain's sink, then puts
     back the sink [f] replaced (or none), on return or exception.  When
     the domain had no sink, it first resets every
-    {!at_install}-registered run-local allocator, so identical runs
-    under fresh sinks emit byte-identical traces; a sink installed inside
-    another keeps counting, so the outer trace's flow ids stay
-    distinct. *)
+    {!at_install}-registered run-local allocator, and puts them back
+    after, so identical runs under fresh sinks emit byte-identical
+    traces; a sink installed inside another keeps counting, so the outer
+    trace's flow ids stay distinct.
+
+    Pool tasks ([Par.submit]) take the sink by {!Ambient}'s per-task
+    rule.  Each task records into a child of its submitter's sink, with
+    message uids that start afresh, and the child joins the submitter's
+    sink when the submitter awaits the task: its events after the events
+    already there, as a task of their own, and its histograms and tallies
+    merged into the submitter's.  A child may keep half, rounded up, of
+    the events its parent has not yet kept or lent, and gives back what
+    it did not use when it joins, so one run's sinks never hold more than
+    the first sink's cap between them. *)
 val with_sink : sink -> (unit -> 'a) -> 'a
+
+(** [scoped f] runs [f] under a sink of its own and returns that sink
+    with [f]'s result: a child of this domain's sink, which may keep all
+    the events its parent has not yet kept or lent and joins the parent
+    when [f] returns or raises, or a fresh sink when the domain has
+    none.  For code that analyses the events of one stretch of a run
+    whether or not the run is traced. *)
+val scoped : (unit -> 'a) -> 'a * sink
 
 (** Whether a sink is installed on this domain.  Hot call sites check
     this before computing tracepoint arguments.  Exact on every domain
@@ -148,7 +168,16 @@ val latency_int : string -> int -> unit
 
 (** {1 Reading a sink} *)
 
+(** Every event, in order: each task's events in the order it recorded
+    them, and a joined task's after the events its parent had recorded
+    before the join. *)
 val events : sink -> event list
+
+(** {!events} in runs that each belong to one task, with the task's
+    number in the sink: [0] for the sink's own task, then the tasks joined
+    into it, numbered in join order, a joined task's own tasks after it.
+    Message uids, and so flow ids, are unique only within a task. *)
+val parts : sink -> (int * event list) list
 
 (** Events recorded (excluding dropped ones). *)
 val event_count : sink -> int

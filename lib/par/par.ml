@@ -11,7 +11,13 @@
    already running on some domain (which will complete it, recursively
    helping through any nested awaits).  So an await chain always bottoms
    out in a runnable or running task and a fixed-size pool cannot
-   deadlock on nested fan-out. *)
+   deadlock on nested fan-out.
+
+   Run settings (trace sink, metrics registry, fault plan) follow a task
+   by [M3v_obs.Ambient.task]'s one rule: the task runs under children
+   forked from its submitter's settings on whichever domain runs it, so
+   an awaiting domain may help with any queued task, and the children
+   join back at [await]. *)
 
 type 'a state =
   | Pending
@@ -92,35 +98,28 @@ type 'a future = {
   fm : Mutex.t;
   fcv : Condition.t;
   home : pool option; (* where to steal work from while awaiting *)
-  merge : (unit -> unit) option Atomic.t;
-      (* folds the task's metrics shard into the submitter's registry;
-         run exactly once, at [await], so shards merge in await (=
-         submission) order and parallel metrics are byte-identical to
-         sequential ones *)
+  join : (unit -> unit) Atomic.t;
+      (* joins the task's settings into the submitter's; run exactly
+         once, at [await], so children join in await (= submission) order
+         and parallel output is byte-identical to sequential output *)
 }
 
-let completed_future ?merge st =
+let completed_future ~join st =
   {
     state = Atomic.make st;
     fm = Mutex.create ();
     fcv = Condition.create ();
     home = None;
-    merge = Atomic.make merge;
+    join = Atomic.make join;
   }
 
 let run_to_state f =
   try Done (f ()) with e -> Failed (e, Printexc.get_raw_backtrace ())
 
 let submit pool f =
-  (* With metrics on, the task records into a private shard no matter
-     which domain runs it (workers, or the submitter when helping). *)
-  let f, merge =
-    match M3v_obs.Metrics.shard_task f with
-    | None -> (f, None)
-    | Some (wrapped, m) -> (wrapped, Some m)
-  in
+  let f, join = M3v_obs.Ambient.task f in
   match pool with
-  | Seq -> completed_future ?merge (run_to_state f)
+  | Seq -> completed_future ~join (run_to_state f)
   | Par p ->
       let fut =
         {
@@ -128,7 +127,7 @@ let submit pool f =
           fm = Mutex.create ();
           fcv = Condition.create ();
           home = Some p;
-          merge = Atomic.make merge;
+          join = Atomic.make join;
         }
       in
       let task () =
@@ -150,24 +149,16 @@ let submit pool f =
       Mutex.unlock p.qm;
       fut
 
-(* Helping is suppressed while this domain runs under an installed trace
-   sink or fault plan: executing a foreign task in that ambient state
-   would feed its events into the wrong trace / fault RNG. *)
-let may_help () = not (M3v_obs.Trace.on () || M3v_fault.Fault.on ())
-
 let try_steal p =
   Mutex.lock p.qm;
   let t = if Queue.is_empty p.queue then None else Some (Queue.pop p.queue) in
   Mutex.unlock p.qm;
   t
 
-(* Run the future's metrics-shard merge exactly once.  Only called after
-   the state left Pending, so the shard is quiescent; the atomic exchange
-   makes a second await a no-op. *)
-let finalize fut =
-  match Atomic.exchange fut.merge None with
-  | Some m -> m ()
-  | None -> ()
+(* Join the task's settings exactly once.  Only called after the state
+   left Pending, so the children are quiescent; the atomic exchange makes
+   a second await a no-op. *)
+let finalize fut = (Atomic.exchange fut.join ignore) ()
 
 let rec await fut =
   match Atomic.get fut.state with
@@ -179,13 +170,13 @@ let rec await fut =
       Printexc.raise_with_backtrace e bt
   | Pending -> (
       match fut.home with
-      | Some p when may_help () -> (
+      | Some p -> (
           match try_steal p with
           | Some task ->
               task ();
               await fut
           | None -> block_then_await fut)
-      | _ -> block_then_await fut)
+      | None -> block_then_await fut)
 
 and block_then_await fut =
   Mutex.lock fut.fm;

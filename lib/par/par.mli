@@ -48,19 +48,20 @@ type 'a future
     immediately on the calling domain.  Exceptions raised by [f] are
     captured and re-raised (with their backtrace) by {!await}.
 
-    When a metrics registry is installed (see [M3v_obs.Metrics]), [f]
-    records into a private per-task shard regardless of which domain runs
-    it, and the shard is folded back into the submitter's registry at
-    {!await} — in await (= submission) order — so parallel metrics output
-    is byte-identical to a sequential run's. *)
+    [f] runs under exactly its submitter's run settings (trace sink,
+    metrics registry, fault plan), each forked into a child for this task
+    by [M3v_obs.Ambient.task], whichever domain runs it, and under no
+    setting of that domain's own.  The children join the submitter's
+    settings at {!await} — in await (= submission) order — so parallel
+    traces, metrics and fault runs are byte-identical to sequential
+    ones. *)
 val submit : Pool.t -> (unit -> 'a) -> 'a future
 
 (** Wait for a future.  While waiting, the calling domain executes other
     queued tasks of the same pool ("helping"), so nested fan-out —
     a task that itself submits and awaits subtasks — cannot deadlock a
-    fixed-size pool.  Helping is suppressed while the calling domain has
-    a trace sink or fault plan installed, because a foreign task running
-    under them would corrupt both runs. *)
+    fixed-size pool.  A helped task runs under its own submitter's
+    settings, and the helper's are put back after it. *)
 val await : 'a future -> 'a
 
 (** [map pool f xs] submits [f x] for every element and awaits the

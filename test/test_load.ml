@@ -1,7 +1,7 @@
 (* Load-harness tests: sampler determinism and shape (chi-square), fleet
    schedule invariants, knee detection over synthetic sweeps, the
    [A.sleep] primitive, and end-to-end [Exp_load] determinism across
-   [--jobs] settings. *)
+   [--jobs] settings and with a trace sink installed. *)
 
 open M3v_sim
 module Sampler = M3v_load.Sampler
@@ -419,6 +419,21 @@ let test_exp_load_jobs_deterministic () =
   let par = Par.Pool.with_pool ~jobs:4 (fun pool -> render tiny_cfg pool) in
   check_string "jobs=4 report byte-identical to sequential" seq par
 
+(* Each step profiles a sink of its own, so an installed trace sink
+   leaves the bottleneck attribution as it is. *)
+let test_exp_load_attribution_traced () =
+  let attribution () =
+    (M3v.Exp_load.run ~cfg:tiny_cfg ()).M3v.Exp_load.r_attribution
+  in
+  let plain = attribution () in
+  let sink = M3v_obs.Trace.make () in
+  let traced = M3v_obs.Trace.with_sink sink attribution in
+  check_bool "attribution is not n/a" false
+    (String.starts_with ~prefix:"n/a" plain);
+  check_string "a trace sink leaves the attribution as it is" plain traced;
+  check_bool "the steps' events reach the installed sink" true
+    (M3v_obs.Trace.event_count sink > 0)
+
 let test_exp_load_validate () =
   let module L = M3v.Exp_load in
   let ok cfg = Result.is_ok (L.validate cfg) in
@@ -475,4 +490,6 @@ let suite =
     Alcotest.test_case "exp_load jobs determinism" `Quick
       test_exp_load_jobs_deterministic;
     Alcotest.test_case "exp_load validate" `Quick test_exp_load_validate;
+    Alcotest.test_case "exp_load attribution under a trace sink" `Quick
+      test_exp_load_attribution_traced;
   ]

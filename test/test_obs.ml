@@ -2,8 +2,9 @@
    well-formedness (property-tested against the bench_io parser, control
    characters included), flow conservation and critical-path segment
    exactness on a traced RPC run, distinct flow ids across a nested
-   sink, parallel-metrics determinism, the global-pid clamping fix, and
-   the trace report's drop warning. *)
+   sink, per-task span nesting in the folded stacks, parallel-metrics
+   determinism, the global-pid clamping fix, and the trace report's drop
+   warning. *)
 
 open M3v_sim
 open M3v_sim.Proc.Syntax
@@ -265,6 +266,27 @@ let test_segments_sum_exact () =
                  | Some n -> n > 0
                  | None -> false))
 
+(* Two tasks simulate two systems on the same tiles from time 0.  Their
+   spans nest per task, so no TileMux run span of one system lands inside
+   a run span of the other, and the trace is the same at every width. *)
+let test_folded_stacks_per_task () =
+  let traced pool =
+    let sink = Trace.make () in
+    Trace.with_sink sink (fun () ->
+        ignore (Par.map pool (fun rounds -> run_rpc ~rounds) [ 3; 4 ]));
+    sink
+  in
+  let seq = traced Par.Pool.sequential in
+  let folded = Buffer.contents (Profile.folded seq) in
+  check_bool "folded stacks non-empty" true (String.length folded > 0);
+  check_bool "no mux/run frame under another" false
+    (contains folded "mux/run;mux/run");
+  check_int "one part per task" 2 (List.length (Trace.parts seq));
+  let par = Par.Pool.with_pool ~jobs:2 traced in
+  check_string "same trace on a 2-wide pool"
+    (Buffer.contents (Chrome.to_buffer seq))
+    (Buffer.contents (Chrome.to_buffer par))
+
 (* --- metrics: typed registry + parallel determinism --- *)
 
 let test_metrics_type_mismatch () =
@@ -296,6 +318,7 @@ let suite =
     ("flow conservation (rpc run)", `Quick, test_flow_conservation);
     ("nested sink keeps flow ids", `Quick, test_nested_sink_keeps_flow_ids);
     ("profile segments sum exactly", `Quick, test_segments_sum_exact);
+    ("folded stacks nest per task", `Quick, test_folded_stacks_per_task);
     ("metrics type mismatch rejected", `Quick, test_metrics_type_mismatch);
     ("metrics identical across jobs", `Slow, test_metrics_jobs_identity);
   ]
