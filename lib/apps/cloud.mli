@@ -34,5 +34,3 @@ val db_program :
   on_rep:(run_report -> unit) ->
   unit M3v_sim.Proc.t
 
-(** Cycles charged per decoded byte of the request file. *)
-val decode_cycles_per_byte : int

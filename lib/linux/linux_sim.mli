@@ -53,10 +53,3 @@ val tmpfs : t -> M3v_os.Fs_core.t
 val preload_file : t -> path:string -> bytes -> unit
 
 val peek_file : t -> path:string -> bytes option
-
-(** Calibration constants (cycles). *)
-val syscall_cycles : int
-
-val yield_extra_cycles : int
-val udp_tx_cycles : int
-val udp_rx_cycles : int

@@ -32,9 +32,6 @@ val stats : handle -> stats
 
 val make_handle : ?max_extent_blocks:int -> blocks:int -> unit -> handle
 
-(** Cycles charged per metadata operation (directory walk, fd table). *)
-val op_cycles : int
-
 (** The service program.
 
     [rgate] receives client requests; [mem_ep] is the service's own

@@ -14,12 +14,6 @@ type stats = { received : int }
 val make_handle : unit -> handle
 val stats : handle -> stats
 
-(** Per-packet software costs (calibration constants, in core cycles). *)
-val stack_tx_cycles : int
-
-val stack_rx_cycles : int
-val driver_cycles : int
-
 (** The service program.  [rgate] receives client requests, [nic_rgate]
     receives frames from the NIC. *)
 val program :

@@ -17,6 +17,3 @@ val program :
   M3v_mux.Act_api.env ->
   unit M3v_sim.Proc.t
 
-(** Cycles the pager spends on fault policy per request (exported for
-    tests and the cost documentation). *)
-val fault_policy_cycles : int

@@ -31,11 +31,7 @@ module Histogram : sig
   val count : t -> int
   val total : t -> float
   val mean : t -> float
-  val min_value : t -> float
   val max_value : t -> float
-
-  (** [quantile t q] with [q] in [0, 1]. *)
-  val quantile : t -> float -> float
 
   (** [percentile t p] with [p] in [0, 100]. *)
   val percentile : t -> float -> float
